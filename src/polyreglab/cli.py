@@ -39,7 +39,6 @@ from .twoway import (
     RegularFn,
     TransducerError,
     builtin_regular_fn,
-    parse_transducer,
 )
 from .words import Alphabet, Word, WordError
 
@@ -56,6 +55,9 @@ _EVAL_ERRORS = (
     ValueError,
     KeyError,
     OSError,
+    # and/or chains within sexpr.MAX_DEPTH can still overflow the formula
+    # walkers, which spend two frames on each such level
+    RecursionError,
 )
 
 
@@ -100,15 +102,7 @@ def _regular_ref(ref: str) -> RegularFn:
         return builtin_regular_fn(ref)
     except KeyError:
         pass
-    with open(ref, encoding="utf-8") as handle:
-        machine = parse_transducer(handle.read())
-    return RegularFn(
-        name=machine.name or os.path.basename(ref),
-        input_alphabet=machine.input_alphabet,
-        output_alphabet=machine.output_alphabet,
-        growth_constant=len(machine.states),
-        transducer=machine,
-    )
+    return RegularFn.from_file(ref, os.path.basename(ref))
 
 
 def _pebble_ref(ref: str):
@@ -138,7 +132,7 @@ def _origins_line(annotated) -> str:
 def _cmd_eval_interp(args) -> int:
     interp = _interp_ref(args.interp)
     w = _read_word(args.word, interp.input_alphabet)
-    result = eval_interp_details(interp, w, full_order_check=args.full_order_check)
+    result = eval_interp_details(interp, w)
     if args.format == "json":
         payload = {
             "output": result.word().render(),
@@ -398,7 +392,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("interp")
     p.add_argument("word")
     p.add_argument("--origins", action="store_true")
-    p.add_argument("--full-order-check", action="store_true")
     p.set_defaults(run=_cmd_eval_interp)
 
     p = subs.add_parser("eval-pebble", parents=[common])

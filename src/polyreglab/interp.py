@@ -125,7 +125,7 @@ def compute_domain(interp: Interpretation, u: Word) -> InterpDomain:
 
 @dataclass(frozen=True)
 class OrderViolation:
-    kind: str  # reflexivity | antisymmetry | comparability | transitivity | misordered
+    kind: str  # reflexivity | antisymmetry | comparability | transitivity
     tuples: tuple[tuple[int, ...], ...]
 
     def render(self) -> str:
@@ -141,62 +141,51 @@ class OrderCheck:
 
 
 def check_linear_order(
-    dom: Iterable[tuple[int, ...]],
-    interp: Interpretation,
-    u: Word,
-    full: bool = False,
+    dom: Iterable[tuple[int, ...]], interp: Interpretation, u: Word
 ) -> OrderCheck:
     """Is the order formula a linear (reflexive, total) order on ``dom``?
 
-    The default mode ranks tuples by predecessor count and verifies that
-    ranks are distinct and adjacent tuples correctly ordered; ``full``
-    additionally checks every pair and every triple.
+    One query per ordered pair: bit i of ``masks[j]`` says tuple i <= tuple j.
+    Ranked by predecessor count, the relation is the ranking's linear order
+    exactly when each tuple's mask holds itself and the tuples ranked below
+    it, and nothing else.
     """
     tuples = sorted(dom)
     m = len(tuples)
     if m == 0:
         return OrderCheck(True, ())
-    ev = FormulaEvaluator(u, interp.order_formula, var_order=interp.pair_vars())
+    at = FormulaEvaluator(u, interp.order_formula, var_order=interp.pair_vars()).at
+    masks = [sum(1 << i for i, s in enumerate(tuples) if at(s + t)) for t in tuples]
+    ranked = sorted(range(m), key=lambda j: masks[j].bit_count())
+    below = 0
+    for j in ranked:
+        below |= 1 << j
+        if masks[j] != below:
+            return OrderCheck(False, (), _order_violation(tuples, masks))
+    return OrderCheck(True, tuple(tuples[j] for j in ranked))
 
-    def leq(s: tuple[int, ...], t: tuple[int, ...]) -> bool:
-        return ev.at(s + t)
 
-    counts: list[int] = []
-    for t in tuples:
-        counts.append(sum(1 for s in tuples if leq(s, t)))
-    if sorted(counts) != list(range(1, m + 1)):
-        for t in tuples:
-            if not leq(t, t):
-                return OrderCheck(False, (), OrderViolation("reflexivity", (t,)))
-        seen: dict[int, tuple[int, ...]] = {}
-        for t, c in zip(tuples, counts):
-            if c in seen:
-                s = seen[c]
-                if leq(s, t) and leq(t, s):
-                    return OrderCheck(False, (), OrderViolation("antisymmetry", (s, t)))
-                if not leq(s, t) and not leq(t, s):
-                    return OrderCheck(False, (), OrderViolation("comparability", (s, t)))
-                return OrderCheck(False, (), OrderViolation("misordered", (s, t)))
-            seen[c] = t
-        worst = max(zip(counts, tuples))[1]
-        return OrderCheck(False, (), OrderViolation("misordered", (worst,)))
-    ranked = [t for _, t in sorted(zip(counts, tuples))]
-    for s, t in zip(ranked, ranked[1:]):
-        if not leq(s, t):
-            return OrderCheck(False, (), OrderViolation("comparability", (s, t)))
-        if leq(t, s):
-            return OrderCheck(False, (), OrderViolation("antisymmetry", (s, t)))
-    if full:
-        for s, t in itertools.combinations(ranked, 2):
-            forward, backward = leq(s, t), leq(t, s)
-            if forward and backward:
-                return OrderCheck(False, (), OrderViolation("antisymmetry", (s, t)))
-            if not forward and not backward:
-                return OrderCheck(False, (), OrderViolation("comparability", (s, t)))
-        for a, b, c in itertools.permutations(ranked, 3):
-            if leq(a, b) and leq(b, c) and not leq(a, c):
-                return OrderCheck(False, (), OrderViolation("transitivity", (a, b, c)))
-    return OrderCheck(True, tuple(ranked))
+def _order_violation(tuples: list[tuple[int, ...]], masks: list[int]) -> OrderViolation:
+    """Name a property that the relation given by ``masks`` breaks."""
+    for j, mask in enumerate(masks):
+        if not mask >> j & 1:
+            return OrderViolation("reflexivity", (tuples[j],))
+    for i, j in itertools.combinations(range(len(tuples)), 2):
+        forward, backward = masks[j] >> i & 1, masks[i] >> j & 1
+        if forward == backward:
+            kind = "antisymmetry" if forward else "comparability"
+            return OrderViolation(kind, (tuples[i], tuples[j]))
+    # A reflexive tournament that is not a linear order repeats a predecessor
+    # count (Landau).  If s <= t with equal counts, t's mask holds t but s's
+    # does not, so s's mask holds some w that t's lacks: w <= s <= t, w !<= t.
+    counts = [mask.bit_count() for mask in masks]
+    s, t = next(
+        (s, t)
+        for s, t in itertools.permutations(range(len(tuples)), 2)
+        if counts[s] == counts[t] and masks[t] >> s & 1
+    )
+    w = (masks[s] & ~masks[t]).bit_length() - 1
+    return OrderViolation("transitivity", (tuples[w], tuples[s], tuples[t]))
 
 
 # -- evaluation ----------------------------------------------------------
@@ -227,9 +216,7 @@ class InterpResult:
         return self.output.word()
 
 
-def eval_interp_details(
-    interp: Interpretation, u: Word, full_order_check: bool = False
-) -> InterpResult:
+def eval_interp_details(interp: Interpretation, u: Word) -> InterpResult:
     domain = compute_domain(interp, u)
     for tup in domain.tuples():
         holds = domain.letters_at[tup]
@@ -241,7 +228,7 @@ def eval_interp_details(
                 tuple(sorted(holds)),
             )
             return InterpResult(OriginWord(), diag)
-    check = check_linear_order(domain.tuples(), interp, u, full=full_order_check)
+    check = check_linear_order(domain.tuples(), interp, u)
     if not check.ok:
         assert check.violation is not None
         diag = InterpDiagnostic(
@@ -257,11 +244,11 @@ def eval_interp_details(
     return InterpResult(output)
 
 
-def eval_interp(interp: Interpretation, u: Word, full_order_check: bool = False) -> OriginWord:
+def eval_interp(interp: Interpretation, u: Word) -> OriginWord:
     """The interpretation's output on ``u`` with origins; empty (with the
     reason available via ``eval_interp_details``) when the structure the
     formulas carve out is not a word."""
-    return eval_interp_details(interp, u, full_order_check).output
+    return eval_interp_details(interp, u).output
 
 
 # -- file format ----------------------------------------------------------

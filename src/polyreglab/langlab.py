@@ -20,7 +20,7 @@ from typing import Callable, Iterator, Mapping
 from .interp import builtin_interp, eval_interp, parse_interp
 from .pebble import apply, builtin_polyfun, innsq_direct, parse_polyfun
 from .psi import dcomplete_witness, psi
-from .twoway import builtin_regular_fn, parse_transducer
+from .twoway import RegularFn, builtin_regular_fn
 from .words import Alphabet, Word, erase
 
 DEFAULT_BUDGET = 5_000_000
@@ -178,17 +178,7 @@ def resolve_function(ref: str, alphabet: Alphabet | None = None) -> ResolvedFn:
         try:
             rf = builtin_regular_fn(rest)
         except KeyError:
-            with open(rest, encoding="utf-8") as handle:
-                machine = parse_transducer(handle.read())
-            from .twoway import RegularFn
-
-            rf = RegularFn(
-                name=machine.name or rest,
-                input_alphabet=machine.input_alphabet,
-                output_alphabet=machine.output_alphabet,
-                growth_constant=len(machine.states),
-                transducer=machine,
-            )
+            rf = RegularFn.from_file(rest, rest)
         return ResolvedFn(ref, lambda w: rf(w).word(), rf.input_alphabet)
     if kind == "pebble" and rest:
         try:

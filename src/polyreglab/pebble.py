@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from . import sexpr
-from .twoway import RegularFn, builtin_regular_fn, builtin_regular_fns, parse_transducer
+from .twoway import RegularFn, builtin_regular_fn, builtin_regular_fns
 from .words import Word, concat, underline
 
 _ = builtin_regular_fns  # re-exported for callers resolving head names
@@ -250,15 +250,7 @@ def _resolve_regfn(ref: str, base_dir: str) -> RegularFn:
         pass
     path = ref if os.path.isabs(ref) else os.path.join(base_dir, ref)
     if os.path.exists(path):
-        with open(path, encoding="utf-8") as handle:
-            machine = parse_transducer(handle.read())
-        return RegularFn(
-            name=machine.name or os.path.basename(path),
-            input_alphabet=machine.input_alphabet,
-            output_alphabet=machine.output_alphabet,
-            growth_constant=len(machine.states),
-            transducer=machine,
-        )
+        return RegularFn.from_file(path, os.path.basename(path))
     raise PebbleError(f"{ref!r} is neither a builtin regular function nor a file")
 
 

@@ -3,10 +3,15 @@
 Expressions are nested lists of atoms.  Atoms are plain strings; a
 double-quoted atom reads as a ``QuotedAtom`` so formats can tell ``"a*"``
 (a regex literal) apart from the symbol ``a*``.  Comment lines start
-with ``;``.
+with ``;``.  Lists nest at most ``MAX_DEPTH`` deep, well inside Python's
+recursion limit: deeper input is refused with a ``SexprError`` instead of
+overflowing the stack.
 """
 
 from __future__ import annotations
+
+
+MAX_DEPTH = 700
 
 
 class SexprError(ValueError):
@@ -51,15 +56,17 @@ def tokenize(text: str) -> list[str]:
     return tokens
 
 
-def _read(tokens: list[str], pos: int):
+def _read(tokens: list[str], pos: int, depth: int = 0):
     if pos >= len(tokens):
         raise SexprError("unexpected end of input")
     tok = tokens[pos]
     if tok == "(":
+        if depth == MAX_DEPTH:
+            raise SexprError(f"expression nests deeper than {MAX_DEPTH} levels")
         items = []
         pos += 1
         while pos < len(tokens) and tokens[pos] != ")":
-            item, pos = _read(tokens, pos)
+            item, pos = _read(tokens, pos, depth + 1)
             items.append(item)
         if pos >= len(tokens):
             raise SexprError("missing closing parenthesis")

@@ -135,6 +135,20 @@ class RegularFn:
         if (self.transducer is None) == (self.func is None):
             raise TransducerError("back a RegularFn with a transducer or a callable, not both")
 
+    @classmethod
+    def from_file(cls, path: str, name: str) -> RegularFn:
+        """Load a ``.2dft`` file; ``name`` is the fallback when the file
+        does not name its machine."""
+        with open(path, encoding="utf-8") as handle:
+            machine = parse_transducer(handle.read())
+        return cls(
+            name=machine.name or name,
+            input_alphabet=machine.input_alphabet,
+            output_alphabet=machine.output_alphabet,
+            growth_constant=len(machine.states),
+            transducer=machine,
+        )
+
     def __call__(self, w: Word) -> OriginWord:
         if self.transducer is not None:
             return run(self.transducer, w)

@@ -203,10 +203,6 @@ class MarkedWord:
         spellings."""
         return Word(tuple(mark_token(tok) if m else tok for tok, m in self.letters))
 
-    @staticmethod
-    def from_word(w: Word) -> "MarkedWord":
-        return MarkedWord(tuple((unmark_token(tok), is_marked_token(tok)) for tok in w.tokens))
-
 
 def underline(w: Word, position: int) -> MarkedWord:
     """Mark position ``position`` of ``w`` (1-based)."""

@@ -249,6 +249,31 @@ def test_missing_file_is_eval_error(capsys):
     assert err.startswith("error: ")
 
 
+def _nested_interp(tmp_path, depth, wrap="(not {})"):
+    body = "(letter a x1)"
+    for _ in range(depth):
+        body = wrap.format(body)
+    path = tmp_path / f"{wrap[1:4]}{depth}.interp"
+    path.write_text(
+        "dim 1\ninput-alphabet a\noutput-alphabet o\n"
+        f"(letter o {body})\n(order (leq x1 y1))\n",
+        encoding="utf-8",
+    )
+    return str(path)
+
+
+def test_deep_nesting_is_eval_error(capsys, tmp_path):
+    deep = [_nested_interp(tmp_path, 3000), _nested_interp(tmp_path, 600, "(and (max x1) {})")]
+    for path in deep:
+        rc, out, err = run(capsys, ["eval-interp", path, "aa"])
+        assert rc == 3
+        assert err.startswith("error: ")
+        assert "Traceback" not in err
+    rc, out, _ = run(capsys, ["eval-interp", _nested_interp(tmp_path, 600), "aa"])
+    assert rc == 0
+    assert out == "oo\n"
+
+
 def test_word_outside_alphabet_is_eval_error(capsys):
     rc, out, err = run(capsys, ["run-2dft", "reverse-blocks-ab", "abc"])
     assert rc == 3

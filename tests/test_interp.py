@@ -1,7 +1,10 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from polyreglab.cli import main
 from polyreglab.interp import (
     Interpretation,
     InterpError,
@@ -14,7 +17,7 @@ from polyreglab.interp import (
     parse_interp,
     render_interp,
 )
-from polyreglab.logic import And, Eq, Leq, Letter, Or, strict_less
+from polyreglab.logic import And, Eq, FormulaEvaluator, Leq, Letter, Or, disj, strict_less
 from polyreglab.pebble import innsq_direct
 from polyreglab.words import Alphabet, Word
 
@@ -121,21 +124,124 @@ def test_always_true_order_fails_antisymmetry():
     assert set(check.violation.tuples) == {(1, 1), (2, 2)}
 
 
-def test_innsq_order_full_check():
+def test_innsq_order_check():
     I = builtin_interp("innsq-interp")
     u = Word.parse("aba#baa#bb")
     dom = compute_domain(I, u)
-    check = check_linear_order(dom.tuples(), I, u, full=True)
+    check = check_linear_order(dom.tuples(), I, u)
     assert check.ok
 
 
-def test_full_order_flag_in_eval():
-    I = builtin_interp("innsq-interp")
-    u = Word.parse("ab#a")
-    assert (
-        eval_interp(I, u, full_order_check=True).word()
-        == eval_interp(I, u).word()
+def _relation_interp(m, pairs):
+    """A dimension-1 interpretation that selects every position of the word
+    made of the first m letters a, b, c, ... and orders positions by
+    ``pairs`` (1-based (s, t) meaning s <= t)."""
+    letters = "abcdef"[:m]
+    order = disj(
+        *(And((Letter(letters[s - 1], "x1"), Letter(letters[t - 1], "y1"))) for s, t in pairs)
     )
+    return Interpretation(
+        dim=1,
+        input_alphabet=Alphabet.of(*letters),
+        output_alphabet=Alphabet.of("o"),
+        letter_formulas={"o": disj(*(Letter(c, "x1") for c in letters))},
+        order_formula=order,
+    )
+
+
+# a <= e and e <= a both hold, and d, e are incomparable; yet the predecessor
+# counts are exactly 1..5 and each tuple is <= the next one in count order.
+_WITNESS = _relation_interp(
+    5,
+    [(i, i) for i in range(1, 6)]
+    + [(1, 5), (2, 1), (3, 1), (3, 2), (3, 5), (4, 1), (4, 2), (4, 3), (5, 1), (5, 2)],
+)
+
+
+def test_non_linear_order_witness_is_rejected(capsys, tmp_path):
+    result = eval_interp_details(_WITNESS, Word.parse("abcde"))
+    assert result.word() == Word()
+    assert result.diagnostic is not None
+    assert result.diagnostic.kind == "order-not-linear"
+    path = tmp_path / "witness.interp"
+    path.write_text(render_interp(_WITNESS), encoding="utf-8")
+    assert main(["eval-interp", str(path), "abcde"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == "\n"
+    assert captured.err.startswith("note: order-not-linear: ")
+
+
+def _is_linear(m, rel):
+    return any(
+        rel == {(p[i], p[j]) for i in range(m) for j in range(i, m)}
+        for p in itertools.permutations(range(1, m + 1))
+    )
+
+
+def _breaks(kind, positions, rel):
+    if kind == "reflexivity":
+        (t,) = positions
+        return (t, t) not in rel
+    if kind == "antisymmetry":
+        s, t = positions
+        return s != t and (s, t) in rel and (t, s) in rel
+    if kind == "comparability":
+        s, t = positions
+        return s != t and (s, t) not in rel and (t, s) not in rel
+    if kind == "transitivity":
+        a, b, c = positions
+        return (a, b) in rel and (b, c) in rel and (a, c) not in rel
+    return False
+
+
+@st.composite
+def _reflexive_relations(draw):
+    """A linear order on 1..m with some off-diagonal pairs toggled."""
+    m = draw(st.integers(1, 6))
+    perm = draw(st.permutations(range(1, m + 1)))
+    rel = {(perm[i], perm[j]) for i in range(m) for j in range(i, m)}
+    off = [(s, t) for s in range(1, m + 1) for t in range(1, m + 1) if s != t]
+    if off:
+        rel ^= draw(st.sets(st.sampled_from(off)))
+    return m, frozenset(rel)
+
+
+@settings(deadline=None, max_examples=300)
+@given(_reflexive_relations())
+def test_order_check_accepts_exactly_linear_orders(case):
+    m, rel = case
+    letters = "abcdef"[:m]
+    check = check_linear_order(
+        [(i,) for i in range(1, m + 1)], _relation_interp(m, sorted(rel)), Word(tuple(letters))
+    )
+    assert check.ok == _is_linear(m, rel)
+    if check.ok:
+        ranked = [t for (t,) in check.sorted_tuples]
+        assert all((s, t) in rel for s, t in itertools.combinations(ranked, 2))
+    else:
+        positions = [t for (t,) in check.violation.tuples]
+        assert _breaks(check.violation.kind, positions, rel)
+
+
+def test_order_check_makes_m_squared_queries(monkeypatch):
+    calls = []
+    at = FormulaEvaluator.at
+
+    def counted(self, values):
+        calls.append(values)
+        return at(self, values)
+
+    monkeypatch.setattr(FormulaEvaluator, "at", counted)
+    cases = [
+        (builtin_interp("innsq-interp"), Word.parse("aba#baa#bb")),
+        (builtin_interp("cross-sort-demo"), Word.parse("aaa")),
+        (_WITNESS, Word.parse("abcde")),
+    ]
+    for interp, u in cases:
+        dom = compute_domain(interp, u).tuples()
+        calls.clear()
+        check_linear_order(dom, interp, u)
+        assert len(calls) == len(dom) ** 2
 
 
 # -- totalization diagnostics ---------------------------------------------------
