@@ -85,9 +85,6 @@ class Interpretation:
     def tuple_vars(self) -> tuple[str, ...]:
         return _var_names("x", self.dim)
 
-    def pair_vars(self) -> tuple[str, ...]:
-        return _var_names("x", self.dim) + _var_names("y", self.dim)
-
 
 # -- domain and order ----------------------------------------------------
 
@@ -107,20 +104,23 @@ class InterpDomain:
 
 
 def compute_domain(interp: Interpretation, u: Word) -> InterpDomain:
+    """One query per letter formula, over all n^dim tuples as rows."""
     u.alphabet_check(interp.input_alphabet)
     n = len(u)
     if n == 0:
         return InterpDomain({})
-    evaluators = {
-        letter: FormulaEvaluator(u, formula, var_order=interp.tuple_vars())
-        for letter, formula in interp.letter_formulas.items()
-    }
-    letters_at: dict[tuple[int, ...], frozenset[str]] = {}
-    for tup in itertools.product(range(1, n + 1), repeat=interp.dim):
-        holds = frozenset(letter for letter, ev in evaluators.items() if ev.at(tup))
-        if holds:
-            letters_at[tup] = holds
-    return InterpDomain(letters_at)
+    rows = list(itertools.product(range(1, n + 1), repeat=interp.dim))
+    holding: dict[int, list[str]] = {}
+    for letter, formula in interp.letter_formulas.items():
+        ev = FormulaEvaluator(u, formula, var_order=(), rows=rows, row_vars=interp.tuple_vars())
+        for i in _set_bits(ev.at(())):
+            holding.setdefault(i, []).append(letter)
+    return InterpDomain({rows[i]: frozenset(holding[i]) for i in sorted(holding)})
+
+
+def _set_bits(mask: int) -> list[int]:
+    """The indices of the bits set in ``mask``, in increasing order."""
+    return [i for i, bit in enumerate(bin(mask)[:1:-1]) if bit == "1"]
 
 
 @dataclass(frozen=True)
@@ -145,17 +145,24 @@ def check_linear_order(
 ) -> OrderCheck:
     """Is the order formula a linear (reflexive, total) order on ``dom``?
 
-    One query per ordered pair: bit i of ``masks[j]`` says tuple i <= tuple j.
-    Ranked by predecessor count, the relation is the ranking's linear order
-    exactly when each tuple's mask holds itself and the tuples ranked below
-    it, and nothing else.
+    One query per tuple t, with the x variables bound to each tuple as a
+    row: bit i of ``masks[j]`` says tuple i <= tuple j.  Ranked by
+    predecessor count, the relation is the ranking's linear order exactly
+    when each tuple's mask holds itself and the tuples ranked below it, and
+    nothing else.
     """
     tuples = sorted(dom)
     m = len(tuples)
     if m == 0:
         return OrderCheck(True, ())
-    at = FormulaEvaluator(u, interp.order_formula, var_order=interp.pair_vars()).at
-    masks = [sum(1 << i for i, s in enumerate(tuples) if at(s + t)) for t in tuples]
+    at = FormulaEvaluator(
+        u,
+        interp.order_formula,
+        var_order=_var_names("y", interp.dim),
+        rows=tuples,
+        row_vars=interp.tuple_vars(),
+    ).at
+    masks = [at(t) for t in tuples]
     ranked = sorted(range(m), key=lambda j: masks[j].bit_count())
     below = 0
     for j in ranked:

@@ -6,16 +6,23 @@ quantifiers ranging over positions.  ``max``/``min`` are macros that expand
 to their quantified definitions before anything semantic happens, so the
 core vocabulary stays minimal.
 
-Evaluation compiles a formula into nested closures over one fixed word and
-memoizes quantified subformulas on the values of their free variables.
-This changes nothing observable; it only makes repeated queries (as done
-when evaluating interpretations) cheap.
+Evaluation compiles a formula over one fixed word into closures that
+return an int mask over a list of row tuples: bit i says the subformula
+holds with the row variables bound to row i.  Atoms on row variables are
+precomputed masks, connectives are bitwise operations, and quantified
+subformulas are memoized on the values of their scalar free variables.
+An interpretation thus evaluates a letter formula on all tuples in one
+query and its order formula one column at a time; a point query is the
+case of a single empty row.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
+import operator
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Iterable, Mapping, Sequence
 
 from . import sexpr
 from .words import Word
@@ -388,25 +395,42 @@ def parse_formula(text: str) -> Formula:
 class FormulaEvaluator:
     """Compiled evaluator for one formula over one fixed word.
 
+    Free variables are either row variables or scalar variables.  Each of
+    ``rows`` binds the row variables, component by component; ``at(values)``
+    binds the scalar variables positionally (see ``free``) and returns an
+    int mask whose bit i says the formula holds with the row variables
+    bound to ``rows[i]``.  By default there is one empty row, and ``at`` is
+    a point query answering 0 or 1.
+
     Build once, query many times.  Not safe to share across threads (each
     instance owns a scratch environment); the formula itself is.
     """
 
-    def __init__(self, word: Word, formula: Formula, var_order: tuple[str, ...] | None = None):
-        core = rename_bound(expand_macros(formula))
+    def __init__(
+        self,
+        word: Word,
+        formula: Formula,
+        var_order: tuple[str, ...] | None = None,
+        rows: Sequence[tuple[int, ...]] = ((),),
+        row_vars: tuple[str, ...] = (),
+    ):
+        core = rename_bound(expand_macros(formula), reserved=row_vars)
+        self._frees_by_node: dict[int, frozenset[str]] = {}
+        scalar = self._collect_frees(core) - set(row_vars)
         self.word = word
         self.formula = formula
-        self.free = tuple(var_order) if var_order is not None else tuple(sorted(free_vars(core)))
-        if var_order is not None and not free_vars(core) <= set(var_order):
-            missing = sorted(free_vars(core) - set(var_order))
-            raise LogicError(f"var_order misses free variables {missing}")
+        self.free = tuple(var_order) if var_order is not None else tuple(sorted(scalar))
+        if not scalar <= set(self.free):
+            raise LogicError(f"var_order misses free variables {sorted(scalar - set(self.free))}")
         self._n = len(word)
+        self._rows = rows
+        self._all = (1 << len(rows)) - 1
+        self._row_index = {v: a for a, v in enumerate(row_vars)}
+        # Scalar free variables first, so ``at`` binds them positionally;
+        # each quantifier adds a slot for its variable as it is compiled.
         self._slots: dict[str, int] = {v: i for i, v in enumerate(self.free)}
-        for v in sorted(all_vars(core) - set(self.free)):
-            self._slots[v] = len(self._slots)
         self._letter_tables: dict[str, list[bool]] = {}
-        self._frees_by_node: dict[int, frozenset[str]] = {}
-        self._collect_frees(core)
+        self._position_tables: dict[int, tuple[list[int], list[int], list[int]]] = {}
         self._root = self._compile(core)
         self._env = [0] * max(1, len(self._slots))
 
@@ -419,6 +443,20 @@ class FormulaEvaluator:
                     table[i + 1] = True
             self._letter_tables[letter] = table
         return table
+
+    def _position_masks(self, a: int) -> tuple[list[int], list[int], list[int]]:
+        """Masks of the rows whose component ``a`` is ==, <= and >= each
+        position p, indexed by p (0 to n + 1)."""
+        tables = self._position_tables.get(a)
+        if tables is None:
+            bufs = [bytearray((len(self._rows) + 7) >> 3) for _ in range(self._n + 2)]
+            for i, row in enumerate(self._rows):
+                bufs[row[a]][i >> 3] |= 1 << (i & 7)
+            eq = [int.from_bytes(buf, "little") for buf in bufs]
+            le = list(itertools.accumulate(eq, operator.or_))
+            ge = [self._all ^ below for below in [0, *le[:-1]]]
+            tables = self._position_tables[a] = (eq, le, ge)
+        return tables
 
     def _collect_frees(self, f: Formula) -> frozenset[str]:
         if isinstance(f, Letter):
@@ -434,78 +472,121 @@ class FormulaEvaluator:
         self._frees_by_node[id(f)] = fv
         return fv
 
-    def _compile(self, f: Formula) -> Callable[[list[int]], bool]:
-        n = self._n
+    def _compile_atom(self, f: Letter | Leq | Eq) -> Callable[[list[int]], int]:
+        ALL = self._all
         if isinstance(f, Letter):
             table = self._letter_table(f.letter)
+            a = self._row_index.get(f.var)
+            if a is not None:
+                at_letter = itertools.compress(self._position_masks(a)[0], table)
+                mask = functools.reduce(operator.or_, at_letter, 0)
+                return lambda env: mask
+            masks = [ALL if holds else 0 for holds in table]
             s = self._slots[f.var]
-            return lambda env: table[env[s]]
-        if isinstance(f, Leq):
+            return lambda env: masks[env[s]]
+        a, b = self._row_index.get(f.left), self._row_index.get(f.right)
+        if a is None and b is None:
             s1, s2 = self._slots[f.left], self._slots[f.right]
-            return lambda env: env[s1] <= env[s2]
-        if isinstance(f, Eq):
-            s1, s2 = self._slots[f.left], self._slots[f.right]
-            return lambda env: env[s1] == env[s2]
+            test = operator.le if isinstance(f, Leq) else operator.eq
+            return lambda env: ALL if test(env[s1], env[s2]) else 0
+        if a is not None and b is not None:
+            # The rows whose component a is some p, and component b is >= p or == p.
+            eq_b, _, ge_b = self._position_masks(b)
+            other = eq_b if isinstance(f, Eq) else ge_b
+            at_p = map(operator.and_, self._position_masks(a)[0], other)
+            mask = functools.reduce(operator.or_, at_p, 0)
+            return lambda env: mask
+        eq, le, ge = self._position_masks(b if a is None else a)
+        table = eq if isinstance(f, Eq) else ge if a is None else le
+        s = self._slots[f.left if a is None else f.right]
+        return lambda env: table[env[s]]
+
+    def _compile(self, f: Formula) -> Callable[[list[int]], int]:
+        n, ALL = self._n, self._all
+        if isinstance(f, (Letter, Leq, Eq)):
+            return self._compile_atom(f)
         if isinstance(f, Not):
             body = self._compile(f.body)
-            return lambda env: not body(env)
+            return lambda env: ALL ^ body(env)
         if isinstance(f, And):
             parts = tuple(self._compile(p) for p in f.parts)
 
-            def run_and(env: list[int]) -> bool:
+            def run_and(env: list[int]) -> int:
+                acc = ALL
                 for p in parts:
-                    if not p(env):
-                        return False
-                return True
+                    acc &= p(env)
+                    if not acc:
+                        break
+                return acc
 
             return run_and
         if isinstance(f, Or):
             parts = tuple(self._compile(p) for p in f.parts)
 
-            def run_or(env: list[int]) -> bool:
+            def run_or(env: list[int]) -> int:
+                acc = 0
                 for p in parts:
-                    if p(env):
-                        return True
-                return False
+                    acc |= p(env)
+                    if acc == ALL:
+                        break
+                return acc
 
             return run_or
         if isinstance(f, Implies):
             left = self._compile(f.left)
             right = self._compile(f.right)
-            return lambda env: (not left(env)) or right(env)
-        if isinstance(f, (Forall, Exists)):
-            body = self._compile(f.body)
-            slot = self._slots[f.var]
-            key_slots = tuple(sorted(self._slots[v] for v in self._frees_by_node[id(f)]))
-            want = isinstance(f, Exists)
-            cache: dict[tuple[int, ...], bool] = {}
 
-            def run_quant(env: list[int]) -> bool:
-                key = tuple(env[s] for s in key_slots)
+            def run_implies(env: list[int]) -> int:
+                held = left(env)
+                return (ALL ^ held) | right(env) if held else ALL
+
+            return run_implies
+        if isinstance(f, (Forall, Exists)):
+            slot = self._slots.setdefault(f.var, len(self._slots))
+            body = self._compile(f.body)
+            frees = self._frees_by_node[id(f)]
+            key_slots = sorted(self._slots[v] for v in frees if v in self._slots)
+            key_of = operator.itemgetter(*key_slots) if key_slots else lambda env: ()
+            exists = isinstance(f, Exists)
+            cache: dict[object, int] = {}
+
+            def run_quant(env: list[int]) -> int:
+                key = key_of(env)
                 hit = cache.get(key)
                 if hit is not None:
                     return hit
-                result = not want
-                for i in range(1, n + 1):
-                    env[slot] = i
-                    if body(env) == want:
-                        result = want
-                        break
-                cache[key] = result
-                return result
+                if exists:
+                    acc = 0
+                    for i in range(1, n + 1):
+                        env[slot] = i
+                        acc |= body(env)
+                        if acc == ALL:
+                            break
+                else:
+                    acc = ALL
+                    for i in range(1, n + 1):
+                        env[slot] = i
+                        acc &= body(env)
+                        if not acc:
+                            break
+                cache[key] = acc
+                return acc
 
             return run_quant
         raise LogicError(f"unknown formula node {f!r}")
 
-    def at(self, values: tuple[int, ...]) -> bool:
-        """Evaluate with free variables bound positionally (see ``free``).
-        No range validation; callers supply positions of the word."""
+    def at(self, values: tuple[int, ...]) -> int:
+        """The mask of the rows on which the formula holds, with the scalar
+        variables bound positionally (see ``free``).  No range validation;
+        callers supply positions of the word."""
         env = self._env
         for i, v in enumerate(values):
             env[i] = v
         return self._root(env)
 
     def evaluate(self, env: Mapping[str, int]) -> bool:
+        """Point query with the scalar variables bound by name: does the
+        formula hold on some row (on the one empty row by default)?"""
         missing = [v for v in self.free if v not in env]
         if missing:
             raise LogicError(f"unbound free variables {missing}")
@@ -515,7 +596,7 @@ class FormulaEvaluator:
             if not isinstance(pos, int) or not 1 <= pos <= self._n:
                 raise LogicError(f"{v} = {pos!r} is not a position of a length-{self._n} word")
             values.append(pos)
-        return self.at(tuple(values))
+        return bool(self.at(tuple(values)))
 
 
 def eval_formula(word: Word, formula: Formula, env: Mapping[str, int] | None = None) -> bool:

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from polyreglab import interp as interp_module
 from polyreglab.cli import main
 from polyreglab.interp import (
     Interpretation,
@@ -17,8 +18,20 @@ from polyreglab.interp import (
     parse_interp,
     render_interp,
 )
-from polyreglab.logic import And, Eq, FormulaEvaluator, Leq, Letter, Or, disj, strict_less
+from polyreglab.langlab import words_upto
+from polyreglab.logic import (
+    And,
+    Eq,
+    FormulaEvaluator,
+    Leq,
+    Letter,
+    Or,
+    disj,
+    eval_formula,
+    strict_less,
+)
 from polyreglab.pebble import innsq_direct
+from polyreglab.psi import family
 from polyreglab.words import Alphabet, Word
 
 
@@ -223,13 +236,16 @@ def test_order_check_accepts_exactly_linear_orders(case):
         assert _breaks(check.violation.kind, positions, rel)
 
 
-def test_order_check_makes_m_squared_queries(monkeypatch):
+def test_order_check_evaluates_each_pair_once(monkeypatch):
+    """One order query per domain tuple t; its mask holds bit i exactly when
+    the order formula holds on (tuple i, t), as a point evaluation says."""
     calls = []
     at = FormulaEvaluator.at
 
     def counted(self, values):
-        calls.append(values)
-        return at(self, values)
+        result = at(self, values)
+        calls.append((values, result))
+        return result
 
     monkeypatch.setattr(FormulaEvaluator, "at", counted)
     cases = [
@@ -241,7 +257,72 @@ def test_order_check_makes_m_squared_queries(monkeypatch):
         dom = compute_domain(interp, u).tuples()
         calls.clear()
         check_linear_order(dom, interp, u)
-        assert len(calls) == len(dom) ** 2
+        queried = list(calls)
+        m = len(dom)
+        assert [t for t, _ in queried] == dom
+        xs, ys = interp.tuple_vars(), tuple(f"y{k}" for k in range(1, interp.dim + 1))
+        for t, mask in queried:
+            assert 0 <= mask < 1 << m
+            pairs = [
+                eval_formula(u, interp.order_formula, {**dict(zip(xs, s)), **dict(zip(ys, t))})
+                for s in dom
+            ]
+            assert mask == sum(1 << i for i, holds in enumerate(pairs) if holds)
+
+
+# -- domain pass -----------------------------------------------------------------
+
+
+_PARTLY_OVERLAPPING = Interpretation(
+    dim=2,
+    input_alphabet=Alphabet.of("a", "b"),
+    output_alphabet=Alphabet.of("x", "y"),
+    letter_formulas={"x": Leq("x1", "x2"), "y": And((Letter("a", "x1"), Eq("x2", "x2")))},
+    order_formula=_lex_order(),
+)
+
+
+@pytest.mark.parametrize(
+    "interp",
+    [
+        builtin_interp("squaring-family"),
+        builtin_interp("innsq-interp"),
+        family(2),
+        _PARTLY_OVERLAPPING,
+    ],
+    ids=["squaring-family", "innsq-interp", "family-2", "partly-overlapping"],
+)
+def test_domain_agrees_with_point_queries(interp):
+    for u in words_upto(interp.input_alphabet, 4):
+        expected = {}
+        for tup in itertools.product(range(1, len(u) + 1), repeat=interp.dim):
+            env = dict(zip(interp.tuple_vars(), tup))
+            holds = {c for c, f in interp.letter_formulas.items() if eval_formula(u, f, env)}
+            if holds:
+                expected[tup] = frozenset(holds)
+        assert dict(compute_domain(interp, u).letters_at) == expected, u.render()
+
+
+def test_eval_interp_queries_through_module_evaluator(monkeypatch):
+    """Evaluators are built through ``interp.FormulaEvaluator`` and queried
+    through ``at``, the two bindings a tracer wraps to count queries."""
+    built, queries = [], []
+
+    class Counting(FormulaEvaluator):
+        def __init__(self, *args, **kwargs):
+            built.append(args[1])
+            super().__init__(*args, **kwargs)
+
+        def at(self, values):
+            queries.append(values)
+            return super().at(values)
+
+    monkeypatch.setattr(interp_module, "FormulaEvaluator", Counting)
+    innsq = builtin_interp("innsq-interp")
+    out = eval_interp(innsq, Word.parse("aba#baa#bb"))
+    assert out.word().render() == "abaaba#baabaa#bbbb"
+    assert built == [*innsq.letter_formulas.values(), innsq.order_formula]
+    assert len(queries) == len(innsq.letter_formulas) + len(out)
 
 
 # -- totalization diagnostics ---------------------------------------------------

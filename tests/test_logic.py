@@ -17,6 +17,7 @@ from polyreglab.logic import (
     Eq,
     Exists,
     Forall,
+    FormulaEvaluator,
     Implies,
     Leq,
     Letter,
@@ -156,6 +157,32 @@ def test_evaluator_agrees_with_naive_reference():
             w.render(),
             env,
         )
+
+
+def _mask(holds):
+    return sum(1 << i for i, h in enumerate(holds) if h)
+
+
+def test_row_masks_agree_with_naive_reference():
+    """Bit i of a row query is the naive truth value with the row variables
+    bound to row i: x as a row variable over a random subset of positions
+    with y scalar, then x and y both row variables over random pairs."""
+    rng = random.Random(5)
+    for trial in range(200):
+        f = _random_formula(rng, ["x", "y"], depth=4, qdepth=3)
+        n = rng.randint(1, 5)
+        w = Word(tuple(rng.choices("ab#", k=n)))
+        positions = range(1, n + 1)
+        rows = [(x,) for x in rng.sample(positions, rng.randint(0, n))]
+        at = FormulaEvaluator(w, f, var_order=("y",), rows=rows, row_vars=("x",)).at
+        for y in positions:
+            want = _mask(naive_eval(w, f, {"x": x, "y": y}) for (x,) in rows)
+            assert at((y,)) == want, (sexpr.render(to_sexpr(f)), w.render(), rows, y)
+        pairs = list(itertools.product(positions, repeat=2))
+        rows = rng.sample(pairs, rng.randint(0, len(pairs)))
+        got = FormulaEvaluator(w, f, var_order=(), rows=rows, row_vars=("x", "y")).at(())
+        want = _mask(naive_eval(w, f, {"x": x, "y": y}) for x, y in rows)
+        assert got == want, (sexpr.render(to_sexpr(f)), w.render(), rows)
 
 
 def test_sexpr_round_trip_exact():
