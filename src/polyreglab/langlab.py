@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import os
 import random
 import statistics
 from dataclasses import dataclass
@@ -185,7 +186,7 @@ def resolve_function(ref: str, alphabet: Alphabet | None = None) -> ResolvedFn:
             tree = builtin_polyfun(rest)
         except KeyError:
             with open(rest, encoding="utf-8") as handle:
-                tree = parse_polyfun(handle.read())
+                tree = parse_polyfun(handle.read(), base_dir=os.path.dirname(rest) or ".")
         from .pebble import _input_alphabet
 
         return ResolvedFn(ref, lambda w: apply(tree, w), _input_alphabet(tree))

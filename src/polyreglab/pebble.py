@@ -17,7 +17,7 @@ from typing import Mapping
 
 from . import sexpr
 from .twoway import RegularFn, builtin_regular_fn, builtin_regular_fns
-from .words import Word, concat, underline
+from .words import Word, concat, mark_token
 
 _ = builtin_regular_fns  # re-exported for callers resolving head names
 
@@ -112,8 +112,7 @@ def apply(p: PolyFun, w: Word) -> Word:
     if isinstance(p, Pebble):
         pieces = []
         for letter, origin in p.head(w):
-            marked = underline(w, origin[0]).to_word()
-            pieces.append(apply(p.branches[letter], marked))
+            pieces.append(apply(p.branches[letter], _underlined(w, origin[0])))
         return concat(pieces)
     if isinstance(p, Blind):
         pieces = []
@@ -121,6 +120,13 @@ def apply(p: PolyFun, w: Word) -> Word:
             pieces.append(apply(p.branches[letter], w))
         return concat(pieces)
     raise PebbleError(f"unknown combinator node {p!r}")
+
+
+def _underlined(w: Word, i: int) -> Word:
+    """``w`` with position i (1-based, an origin of the head's output)
+    spelled as its underlined twin."""
+    toks = w.tokens
+    return Word(toks[: i - 1] + (mark_token(toks[i - 1]),) + toks[i:])
 
 
 def apply_trace(p: PolyFun, w: Word):
@@ -132,10 +138,7 @@ def apply_trace(p: PolyFun, w: Word):
     rows = []
     pieces = []
     for letter, origin in p.head(w):
-        if isinstance(p, Pebble):
-            arg = underline(w, origin[0]).to_word()
-        else:
-            arg = w
+        arg = _underlined(w, origin[0]) if isinstance(p, Pebble) else w
         piece = apply(p.branches[letter], arg)
         rows.append((letter, origin[0], len(piece)))
         pieces.append(piece)

@@ -9,7 +9,7 @@ position it was produced at.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping
 
 from .words import Alphabet, OriginWord, Word, marked_alphabet
@@ -19,6 +19,9 @@ RIGHT_END = ">"
 MOVES = ("L", "S", "R")
 
 Transition = tuple[str, str, tuple[str, ...]]  # next state, move, output tokens
+# next row offset (None: accepting), head delta, output tokens, and the
+# (state, endmarker) pair when the transition emits on an endmarker
+TableEntry = tuple[int | None, int, tuple[str, ...], tuple[str, str] | None]
 
 
 class TransducerError(ValueError):
@@ -53,6 +56,11 @@ class TwoWayTransducer:
     output_alphabet: Alphabet
     transitions: Mapping[tuple[str, str], Transition]
     name: str | None = None
+    # Integer tables for ``run``, built by ``__post_init__``.
+    _letter_ids: dict[str, int] = field(init=False, repr=False)
+    _live: tuple[str, ...] = field(init=False, repr=False)
+    _table: list[TableEntry] = field(init=False, repr=False)
+    _start: int | None = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.initial not in self.states:
@@ -61,13 +69,22 @@ class TwoWayTransducer:
             raise TransducerError("accepting states must be states")
         if LEFT_END in self.input_alphabet or RIGHT_END in self.input_alphabet:
             raise TransducerError("the endmarkers cannot be input letters")
-        tape_symbols = set(self.input_alphabet.letters) | {LEFT_END, RIGHT_END}
+        # Integer coding for ``run``: symbol 0 is LEFT_END, 1 is RIGHT_END,
+        # then the input letters; a live (non-accepting) state is its row's
+        # offset ``state_id * n_symbols`` into one flat table, and None
+        # stands for every accepting state.
+        letter_ids = {tok: i for i, tok in enumerate(self.input_alphabet, 2)}
+        symbol_ids = {LEFT_END: 0, RIGHT_END: 1, **letter_ids}
+        live = sorted(self.states - self.accepting)
+        n_symbols = len(symbol_ids)
+        offsets = {state: i * n_symbols for i, state in enumerate(live)}
+        table: list[TableEntry | None] = [None] * (len(live) * n_symbols)
         for (state, symbol), (nxt, move, out) in self.transitions.items():
             if state not in self.states or nxt not in self.states:
                 raise TransducerError(f"transition on unknown state: {state!r} -> {nxt!r}")
             if state in self.accepting:
                 raise TransducerError(f"accepting state {state!r} is halting, drop its transitions")
-            if symbol not in tape_symbols:
+            if symbol not in symbol_ids:
                 raise TransducerError(f"transition on unknown symbol {symbol!r}")
             if move not in MOVES:
                 raise TransducerError(f"bad move {move!r}")
@@ -78,39 +95,64 @@ class TwoWayTransducer:
             for tok in out:
                 if tok not in self.output_alphabet:
                     raise TransducerError(f"output symbol {tok!r} not in output alphabet")
-        for state in self.states - self.accepting:
-            for symbol in tape_symbols:
-                if (state, symbol) not in self.transitions:
+            fault = (state, symbol) if out and symbol in (LEFT_END, RIGHT_END) else None
+            entry = (offsets.get(nxt), MOVES.index(move) - 1, tuple(out), fault)
+            table[offsets[state] + symbol_ids[symbol]] = entry
+        for state in live:
+            for symbol, symbol_id in symbol_ids.items():
+                if table[offsets[state] + symbol_id] is None:
                     raise TransducerError(f"missing transition for ({state!r}, {symbol!r})")
+        object.__setattr__(self, "_letter_ids", letter_ids)
+        object.__setattr__(self, "_live", tuple(live))
+        object.__setattr__(self, "_table", table)
+        object.__setattr__(self, "_start", offsets.get(self.initial))
 
 
 def run(machine: TwoWayTransducer, w: Word) -> OriginWord:
-    """Run to acceptance, returning the origin-annotated output."""
-    w.alphabet_check(machine.input_alphabet)
-    tape = (LEFT_END,) + w.tokens + (RIGHT_END,)
-    last = len(tape) - 1
-    state, head = machine.initial, 0
-    seen: set[tuple[str, int]] = set()
+    """Run to acceptance, returning the origin-annotated output.
+
+    The machine is deterministic and a live configuration is a (state,
+    head) pair, so a run that takes more than |live states|*(|w|+2) steps
+    has repeated one and never halts.  Only such a run is replayed, to
+    report its first repeat."""
+    try:
+        tape = [0, *map(machine._letter_ids.__getitem__, w.tokens), 1]
+    except KeyError:
+        w.alphabet_check(machine.input_alphabet)
+        raise
+    table = machine._table
+    idx = machine._start
+    head = 0
     out: list[tuple[str, tuple[int, ...]]] = []
-    steps = 0
-    while state not in machine.accepting:
-        if (state, head) in seen:
-            raise NonTerminationError(state, head, steps)
-        seen.add((state, head))
-        symbol = tape[head]
-        nxt, move, emitted = machine.transitions[(state, symbol)]
-        if emitted:
-            if head == 0 or head == last:
-                raise EmitOnEndmarkerError(state, symbol)
-            for tok in emitted:
-                out.append((tok, (head,)))
-        state = nxt
-        if move == "L":
-            head -= 1
-        elif move == "R":
-            head += 1
-        steps += 1
+    if idx is not None:
+        for _ in range(len(machine._live) * len(tape)):
+            idx, delta, emitted, fault = table[idx + tape[head]]
+            if emitted:
+                if fault:
+                    raise EmitOnEndmarkerError(*fault)
+                for tok in emitted:
+                    out.append((tok, (head,)))
+            if idx is None:
+                break
+            head += delta
+        else:
+            raise _first_repeat(machine, tape)
     return OriginWord(tuple(out))
+
+
+def _first_repeat(machine: TwoWayTransducer, tape: list[int]) -> NonTerminationError:
+    """Replay a run that outlived the step bound, recording configurations,
+    up to its first repeated one.  Every step before that repeat was taken
+    within the bound without halting or emitting on an endmarker."""
+    table = machine._table
+    seen: set[tuple[int, int]] = set()
+    idx, head, steps = machine._start, 0, 0
+    while (idx, head) not in seen:
+        seen.add((idx, head))
+        idx, delta, _emitted, _fault = table[idx + tape[head]]
+        head += delta
+        steps += 1
+    return NonTerminationError(machine._live[idx // (len(machine._letter_ids) + 2)], head, steps)
 
 
 # -- regular functions -----------------------------------------------------

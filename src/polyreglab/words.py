@@ -109,6 +109,8 @@ class Word:
         return self.tokens.count(token)
 
     def alphabet_check(self, alphabet: Alphabet) -> None:
+        if alphabet.letters.issuperset(self.tokens):
+            return
         for tok in self.tokens:
             if tok not in alphabet:
                 raise WordError(f"symbol {tok!r} not in alphabet {{{alphabet.render()}}}")

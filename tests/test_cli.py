@@ -284,3 +284,33 @@ def test_unknown_agreement_suite_is_eval_error(capsys):
     rc, out, err = run(capsys, ["agree", "other"])
     assert rc == 3
     assert "unknown agreement suite" in err
+
+
+def test_relative_head_resolves_from_the_tree_file(capsys, tmp_path, monkeypatch):
+    """A .pfn naming its head as a .2dft file beside it works through every
+    verb that takes a FN, as it does through eval-pebble."""
+    from polyreglab.twoway import builtin_regular_fn, render_transducer
+
+    sub = tmp_path / "sub"
+    sub.mkdir()
+    (sub / "bm.2dft").write_text(
+        render_transducer(builtin_regular_fn("block-marker").transducer), encoding="utf-8"
+    )
+    branches = "((• (reg marked-block-copy)) (# (const # #)))"
+    (sub / "t.pfn").write_text(f"(pebble bm.2dft {branches})\n", encoding="utf-8")
+    (tmp_path / "ref.pfn").write_text(f"(pebble block-marker {branches})\n", encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+
+    rc, out, err = run(capsys, ["eval-pebble", "sub/t.pfn", "ab#b#"])
+    assert (rc, out, err) == (0, "ab##b##\n", "")
+    for ref in ("pebble:sub/t.pfn", "sub/t.pfn"):
+        for verb in (["image", "--max-len", "3"], ["growth", "--lengths", "4:12:4"]):
+            argv = verb[:1] + [ref] + verb[1:] + ["--format", "json"]
+            rc, out, err = run(capsys, argv)
+            assert rc == 0 and err == "", (argv, err)
+            want_argv = verb[:1] + ["pebble:ref.pfn"] + verb[1:] + ["--format", "json"]
+            _, want, _ = run(capsys, want_argv)
+            got, expected = json.loads(out), json.loads(want)
+            assert got.pop("function", "pebble:sub/t.pfn") == "pebble:sub/t.pfn"
+            expected.pop("function", None)
+            assert got == expected, argv

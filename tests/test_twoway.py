@@ -1,6 +1,8 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polyreglab.twoway import (
     LEFT_END,
@@ -21,7 +23,7 @@ from polyreglab.twoway import (
     render_transducer,
     run,
 )
-from polyreglab.words import Alphabet, Word
+from polyreglab.words import Alphabet, Word, WordError
 
 
 def _words_upto(alphabet, max_len):
@@ -117,6 +119,46 @@ def test_bouncer_never_halts():
         with pytest.raises(NonTerminationError) as exc:
             run(machine, w)
         assert exc.value.steps <= len(machine.states) * (n + 2)
+        steps = 2 if n == 0 else 3
+        assert str(exc.value) == f"configuration (ping, 1) repeats after {steps} steps"
+        assert (exc.value.state, exc.value.head, exc.value.steps) == ("ping", 1, steps)
+
+
+def test_run_rejects_symbols_outside_the_input_alphabet():
+    machine = builtin_regular_fn("reverse-blocks-ab").transducer
+    cases = {
+        ("a", "<"): "symbol '<' not in alphabet {# a}",
+        (">",): "symbol '>' not in alphabet {# a}",
+        ("a", "#", "b", "<"): "symbol 'b' not in alphabet {# a}",
+    }
+    for toks, message in cases.items():
+        with pytest.raises(WordError) as exc:
+            run(machine, Word(toks))
+        assert str(exc.value) == message
+
+
+def test_run_that_uses_every_configuration_halts():
+    """Sweep right in one state and left in another, so the run visits all
+    2*(|w|+2) live configurations once: exactly the step bound."""
+    rows = {
+        ("right", LEFT_END): ("right", "R", ()),
+        ("right", "a"): ("right", "R", ()),
+        ("right", RIGHT_END): ("left", "S", ()),
+        ("left", RIGHT_END): ("left", "L", ()),
+        ("left", "a"): ("left", "L", ("a",)),
+        ("left", LEFT_END): ("done", "S", ()),
+    }
+    machine = TwoWayTransducer(
+        states=frozenset(("right", "left", "done")),
+        initial="right",
+        accepting=frozenset(("done",)),
+        input_alphabet=Alphabet.of("a"),
+        output_alphabet=Alphabet.of("a"),
+        transitions=rows,
+    )
+    for n in range(4):
+        out = run(machine, Word(("a",) * n))
+        assert out.origins() == tuple((i,) for i in range(n, 0, -1))
 
 
 def test_emit_on_endmarker_is_a_runtime_error():
@@ -136,6 +178,85 @@ def test_emit_on_endmarker_is_a_runtime_error():
     with pytest.raises(EmitOnEndmarkerError) as exc:
         run(machine, Word.parse("aa"))
     assert exc.value.symbol == RIGHT_END
+    assert str(exc.value) == "state 'go' emits while reading endmarker '>'"
+
+
+# -- differential test against a string-keyed reference --------------------
+
+
+def _reference_run(machine, w):
+    """The run loop as first written: string-keyed transitions and a set of
+    every (state, head) configuration seen."""
+    w.alphabet_check(machine.input_alphabet)
+    tape = (LEFT_END,) + w.tokens + (RIGHT_END,)
+    last = len(tape) - 1
+    state, head = machine.initial, 0
+    seen = set()
+    out = []
+    steps = 0
+    while state not in machine.accepting:
+        if (state, head) in seen:
+            raise NonTerminationError(state, head, steps)
+        seen.add((state, head))
+        symbol = tape[head]
+        nxt, move, emitted = machine.transitions[(state, symbol)]
+        if emitted:
+            if head == 0 or head == last:
+                raise EmitOnEndmarkerError(state, symbol)
+            for tok in emitted:
+                out.append((tok, (head,)))
+        state = nxt
+        head += {"L": -1, "S": 0, "R": 1}[move]
+        steps += 1
+    return tuple(out)
+
+
+@st.composite
+def _machines_and_words(draw):
+    """A small complete 2DFT and a word over its input alphabet.  Outputs
+    on endmarkers are rare but drawn, and nothing forces the machine to
+    halt."""
+    live = [f"q{i}" for i in range(draw(st.integers(1, 3)))]
+    accepting = [f"h{i}" for i in range(draw(st.integers(0, 1)))]
+    states = live + accepting
+    letters = draw(st.sets(st.sampled_from(("a", "b", "c")), min_size=1))
+    outputs = st.lists(st.sampled_from(("x", "y")), max_size=2).map(tuple)
+    rows = {}
+    for state in live:
+        for symbol in (LEFT_END, RIGHT_END, *sorted(letters)):
+            moves = [m for m in ("L", "S", "R") if (symbol, m) not in ((LEFT_END, "L"), (RIGHT_END, "R"))]
+            if symbol in (LEFT_END, RIGHT_END):
+                out = draw(st.one_of(st.just(()), outputs)) if draw(st.integers(0, 3)) == 0 else ()
+            else:
+                out = draw(outputs)
+            rows[(state, symbol)] = (draw(st.sampled_from(states)), draw(st.sampled_from(moves)), out)
+    machine = TwoWayTransducer(
+        states=frozenset(states),
+        initial=draw(st.sampled_from(states)),
+        accepting=frozenset(accepting),
+        input_alphabet=Alphabet(frozenset(letters)),
+        output_alphabet=Alphabet.of("x", "y"),
+        transitions=rows,
+    )
+    word = Word(tuple(draw(st.lists(st.sampled_from(sorted(letters)), max_size=6))))
+    return machine, word
+
+
+def _outcome(fn, machine, w):
+    try:
+        return "ok", fn(machine, w)
+    except NonTerminationError as exc:
+        return "loop", (str(exc), exc.state, exc.head, exc.steps)
+    except EmitOnEndmarkerError as exc:
+        return "emit", (str(exc), exc.state, exc.symbol)
+
+
+@settings(deadline=None, max_examples=400)
+@given(_machines_and_words())
+def test_run_agrees_with_string_keyed_reference(case):
+    machine, w = case
+    got = _outcome(lambda m, u: run(m, u).letters, machine, w)
+    assert got == _outcome(_reference_run, machine, w)
 
 
 # -- construction validation -----------------------------------------------
@@ -152,15 +273,20 @@ def _partial_rows():
 def test_missing_transition_rejected():
     rows = _partial_rows()
     del rows[("go", "a")]
-    with pytest.raises(TransducerError, match="missing transition"):
-        TwoWayTransducer(
-            states=frozenset(("go", "done")),
-            initial="go",
-            accepting=frozenset(("done",)),
-            input_alphabet=Alphabet.of("a"),
-            output_alphabet=Alphabet.of("a"),
-            transitions=rows,
-        )
+    # With several transitions missing, the first in state order, then
+    # <, >, then the letters in order, is named.
+    cases = {"missing transition for ('go', 'a')": rows, "missing transition for ('go', '<')": {}}
+    for message, table in cases.items():
+        with pytest.raises(TransducerError) as exc:
+            TwoWayTransducer(
+                states=frozenset(("go", "done")),
+                initial="go",
+                accepting=frozenset(("done",)),
+                input_alphabet=Alphabet.of("a", "b"),
+                output_alphabet=Alphabet.of("a"),
+                transitions=table,
+            )
+        assert str(exc.value) == message
 
 
 def test_accepting_state_must_halt():
