@@ -7,13 +7,20 @@ to their quantified definitions before anything semantic happens, so the
 core vocabulary stays minimal.
 
 Evaluation compiles a formula over one fixed word into closures that
-return an int mask over a list of row tuples: bit i says the subformula
-holds with the row variables bound to row i.  Atoms on row variables are
-precomputed masks, connectives are bitwise operations, and quantified
-subformulas are memoized on the values of their scalar free variables.
-An interpretation thus evaluates a letter formula on all tuples in one
-query and its order formula one column at a time; a point query is the
-case of a single empty row.
+return an int mask over a row space: a list of row tuples that bind the
+space's row variables, where bit i says the subformula holds with them
+bound to row i.  Atoms on row variables are precomputed position masks,
+connectives are bitwise operations, and quantified subformulas are
+memoized on the values of their scalar free variables.  A quantifier whose
+free variables include a row variable of its space loops over the
+positions.  One whose free variables are all scalar compiles its body over
+the positions space, whose rows 1..n bind the quantified variable, so a
+single body call answers it: exists is a nonzero mask, forall a full one
+(bottom-up model checking, restricted to the one quantified variable).
+The rule applies again inside that body, where the quantified variable is
+the row variable.  An interpretation thus evaluates a letter formula on
+all tuples in one query and its order formula one column at a time; a
+point query is the case of a single empty row.
 """
 
 from __future__ import annotations
@@ -392,6 +399,45 @@ def parse_formula(text: str) -> Formula:
 # -- evaluation ----------------------------------------------------------
 
 
+class _RowSpace:
+    """The rows a compiled node answers for.  Row i binds each variable of
+    ``index`` to component ``index[v]`` of ``rows[i]``; ``all`` is the mask
+    of every row.  Position masks are built per component on first use and
+    shared by spaces that ``rebind`` the same rows to other variables."""
+
+    __slots__ = ("n", "rows", "all", "index", "_tables")
+
+    def __init__(
+        self,
+        n: int,
+        rows: Sequence[tuple[int, ...]],
+        index: dict[str, int],
+        tables: dict[int, tuple[list[int], list[int], list[int]]] | None = None,
+    ):
+        self.n = n
+        self.rows = rows
+        self.all = (1 << len(rows)) - 1
+        self.index = index
+        self._tables = {} if tables is None else tables
+
+    def rebind(self, index: dict[str, int]) -> _RowSpace:
+        return _RowSpace(self.n, self.rows, index, self._tables)
+
+    def masks(self, a: int) -> tuple[list[int], list[int], list[int]]:
+        """Masks of the rows whose component ``a`` is ==, <= and >= each
+        position p, indexed by p (0 to n + 1)."""
+        tables = self._tables.get(a)
+        if tables is None:
+            bufs = [bytearray((len(self.rows) + 7) >> 3) for _ in range(self.n + 2)]
+            for i, row in enumerate(self.rows):
+                bufs[row[a]][i >> 3] |= 1 << (i & 7)
+            eq = [int.from_bytes(buf, "little") for buf in bufs]
+            le = list(itertools.accumulate(eq, operator.or_))
+            ge = [self.all ^ below for below in [0, *le[:-1]]]
+            tables = self._tables[a] = (eq, le, ge)
+        return tables
+
+
 class FormulaEvaluator:
     """Compiled evaluator for one formula over one fixed word.
 
@@ -401,6 +447,13 @@ class FormulaEvaluator:
     int mask whose bit i says the formula holds with the row variables
     bound to ``rows[i]``.  By default there is one empty row, and ``at`` is
     a point query answering 0 or 1.
+
+    Every node is compiled against a row space: the root against ``rows``,
+    and the body of a quantifier whose free variables are all scalar
+    against the positions space, whose rows (1,) to (n,) bind the
+    quantifier's own variable.  Such a quantifier asks its body once per
+    binding of its scalar free variables; other quantifiers loop over the
+    n positions.  The positions masks are built once per evaluator.
 
     Build once, query many times.  Not safe to share across threads (each
     instance owns a scratch environment); the formula itself is.
@@ -423,15 +476,14 @@ class FormulaEvaluator:
         if not scalar <= set(self.free):
             raise LogicError(f"var_order misses free variables {sorted(scalar - set(self.free))}")
         self._n = len(word)
-        self._rows = rows
-        self._all = (1 << len(rows)) - 1
-        self._row_index = {v: a for a, v in enumerate(row_vars)}
         # Scalar free variables first, so ``at`` binds them positionally;
-        # each quantifier adds a slot for its variable as it is compiled.
+        # each looping quantifier adds a slot for its variable as it is
+        # compiled.
         self._slots: dict[str, int] = {v: i for i, v in enumerate(self.free)}
         self._letter_tables: dict[str, list[bool]] = {}
-        self._position_tables: dict[int, tuple[list[int], list[int], list[int]]] = {}
-        self._root = self._compile(core)
+        self._positions: _RowSpace | None = None
+        space = _RowSpace(self._n, rows, {v: a for a, v in enumerate(row_vars)})
+        self._root = self._compile(core, space)
         self._env = [0] * max(1, len(self._slots))
 
     def _letter_table(self, letter: str) -> list[bool]:
@@ -444,19 +496,11 @@ class FormulaEvaluator:
             self._letter_tables[letter] = table
         return table
 
-    def _position_masks(self, a: int) -> tuple[list[int], list[int], list[int]]:
-        """Masks of the rows whose component ``a`` is ==, <= and >= each
-        position p, indexed by p (0 to n + 1)."""
-        tables = self._position_tables.get(a)
-        if tables is None:
-            bufs = [bytearray((len(self._rows) + 7) >> 3) for _ in range(self._n + 2)]
-            for i, row in enumerate(self._rows):
-                bufs[row[a]][i >> 3] |= 1 << (i & 7)
-            eq = [int.from_bytes(buf, "little") for buf in bufs]
-            le = list(itertools.accumulate(eq, operator.or_))
-            ge = [self._all ^ below for below in [0, *le[:-1]]]
-            tables = self._position_tables[a] = (eq, le, ge)
-        return tables
+    def _positions_of(self, var: str) -> _RowSpace:
+        """The positions space with ``var`` as its row variable."""
+        if self._positions is None:
+            self._positions = _RowSpace(self._n, [(p,) for p in range(1, self._n + 1)], {})
+        return self._positions.rebind({var: 0})
 
     def _collect_frees(self, f: Formula) -> frozenset[str]:
         if isinstance(f, Letter):
@@ -472,44 +516,44 @@ class FormulaEvaluator:
         self._frees_by_node[id(f)] = fv
         return fv
 
-    def _compile_atom(self, f: Letter | Leq | Eq) -> Callable[[list[int]], int]:
-        ALL = self._all
+    def _compile_atom(self, f: Letter | Leq | Eq, space: _RowSpace) -> Callable[[list[int]], int]:
+        ALL, index = space.all, space.index
         if isinstance(f, Letter):
             table = self._letter_table(f.letter)
-            a = self._row_index.get(f.var)
+            a = index.get(f.var)
             if a is not None:
-                at_letter = itertools.compress(self._position_masks(a)[0], table)
+                at_letter = itertools.compress(space.masks(a)[0], table)
                 mask = functools.reduce(operator.or_, at_letter, 0)
                 return lambda env: mask
             masks = [ALL if holds else 0 for holds in table]
             s = self._slots[f.var]
             return lambda env: masks[env[s]]
-        a, b = self._row_index.get(f.left), self._row_index.get(f.right)
+        a, b = index.get(f.left), index.get(f.right)
         if a is None and b is None:
             s1, s2 = self._slots[f.left], self._slots[f.right]
             test = operator.le if isinstance(f, Leq) else operator.eq
             return lambda env: ALL if test(env[s1], env[s2]) else 0
         if a is not None and b is not None:
             # The rows whose component a is some p, and component b is >= p or == p.
-            eq_b, _, ge_b = self._position_masks(b)
+            eq_b, _, ge_b = space.masks(b)
             other = eq_b if isinstance(f, Eq) else ge_b
-            at_p = map(operator.and_, self._position_masks(a)[0], other)
+            at_p = map(operator.and_, space.masks(a)[0], other)
             mask = functools.reduce(operator.or_, at_p, 0)
             return lambda env: mask
-        eq, le, ge = self._position_masks(b if a is None else a)
+        eq, le, ge = space.masks(b if a is None else a)
         table = eq if isinstance(f, Eq) else ge if a is None else le
         s = self._slots[f.left if a is None else f.right]
         return lambda env: table[env[s]]
 
-    def _compile(self, f: Formula) -> Callable[[list[int]], int]:
-        n, ALL = self._n, self._all
+    def _compile(self, f: Formula, space: _RowSpace) -> Callable[[list[int]], int]:
+        ALL = space.all
         if isinstance(f, (Letter, Leq, Eq)):
-            return self._compile_atom(f)
+            return self._compile_atom(f, space)
         if isinstance(f, Not):
-            body = self._compile(f.body)
+            body = self._compile(f.body, space)
             return lambda env: ALL ^ body(env)
         if isinstance(f, And):
-            parts = tuple(self._compile(p) for p in f.parts)
+            parts = tuple(self._compile(p, space) for p in f.parts)
 
             def run_and(env: list[int]) -> int:
                 acc = ALL
@@ -521,7 +565,7 @@ class FormulaEvaluator:
 
             return run_and
         if isinstance(f, Or):
-            parts = tuple(self._compile(p) for p in f.parts)
+            parts = tuple(self._compile(p, space) for p in f.parts)
 
             def run_or(env: list[int]) -> int:
                 acc = 0
@@ -533,8 +577,8 @@ class FormulaEvaluator:
 
             return run_or
         if isinstance(f, Implies):
-            left = self._compile(f.left)
-            right = self._compile(f.right)
+            left = self._compile(f.left, space)
+            right = self._compile(f.right, space)
 
             def run_implies(env: list[int]) -> int:
                 held = left(env)
@@ -542,13 +586,30 @@ class FormulaEvaluator:
 
             return run_implies
         if isinstance(f, (Forall, Exists)):
-            slot = self._slots.setdefault(f.var, len(self._slots))
-            body = self._compile(f.body)
             frees = self._frees_by_node[id(f)]
-            key_slots = sorted(self._slots[v] for v in frees if v in self._slots)
+            key_slots = sorted(self._slots[v] for v in frees if v not in space.index)
             key_of = operator.itemgetter(*key_slots) if key_slots else lambda env: ()
             exists = isinstance(f, Exists)
             cache: dict[object, int] = {}
+            if frees.isdisjoint(space.index):
+                # Every free variable is scalar: one body call answers all
+                # n positions of f.var at once.
+                positions = self._positions_of(f.var)
+                body = self._compile(f.body, positions)
+                FULL = positions.all
+
+                def run_masked(env: list[int]) -> int:
+                    key = key_of(env)
+                    hit = cache.get(key)
+                    if hit is None:
+                        mask = body(env)
+                        hit = cache[key] = ALL if (mask != 0 if exists else mask == FULL) else 0
+                    return hit
+
+                return run_masked
+            n = self._n
+            slot = self._slots.setdefault(f.var, len(self._slots))
+            body = self._compile(f.body, space)
 
             def run_quant(env: list[int]) -> int:
                 key = key_of(env)

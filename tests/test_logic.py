@@ -9,6 +9,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polyreglab import sexpr
 from polyreglab.interp import Interpretation, builtin_interp
@@ -183,6 +185,104 @@ def test_row_masks_agree_with_naive_reference():
         got = FormulaEvaluator(w, f, var_order=(), rows=rows, row_vars=("x", "y")).at(())
         want = _mask(naive_eval(w, f, {"x": x, "y": y}) for x, y in rows)
         assert got == want, (sexpr.render(to_sexpr(f)), w.render(), rows)
+
+
+_BINDERS = ("u", "v", "w", "x", "y")
+
+
+@st.composite
+def _quantified_formulas(draw, scope=("x", "y"), depth=4):
+    """Random quantifier-heavy formulas over ``scope``.  A quantifier's body
+    ranges over its own variable and a random subset of the enclosing
+    scope, and compares its variable with each variable of that subset, so
+    it mentions an outer bound variable, a row variable, both or neither.
+    Binders reuse the names in ``_BINDERS``, so they shadow free and bound
+    variables alike."""
+    kinds = ["letter", "leq", "eq", "max", "min"]
+    if depth > 0:
+        kinds += ["not", "and", "or", "implies"] + ["forall", "exists"] * 3
+    kind = draw(st.sampled_from(kinds))
+    var = st.sampled_from(scope)
+    if kind == "letter":
+        return Letter(draw(st.sampled_from("ab#")), draw(var))
+    if kind in ("leq", "eq"):
+        return (Leq if kind == "leq" else Eq)(draw(var), draw(var))
+    if kind in ("max", "min"):
+        return (Max if kind == "max" else Min)(draw(var))
+    if kind in ("forall", "exists"):
+        bound = draw(st.sampled_from(_BINDERS))
+        kept = [v for v in scope if v != bound and draw(st.booleans())]
+        body = draw(_quantified_formulas((*kept, bound), depth - 1))
+        links = [
+            draw(st.sampled_from((Leq(bound, v), Leq(v, bound), Not(Eq(bound, v)))))
+            for v in kept
+        ]
+        if links:
+            body = draw(st.sampled_from((And, Or)))((*links, body))
+        return (Forall if kind == "forall" else Exists)(bound, body)
+    sub = _quantified_formulas(scope, depth - 1)
+    if kind == "not":
+        return Not(draw(sub))
+    if kind == "implies":
+        return Implies(draw(sub), draw(sub))
+    parts = tuple(draw(st.lists(sub, min_size=1, max_size=2)))
+    return And(parts) if kind == "and" else Or(parts)
+
+
+@st.composite
+def _quantified_cases(draw):
+    n = draw(st.integers(0, 6))
+    w = Word(tuple(draw(st.lists(st.sampled_from("ab#"), min_size=n, max_size=n))))
+    positions = st.integers(1, max(n, 1))
+    xs = draw(st.lists(positions, max_size=8 if n else 0))
+    pairs = draw(st.lists(st.tuples(positions, positions), max_size=12 if n else 0))
+    closure = draw(st.tuples(st.sampled_from((Forall, Exists)), st.sampled_from((Forall, Exists))))
+    return draw(_quantified_formulas()), w, xs, pairs, closure
+
+
+@settings(deadline=None, max_examples=300)
+@given(_quantified_cases())
+def test_quantifiers_agree_with_naive_reference(case):
+    """Quantifier-heavy formulas in point mode (x and y scalar), with x as a
+    row variable, with x and y both row variables, and closed into a
+    sentence, on words of length 0 to 6."""
+    f, w, xs, pairs, (outer, inner) = case
+    positions = range(1, len(w) + 1)
+    at = FormulaEvaluator(w, f, var_order=("x", "y")).at
+    for x, y in itertools.product(positions, repeat=2):
+        assert at((x, y)) == naive_eval(w, f, {"x": x, "y": y}), (x, y)
+    rows = [(x,) for x in xs]
+    at = FormulaEvaluator(w, f, var_order=("y",), rows=rows, row_vars=("x",)).at
+    for y in positions:
+        assert at((y,)) == _mask(naive_eval(w, f, {"x": x, "y": y}) for x in xs), y
+    got = FormulaEvaluator(w, f, var_order=(), rows=pairs, row_vars=("x", "y")).at(())
+    assert got == _mask(naive_eval(w, f, {"x": x, "y": y}) for x, y in pairs)
+    sentence = outer("x", inner("y", f))
+    assert eval_formula(w, sentence) == naive_eval(w, sentence, {})
+
+
+@pytest.mark.parametrize(
+    "text, holds",
+    [
+        ("(forall x (letter a x))", True),
+        ("(exists x (leq x x))", False),
+        ("(not (exists x (eq x x)))", True),
+        ("(forall x (exists y (leq x y)))", True),
+        ("(exists x (forall y (leq y x)))", False),
+        ("(not (forall x (exists y (not (eq x y)))))", False),
+        ("(exists x (max x))", False),
+        ("(forall x (min x))", True),
+        ("(not (exists x (and (max x) (min x))))", True),
+        ("(forall x (implies (letter a x) (letter b x)))", True),
+        ("(forall x (implies (exists y (leq x y)) (exists y (not (leq x y)))))", True),
+    ],
+)
+def test_sentences_on_the_empty_word(text, holds):
+    """Over no positions every forall holds and every exists fails, also when
+    the quantifier's body is answered as one mask over the positions."""
+    f = parse_formula(text)
+    assert eval_formula(Word(), f) is holds
+    assert naive_eval(Word(), f, {}) is holds
 
 
 def test_sexpr_round_trip_exact():
