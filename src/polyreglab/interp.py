@@ -9,6 +9,7 @@ the result is the empty word and a diagnostic says why.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
@@ -21,6 +22,7 @@ from .logic import (
     Forall,
     Formula,
     FormulaEvaluator,
+    FormulaPlan,
     Implies,
     Leq,
     Letter,
@@ -85,6 +87,17 @@ class Interpretation:
     def tuple_vars(self) -> tuple[str, ...]:
         return _var_names("x", self.dim)
 
+    @functools.cached_property
+    def letter_plans(self) -> dict[str, FormulaPlan]:
+        """One plan per letter formula, with the x variables as rows."""
+        xs = self.tuple_vars()
+        return {c: FormulaPlan(f, (), xs) for c, f in self.letter_formulas.items()}
+
+    @functools.cached_property
+    def order_plan(self) -> FormulaPlan:
+        """The order formula's plan: x variables as rows, y variables scalar."""
+        return FormulaPlan(self.order_formula, _var_names("y", self.dim), self.tuple_vars())
+
 
 # -- domain and order ----------------------------------------------------
 
@@ -104,15 +117,19 @@ class InterpDomain:
 
 
 def compute_domain(interp: Interpretation, u: Word) -> InterpDomain:
-    """One query per letter formula, over all n^dim tuples as rows."""
+    """One query per letter formula, over all n^dim tuples as rows, each
+    from the interpretation's plan for that formula bound to ``u``."""
     u.alphabet_check(interp.input_alphabet)
     n = len(u)
     if n == 0:
         return InterpDomain({})
     rows = list(itertools.product(range(1, n + 1), repeat=interp.dim))
     holding: dict[int, list[str]] = {}
+    plans = interp.letter_plans
     for letter, formula in interp.letter_formulas.items():
-        ev = FormulaEvaluator(u, formula, var_order=(), rows=rows, row_vars=interp.tuple_vars())
+        ev = FormulaEvaluator(
+            u, formula, var_order=(), rows=rows, row_vars=interp.tuple_vars(), plan=plans[letter]
+        )
         for i in _set_bits(ev.at(())):
             holding.setdefault(i, []).append(letter)
     return InterpDomain({rows[i]: frozenset(holding[i]) for i in sorted(holding)})
@@ -146,7 +163,8 @@ def check_linear_order(
     """Is the order formula a linear (reflexive, total) order on ``dom``?
 
     One query per tuple t, with the x variables bound to each tuple as a
-    row: bit i of ``masks[j]`` says tuple i <= tuple j.  Ranked by
+    row, from the interpretation's order plan bound to ``u``: bit i of
+    ``masks[j]`` says tuple i <= tuple j.  Ranked by
     predecessor count, the relation is the ranking's linear order exactly
     when each tuple's mask holds itself and the tuples ranked below it, and
     nothing else.
@@ -161,6 +179,7 @@ def check_linear_order(
         var_order=_var_names("y", interp.dim),
         rows=tuples,
         row_vars=interp.tuple_vars(),
+        plan=interp.order_plan,
     ).at
     masks = [at(t) for t in tuples]
     ranked = sorted(range(m), key=lambda j: masks[j].bit_count())

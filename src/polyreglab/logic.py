@@ -6,21 +6,30 @@ quantifiers ranging over positions.  ``max``/``min`` are macros that expand
 to their quantified definitions before anything semantic happens, so the
 core vocabulary stays minimal.
 
-Evaluation compiles a formula over one fixed word into closures that
-return an int mask over a row space: a list of row tuples that bind the
-space's row variables, where bit i says the subformula holds with them
-bound to row i.  Atoms on row variables are precomputed position masks,
-connectives are bitwise operations, and quantified subformulas are
-memoized on the values of their scalar free variables.  A quantifier whose
-free variables include a row variable of its space loops over the
-positions.  One whose free variables are all scalar compiles its body over
-the positions space, whose rows 1..n bind the quantified variable, so a
-single body call answers it: exists is a nonzero mask, forall a full one
-(bottom-up model checking, restricted to the one quantified variable).
-The rule applies again inside that body, where the quantified variable is
-the row variable.  An interpretation thus evaluates a letter formula on
-all tuples in one query and its order formula one column at a time; a
-point query is the case of a single empty row.
+Evaluation has two halves.  A ``FormulaPlan`` does the work that depends
+only on the formula and on which of its variables are rows: it expands the
+macros, renames binders apart, and resolves every variable to a row
+component or an environment slot and every quantifier to one of the two
+ways below.  A plan never changes once built, so one plan serves any
+number of words, also from several threads; an interpretation keeps one
+per formula.  A ``FormulaEvaluator`` binds a plan to one word, building
+only what the word decides, and is used by one thread.
+
+The bound formula is a tree of closures that return an int mask over a row
+space: a list of row tuples that bind the space's row variables, where bit
+i says the subformula holds with them bound to row i.  Atoms on row
+variables are precomputed position masks, connectives are bitwise
+operations, and quantified subformulas are memoized on the values of their
+scalar free variables.  A quantifier whose free variables include a row
+variable of its space loops over the positions.  One whose free variables
+are all scalar is answered over the positions space, whose rows 1..n bind
+the quantified variable, so a single body call answers it: exists is a
+nonzero mask, forall a full one (bottom-up model checking, restricted to
+the one quantified variable).  The rule applies again inside that body,
+where the quantified variable is the row variable.  An interpretation thus
+evaluates a letter formula on all tuples in one query and its order
+formula one column at a time; a point query is the case of a single empty
+row.
 """
 
 from __future__ import annotations
@@ -400,28 +409,16 @@ def parse_formula(text: str) -> Formula:
 
 
 class _RowSpace:
-    """The rows a compiled node answers for.  Row i binds each variable of
-    ``index`` to component ``index[v]`` of ``rows[i]``; ``all`` is the mask
-    of every row.  Position masks are built per component on first use and
-    shared by spaces that ``rebind`` the same rows to other variables."""
+    """The rows a bound node answers for; ``all`` is the mask of every row.
+    Position masks are built per row component on first use."""
 
-    __slots__ = ("n", "rows", "all", "index", "_tables")
+    __slots__ = ("n", "rows", "all", "_tables")
 
-    def __init__(
-        self,
-        n: int,
-        rows: Sequence[tuple[int, ...]],
-        index: dict[str, int],
-        tables: dict[int, tuple[list[int], list[int], list[int]]] | None = None,
-    ):
+    def __init__(self, n: int, rows: Sequence[tuple[int, ...]]):
         self.n = n
         self.rows = rows
         self.all = (1 << len(rows)) - 1
-        self.index = index
-        self._tables = {} if tables is None else tables
-
-    def rebind(self, index: dict[str, int]) -> _RowSpace:
-        return _RowSpace(self.n, self.rows, index, self._tables)
+        self._tables: dict[int, tuple[list[int], list[int], list[int]]] = {}
 
     def masks(self, a: int) -> tuple[list[int], list[int], list[int]]:
         """Masks of the rows whose component ``a`` is ==, <= and >= each
@@ -438,8 +435,312 @@ class _RowSpace:
         return tables
 
 
+_Closure = Callable[[list[int]], int]
+
+
+# -- plan nodes ------------------------------------------------------------
+#
+# A plan node is an immutable tuple of the fields its docstring lists, in
+# which every variable is already resolved to a row component (a, b) of
+# the node's space or to an environment slot (s, t).  ``bind(ev, space)``
+# builds, for the word of the evaluator ``ev``, the closure that maps an
+# environment to the mask of the rows of ``space`` on which the node
+# holds.  Each kind binds in its own small method, so building a closure
+# creates only the cells it uses, and binding recurses one frame per level
+# of the formula.
+
+
+class _Node(tuple):
+    def __new__(cls, *fields):
+        return tuple.__new__(cls, fields)
+
+
+class _LetterRows(_Node):
+    """(letter, a): the letter holds at row component a."""
+
+    def bind(self, ev: FormulaEvaluator, space: _RowSpace) -> _Closure:
+        letter, a = self
+        at_letter = itertools.compress(space.masks(a)[0], ev._letter_table(letter))
+        mask = functools.reduce(operator.or_, at_letter, 0)
+        return lambda env: mask
+
+
+class _LetterSlot(_Node):
+    """(letter, s): the letter holds at the position in slot s."""
+
+    def bind(self, ev: FormulaEvaluator, space: _RowSpace) -> _Closure:
+        letter, s = self
+        ALL = space.all
+        masks = [ALL if holds else 0 for holds in ev._letter_table(letter)]
+        return lambda env: masks[env[s]]
+
+
+class _CompareSlots(_Node):
+    """(test, s, t): ``test`` (``operator.le`` or ``operator.eq``) holds
+    between the positions in slots s and t."""
+
+    def bind(self, ev: FormulaEvaluator, space: _RowSpace) -> _Closure:
+        test, s, t = self
+        ALL = space.all
+        return lambda env: ALL if test(env[s], env[t]) else 0
+
+
+class _CompareRows(_Node):
+    """(is_eq, a, b): row component a is == (or <=) row component b."""
+
+    def bind(self, ev: FormulaEvaluator, space: _RowSpace) -> _Closure:
+        # The rows whose component a is some p, and component b is == p or >= p.
+        is_eq, a, b = self
+        eq_b, _, ge_b = space.masks(b)
+        at_p = map(operator.and_, space.masks(a)[0], eq_b if is_eq else ge_b)
+        mask = functools.reduce(operator.or_, at_p, 0)
+        return lambda env: mask
+
+
+class _CompareRowSlot(_Node):
+    """(table, a, s): row component a against the position p in slot s;
+    ``table`` picks the rows whose component is == p (0), <= p (1) or
+    >= p (2)."""
+
+    def bind(self, ev: FormulaEvaluator, space: _RowSpace) -> _Closure:
+        which, a, s = self
+        table = space.masks(a)[which]
+        return lambda env: table[env[s]]
+
+
+class _Not(_Node):
+    """(body,)"""
+
+    def bind(self, ev: FormulaEvaluator, space: _RowSpace) -> _Closure:
+        (body_node,) = self
+        ALL, body = space.all, body_node.bind(ev, space)
+        return lambda env: ALL ^ body(env)
+
+
+class _And(_Node):
+    """(parts,)"""
+
+    def bind(self, ev: FormulaEvaluator, space: _RowSpace) -> _Closure:
+        ALL, parts = space.all, [p.bind(ev, space) for p in self[0]]
+
+        def run_and(env: list[int]) -> int:
+            acc = ALL
+            for p in parts:
+                acc &= p(env)
+                if not acc:
+                    break
+            return acc
+
+        return run_and
+
+
+class _Or(_Node):
+    """(parts,)"""
+
+    def bind(self, ev: FormulaEvaluator, space: _RowSpace) -> _Closure:
+        ALL, parts = space.all, [p.bind(ev, space) for p in self[0]]
+
+        def run_or(env: list[int]) -> int:
+            acc = 0
+            for p in parts:
+                acc |= p(env)
+                if acc == ALL:
+                    break
+            return acc
+
+        return run_or
+
+
+class _Implies(_Node):
+    """(left, right)"""
+
+    def bind(self, ev: FormulaEvaluator, space: _RowSpace) -> _Closure:
+        ALL = space.all
+        left, right = (node.bind(ev, space) for node in self)
+
+        def run_implies(env: list[int]) -> int:
+            held = left(env)
+            return (ALL ^ held) | right(env) if held else ALL
+
+        return run_implies
+
+
+class _Masked(_Node):
+    """(exists, key, body): a quantifier whose free variables are all
+    scalar.  Its body answers all positions of the quantified variable at
+    once, over the positions space, whose one row component is that
+    variable; ``key`` reads the memo key, the values of the scalar free
+    variables, from the environment."""
+
+    def bind(self, ev: FormulaEvaluator, space: _RowSpace) -> _Closure:
+        exists, key_of, body_node = self
+        ALL, positions = space.all, ev._positions_space()
+        body, FULL = body_node.bind(ev, positions), positions.all
+        cache: dict[object, int] = {}
+
+        def run_masked(env: list[int]) -> int:
+            key = key_of(env)
+            hit = cache.get(key)
+            if hit is None:
+                mask = body(env)
+                hit = cache[key] = ALL if (mask != 0 if exists else mask == FULL) else 0
+            return hit
+
+        return run_masked
+
+
+class _Loop(_Node):
+    """(exists, key, slot, body): a quantifier whose variable runs through
+    ``slot``, memoized on ``key`` as in ``_Masked``."""
+
+    def bind(self, ev: FormulaEvaluator, space: _RowSpace) -> _Closure:
+        exists, key_of, slot, body_node = self
+        ALL, n, body = space.all, space.n, body_node.bind(ev, space)
+        cache: dict[object, int] = {}
+
+        def run_quant(env: list[int]) -> int:
+            key = key_of(env)
+            hit = cache.get(key)
+            if hit is not None:
+                return hit
+            if exists:
+                acc = 0
+                for i in range(1, n + 1):
+                    env[slot] = i
+                    acc |= body(env)
+                    if acc == ALL:
+                        break
+            else:
+                acc = ALL
+                for i in range(1, n + 1):
+                    env[slot] = i
+                    acc &= body(env)
+                    if not acc:
+                        break
+            cache[key] = acc
+            return acc
+
+        return run_quant
+
+
+def _no_key(env: list[int]) -> tuple[()]:
+    return ()
+
+
+class FormulaPlan:
+    """The word-independent half of evaluating one formula, built once from
+    ``(formula, var_order, row_vars)`` and read, never changed, by the
+    evaluators of any number of words, also from several threads.
+
+    ``core`` is the formula with its macros expanded and its binders renamed
+    apart from each other, from its free variables and from ``row_vars``.
+    ``free`` lists the scalar variables in the order ``at`` binds them, and
+    ``n_slots`` is the size of an evaluator's environment: those variables
+    first, then one slot per looping quantifier.  ``root`` is the core as a
+    tree of plan nodes (``_Not``, ``_Loop`` and the others above), in which
+    every choice that depends only on the variables is made: which are row
+    components of their node's space and which sit in environment slots,
+    which atom tables answer each comparison, and whether each quantifier
+    is answered over the positions space or loops, memoized on which slots.
+    """
+
+    __slots__ = ("formula", "row_vars", "free", "core", "root", "n_slots")
+
+    def __init__(
+        self,
+        formula: Formula,
+        var_order: tuple[str, ...] | None = None,
+        row_vars: tuple[str, ...] = (),
+    ):
+        row_vars = tuple(row_vars)
+        core = rename_bound(expand_macros(formula), reserved=row_vars)
+        frees: dict[int, frozenset[str]] = {}
+        scalar = _collect_frees(core, frees) - set(row_vars)
+        free = tuple(var_order) if var_order is not None else tuple(sorted(scalar))
+        if len(set(free)) != len(free):
+            raise LogicError(f"var_order {list(free)} repeats a name")
+        if not set(free).isdisjoint(row_vars):
+            raise LogicError(f"var_order names row variables {sorted(set(free) & set(row_vars))}")
+        if not scalar <= set(free):
+            raise LogicError(f"var_order misses free variables {sorted(scalar - set(free))}")
+        self.formula = formula
+        self.row_vars = row_vars
+        self.free = free
+        self.core = core
+        slots = {v: i for i, v in enumerate(free)}
+        self.root = _plan(core, {v: a for a, v in enumerate(row_vars)}, frees, slots)
+        self.n_slots = max(1, len(slots))
+
+    def serves(
+        self, formula: Formula, var_order: tuple[str, ...] | None, row_vars: tuple[str, ...]
+    ) -> bool:
+        """Was this plan built for these arguments (``var_order`` None
+        standing for the plan's own order)?"""
+        return (
+            (self.formula is formula or self.formula == formula)
+            and self.row_vars == tuple(row_vars)
+            and (var_order is None or self.free == tuple(var_order))
+        )
+
+
+def _collect_frees(f: Formula, frees: dict[int, frozenset[str]]) -> frozenset[str]:
+    """The free variables of ``f``; records those of every node in ``frees``."""
+    if isinstance(f, Letter):
+        fv = frozenset((f.var,))
+    elif isinstance(f, (Leq, Eq)):
+        fv = frozenset((f.left, f.right))
+    elif isinstance(f, (Forall, Exists)):
+        fv = _collect_frees(f.body, frees) - {f.var}
+    else:
+        fv = frozenset()
+        for sub in children(f):
+            fv |= _collect_frees(sub, frees)
+    frees[id(f)] = fv
+    return fv
+
+
+def _plan(
+    f: Formula, index: dict[str, int], frees: dict[int, frozenset[str]], slots: dict[str, int]
+) -> _Node:
+    """The plan node of ``f`` in a space whose row variables ``index`` maps
+    to their components; looping quantifiers add their slots to ``slots``."""
+    if isinstance(f, Letter):
+        a = index.get(f.var)
+        return _LetterSlot(f.letter, slots[f.var]) if a is None else _LetterRows(f.letter, a)
+    if isinstance(f, (Leq, Eq)):
+        a, b = index.get(f.left), index.get(f.right)
+        is_eq = isinstance(f, Eq)
+        if a is None and b is None:
+            test = operator.eq if is_eq else operator.le
+            return _CompareSlots(test, slots[f.left], slots[f.right])
+        if a is not None and b is not None:
+            return _CompareRows(is_eq, a, b)
+        # A row component against a position p: component == p, component
+        # >= p (p on the left of <=) or component <= p (p on the right).
+        if a is None:
+            return _CompareRowSlot(0 if is_eq else 2, b, slots[f.left])
+        return _CompareRowSlot(0 if is_eq else 1, a, slots[f.right])
+    if isinstance(f, Not):
+        return _Not(_plan(f.body, index, frees, slots))
+    if isinstance(f, (And, Or)):
+        parts = tuple(_plan(p, index, frees, slots) for p in f.parts)
+        return _And(parts) if isinstance(f, And) else _Or(parts)
+    if isinstance(f, Implies):
+        return _Implies(_plan(f.left, index, frees, slots), _plan(f.right, index, frees, slots))
+    if isinstance(f, (Forall, Exists)):
+        fv = frees[id(f)]
+        key_slots = sorted(slots[v] for v in fv if v not in index)
+        key = operator.itemgetter(*key_slots) if key_slots else _no_key
+        exists = isinstance(f, Exists)
+        if fv.isdisjoint(index):
+            return _Masked(exists, key, _plan(f.body, {f.var: 0}, frees, slots))
+        slot = slots.setdefault(f.var, len(slots))
+        return _Loop(exists, key, slot, _plan(f.body, index, frees, slots))
+    raise LogicError(f"unknown formula node {f!r}")
+
+
 class FormulaEvaluator:
-    """Compiled evaluator for one formula over one fixed word.
+    """One formula bound to one fixed word.
 
     Free variables are either row variables or scalar variables.  Each of
     ``rows`` binds the row variables, component by component; ``at(values)``
@@ -448,15 +749,19 @@ class FormulaEvaluator:
     bound to ``rows[i]``.  By default there is one empty row, and ``at`` is
     a point query answering 0 or 1.
 
-    Every node is compiled against a row space: the root against ``rows``,
-    and the body of a quantifier whose free variables are all scalar
-    against the positions space, whose rows (1,) to (n,) bind the
-    quantifier's own variable.  Such a quantifier asks its body once per
-    binding of its scalar free variables; other quantifiers loop over the
-    n positions.  The positions masks are built once per evaluator.
+    The word-independent work lives in a ``FormulaPlan``: pass one built for
+    the same ``(formula, var_order, row_vars)`` as ``plan`` to share it
+    across words, or let the evaluator build its own.  Binding a plan to the
+    word builds only what depends on the word: the letter tables, the row
+    space over ``rows`` and the positions space over (1,) to (n,) with their
+    position masks, and closures with fresh memo caches.  A quantifier whose
+    free variables are all scalar asks its body, bound to the positions
+    space, once per binding of them; other quantifiers loop over the n
+    positions.
 
-    Build once, query many times.  Not safe to share across threads (each
-    instance owns a scratch environment); the formula itself is.
+    Build once per word, query many times.  A plan may be shared across
+    words and threads; an evaluator may not (each instance owns its memo
+    caches and a scratch environment).
     """
 
     def __init__(
@@ -466,25 +771,21 @@ class FormulaEvaluator:
         var_order: tuple[str, ...] | None = None,
         rows: Sequence[tuple[int, ...]] = ((),),
         row_vars: tuple[str, ...] = (),
+        *,
+        plan: FormulaPlan | None = None,
     ):
-        core = rename_bound(expand_macros(formula), reserved=row_vars)
-        self._frees_by_node: dict[int, frozenset[str]] = {}
-        scalar = self._collect_frees(core) - set(row_vars)
+        if plan is None:
+            plan = FormulaPlan(formula, var_order, row_vars)
+        elif not plan.serves(formula, var_order, row_vars):
+            raise LogicError("plan was built for another formula, var_order or row_vars")
         self.word = word
         self.formula = formula
-        self.free = tuple(var_order) if var_order is not None else tuple(sorted(scalar))
-        if not scalar <= set(self.free):
-            raise LogicError(f"var_order misses free variables {sorted(scalar - set(self.free))}")
+        self.free = plan.free
         self._n = len(word)
-        # Scalar free variables first, so ``at`` binds them positionally;
-        # each looping quantifier adds a slot for its variable as it is
-        # compiled.
-        self._slots: dict[str, int] = {v: i for i, v in enumerate(self.free)}
         self._letter_tables: dict[str, list[bool]] = {}
         self._positions: _RowSpace | None = None
-        space = _RowSpace(self._n, rows, {v: a for a, v in enumerate(row_vars)})
-        self._root = self._compile(core, space)
-        self._env = [0] * max(1, len(self._slots))
+        self._root = plan.root.bind(self, _RowSpace(self._n, rows))
+        self._env = [0] * plan.n_slots
 
     def _letter_table(self, letter: str) -> list[bool]:
         table = self._letter_tables.get(letter)
@@ -496,145 +797,10 @@ class FormulaEvaluator:
             self._letter_tables[letter] = table
         return table
 
-    def _positions_of(self, var: str) -> _RowSpace:
-        """The positions space with ``var`` as its row variable."""
+    def _positions_space(self) -> _RowSpace:
         if self._positions is None:
-            self._positions = _RowSpace(self._n, [(p,) for p in range(1, self._n + 1)], {})
-        return self._positions.rebind({var: 0})
-
-    def _collect_frees(self, f: Formula) -> frozenset[str]:
-        if isinstance(f, Letter):
-            fv = frozenset((f.var,))
-        elif isinstance(f, (Leq, Eq)):
-            fv = frozenset((f.left, f.right))
-        elif isinstance(f, (Forall, Exists)):
-            fv = self._collect_frees(f.body) - {f.var}
-        else:
-            fv = frozenset()
-            for sub in children(f):
-                fv |= self._collect_frees(sub)
-        self._frees_by_node[id(f)] = fv
-        return fv
-
-    def _compile_atom(self, f: Letter | Leq | Eq, space: _RowSpace) -> Callable[[list[int]], int]:
-        ALL, index = space.all, space.index
-        if isinstance(f, Letter):
-            table = self._letter_table(f.letter)
-            a = index.get(f.var)
-            if a is not None:
-                at_letter = itertools.compress(space.masks(a)[0], table)
-                mask = functools.reduce(operator.or_, at_letter, 0)
-                return lambda env: mask
-            masks = [ALL if holds else 0 for holds in table]
-            s = self._slots[f.var]
-            return lambda env: masks[env[s]]
-        a, b = index.get(f.left), index.get(f.right)
-        if a is None and b is None:
-            s1, s2 = self._slots[f.left], self._slots[f.right]
-            test = operator.le if isinstance(f, Leq) else operator.eq
-            return lambda env: ALL if test(env[s1], env[s2]) else 0
-        if a is not None and b is not None:
-            # The rows whose component a is some p, and component b is >= p or == p.
-            eq_b, _, ge_b = space.masks(b)
-            other = eq_b if isinstance(f, Eq) else ge_b
-            at_p = map(operator.and_, space.masks(a)[0], other)
-            mask = functools.reduce(operator.or_, at_p, 0)
-            return lambda env: mask
-        eq, le, ge = space.masks(b if a is None else a)
-        table = eq if isinstance(f, Eq) else ge if a is None else le
-        s = self._slots[f.left if a is None else f.right]
-        return lambda env: table[env[s]]
-
-    def _compile(self, f: Formula, space: _RowSpace) -> Callable[[list[int]], int]:
-        ALL = space.all
-        if isinstance(f, (Letter, Leq, Eq)):
-            return self._compile_atom(f, space)
-        if isinstance(f, Not):
-            body = self._compile(f.body, space)
-            return lambda env: ALL ^ body(env)
-        if isinstance(f, And):
-            parts = tuple(self._compile(p, space) for p in f.parts)
-
-            def run_and(env: list[int]) -> int:
-                acc = ALL
-                for p in parts:
-                    acc &= p(env)
-                    if not acc:
-                        break
-                return acc
-
-            return run_and
-        if isinstance(f, Or):
-            parts = tuple(self._compile(p, space) for p in f.parts)
-
-            def run_or(env: list[int]) -> int:
-                acc = 0
-                for p in parts:
-                    acc |= p(env)
-                    if acc == ALL:
-                        break
-                return acc
-
-            return run_or
-        if isinstance(f, Implies):
-            left = self._compile(f.left, space)
-            right = self._compile(f.right, space)
-
-            def run_implies(env: list[int]) -> int:
-                held = left(env)
-                return (ALL ^ held) | right(env) if held else ALL
-
-            return run_implies
-        if isinstance(f, (Forall, Exists)):
-            frees = self._frees_by_node[id(f)]
-            key_slots = sorted(self._slots[v] for v in frees if v not in space.index)
-            key_of = operator.itemgetter(*key_slots) if key_slots else lambda env: ()
-            exists = isinstance(f, Exists)
-            cache: dict[object, int] = {}
-            if frees.isdisjoint(space.index):
-                # Every free variable is scalar: one body call answers all
-                # n positions of f.var at once.
-                positions = self._positions_of(f.var)
-                body = self._compile(f.body, positions)
-                FULL = positions.all
-
-                def run_masked(env: list[int]) -> int:
-                    key = key_of(env)
-                    hit = cache.get(key)
-                    if hit is None:
-                        mask = body(env)
-                        hit = cache[key] = ALL if (mask != 0 if exists else mask == FULL) else 0
-                    return hit
-
-                return run_masked
-            n = self._n
-            slot = self._slots.setdefault(f.var, len(self._slots))
-            body = self._compile(f.body, space)
-
-            def run_quant(env: list[int]) -> int:
-                key = key_of(env)
-                hit = cache.get(key)
-                if hit is not None:
-                    return hit
-                if exists:
-                    acc = 0
-                    for i in range(1, n + 1):
-                        env[slot] = i
-                        acc |= body(env)
-                        if acc == ALL:
-                            break
-                else:
-                    acc = ALL
-                    for i in range(1, n + 1):
-                        env[slot] = i
-                        acc &= body(env)
-                        if not acc:
-                            break
-                cache[key] = acc
-                return acc
-
-            return run_quant
-        raise LogicError(f"unknown formula node {f!r}")
+            self._positions = _RowSpace(self._n, [(p,) for p in range(1, self._n + 1)])
+        return self._positions
 
     def at(self, values: tuple[int, ...]) -> int:
         """The mask of the rows on which the formula holds, with the scalar

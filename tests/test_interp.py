@@ -18,11 +18,12 @@ from polyreglab.interp import (
     parse_interp,
     render_interp,
 )
-from polyreglab.langlab import words_upto
+from polyreglab.langlab import enumerate_image, resolve_function, words_upto
 from polyreglab.logic import (
     And,
     Eq,
     FormulaEvaluator,
+    FormulaPlan,
     Leq,
     Letter,
     Or,
@@ -31,7 +32,7 @@ from polyreglab.logic import (
     strict_less,
 )
 from polyreglab.pebble import innsq_direct
-from polyreglab.psi import family
+from polyreglab.psi import family, psi
 from polyreglab.words import Alphabet, Word
 
 
@@ -323,6 +324,38 @@ def test_eval_interp_queries_through_module_evaluator(monkeypatch):
     assert out.word().render() == "abaaba#baabaa#bbbb"
     assert built == [*innsq.letter_formulas.values(), innsq.order_formula]
     assert len(queries) == len(innsq.letter_formulas) + len(out)
+
+
+def test_image_sweep_plans_each_formula_once(monkeypatch):
+    """Enumerating the image of ``psi:innsq-interp`` up to length 3 plans
+    each formula of the lifted interpretation once for the whole sweep, and
+    binds each letter formula once per non-empty word and the order formula
+    at most once per word."""
+    planned, built = [], []
+    plan_init = FormulaPlan.__init__
+
+    def counting_plan(self, formula, *args, **kwargs):
+        planned.append(formula)
+        plan_init(self, formula, *args, **kwargs)
+
+    class Counting(FormulaEvaluator):
+        def __init__(self, word, formula, *args, **kwargs):
+            built.append((word, formula))
+            super().__init__(word, formula, *args, **kwargs)
+
+    monkeypatch.setattr(FormulaPlan, "__init__", counting_plan)
+    monkeypatch.setattr(interp_module, "FormulaEvaluator", Counting)
+    lifted = resolve_function("psi:innsq-interp")
+    enumerate_image(lifted.fn, lifted.input_alphabet, 3)
+    expected = psi(builtin_interp("innsq-interp"))
+    assert planned == [*expected.letter_formulas.values(), expected.order_formula]
+    *letters, order = planned
+    words = [w for w in words_upto(lifted.input_alphabet, 3) if len(w)]
+    for f in letters:
+        assert [w for w, g in built if g is f] == words
+    ordered = [w for w, g in built if g is order]
+    assert 0 < len(ordered) == len(set(ordered)) <= len(words)
+    assert len(built) == len(letters) * len(words) + len(ordered)
 
 
 # -- totalization diagnostics ---------------------------------------------------

@@ -20,6 +20,7 @@ from polyreglab.logic import (
     Exists,
     Forall,
     FormulaEvaluator,
+    FormulaPlan,
     Implies,
     Leq,
     Letter,
@@ -259,6 +260,65 @@ def test_quantifiers_agree_with_naive_reference(case):
     assert got == _mask(naive_eval(w, f, {"x": x, "y": y}) for x, y in pairs)
     sentence = outer("x", inner("y", f))
     assert eval_formula(w, sentence) == naive_eval(w, sentence, {})
+
+
+@st.composite
+def _word_sequences(draw):
+    """One to three random words of length 0 to 6, and the empty word at a
+    random place among them."""
+    letters = st.lists(st.sampled_from("ab#"), max_size=6)
+    words = [Word(tuple(t)) for t in draw(st.lists(letters, min_size=1, max_size=3))]
+    words.insert(draw(st.integers(0, len(words))), Word())
+    return words
+
+
+@settings(deadline=None, max_examples=150)
+@given(_quantified_formulas(), _word_sequences(), st.sampled_from((Forall, Exists)))
+def test_one_plan_serves_a_sequence_of_words(f, words, closure):
+    """One plan per (var_order, row_vars), built once and bound to every
+    word of a sequence, gives bit-identical masks to a fresh evaluator per
+    word and to the naive reference: in point mode, with x as a row
+    variable, with x and y as row variables, and closed into a sentence.
+    Binders reuse the row variables' names.  Every word is bound before any
+    is queried, and the words are queried again in reverse, so word B
+    queried after word A gives B's masks exactly: no memo cache or letter
+    table is kept in the plan.  An evaluator refuses a plan built for other
+    row variables."""
+    sentence = closure("x", closure("y", f))
+    modes = [
+        (f, ("x", "y"), ()),
+        (f, ("y",), ("x",)),
+        (f, (), ("x", "y")),
+        (sentence, (), ()),
+    ]
+    plans = [FormulaPlan(g, var_order, row_vars) for g, var_order, row_vars in modes]
+    for (g, var_order, row_vars), plan in zip(modes, plans):
+        bound = []
+        for w in words:
+            positions = range(1, len(w) + 1)
+            rows = list(itertools.product(positions, repeat=len(row_vars)))
+            ev = FormulaEvaluator(w, g, var_order, rows, row_vars, plan=plan)
+            bound.append((w, rows, ev))
+        for w, rows, ev in bound + bound[::-1]:
+            fresh = FormulaEvaluator(w, g, var_order, rows, row_vars)
+            for values in itertools.product(range(1, len(w) + 1), repeat=len(var_order)):
+                env = dict(zip(var_order, values))
+                want = _mask(naive_eval(w, g, {**env, **dict(zip(row_vars, r))}) for r in rows)
+                assert ev.at(values) == fresh.at(values) == want, (w.render(), row_vars, values)
+    with pytest.raises(LogicError, match="plan"):
+        FormulaEvaluator(words[0], f, (), [], ("y", "x"), plan=plans[2])
+
+
+def test_var_order_is_checked_when_the_plan_is_built():
+    """A var_order that repeats a name, or names a row variable, is refused
+    before any query."""
+    w, f = Word(tuple("abc")), Leq("x", "y")
+    with pytest.raises(LogicError, match="repeats a name"):
+        FormulaEvaluator(w, f, var_order=("x", "y", "x"))
+    with pytest.raises(LogicError, match="names row variables"):
+        FormulaEvaluator(w, f, var_order=("x", "y"), rows=[(1,), (3,)], row_vars=("x",))
+    with pytest.raises(LogicError, match="names row variables"):
+        FormulaPlan(f, ("y", "x"), ("x",))
 
 
 @pytest.mark.parametrize(
