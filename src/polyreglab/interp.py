@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
 from . import sexpr
@@ -30,6 +29,7 @@ from .logic import (
     Max,
     Not,
     Or,
+    RowSpace,
     conj,
     disj,
     free_vars,
@@ -38,6 +38,7 @@ from .logic import (
     strict_less,
     to_sexpr,
 )
+from .records import record
 from .words import Alphabet, OriginWord, Word
 
 
@@ -49,7 +50,7 @@ def _var_names(prefix: str, dim: int) -> tuple[str, ...]:
     return tuple(f"{prefix}{i}" for i in range(1, dim + 1))
 
 
-@dataclass(frozen=True, eq=False)
+@record(eq=False)
 class Interpretation:
     dim: int
     input_alphabet: Alphabet
@@ -102,7 +103,7 @@ class Interpretation:
 # -- domain and order ----------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record(slots=True)
 class InterpDomain:
     """The selected tuples of one evaluation, with the letters that hold on
     each tuple (normally exactly one)."""
@@ -118,17 +119,19 @@ class InterpDomain:
 
 def compute_domain(interp: Interpretation, u: Word) -> InterpDomain:
     """One query per letter formula, over all n^dim tuples as rows, each
-    from the interpretation's plan for that formula bound to ``u``."""
+    from the interpretation's plan for that formula bound to ``u``.  The
+    evaluators share one row space, so each table is built once per word."""
     u.alphabet_check(interp.input_alphabet)
     n = len(u)
     if n == 0:
         return InterpDomain({})
     rows = list(itertools.product(range(1, n + 1), repeat=interp.dim))
+    space = RowSpace(u, rows)
     holding: dict[int, list[str]] = {}
     plans = interp.letter_plans
     for letter, formula in interp.letter_formulas.items():
         ev = FormulaEvaluator(
-            u, formula, var_order=(), rows=rows, row_vars=interp.tuple_vars(), plan=plans[letter]
+            u, formula, var_order=(), rows=space, row_vars=interp.tuple_vars(), plan=plans[letter]
         )
         for i in _set_bits(ev.at(())):
             holding.setdefault(i, []).append(letter)
@@ -140,7 +143,7 @@ def _set_bits(mask: int) -> list[int]:
     return [i for i, bit in enumerate(bin(mask)[:1:-1]) if bit == "1"]
 
 
-@dataclass(frozen=True)
+@record(slots=True)
 class OrderViolation:
     kind: str  # reflexivity | antisymmetry | comparability | transitivity
     tuples: tuple[tuple[int, ...], ...]
@@ -150,7 +153,7 @@ class OrderViolation:
         return f"{self.kind} violated on {shown}"
 
 
-@dataclass(frozen=True)
+@record(slots=True)
 class OrderCheck:
     ok: bool
     sorted_tuples: tuple[tuple[int, ...], ...] = ()
@@ -217,7 +220,7 @@ def _order_violation(tuples: list[tuple[int, ...]], masks: list[int]) -> OrderVi
 # -- evaluation ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record(slots=True)
 class InterpDiagnostic:
     kind: str  # letter-overlap | order-not-linear
     detail: str
@@ -233,7 +236,7 @@ class InterpDiagnostic:
         }
 
 
-@dataclass(frozen=True)
+@record(slots=True)
 class InterpResult:
     output: OriginWord
     diagnostic: InterpDiagnostic | None = None

@@ -15,12 +15,12 @@ import math
 import os
 import random
 import statistics
-from dataclasses import dataclass
 from typing import Callable, Iterator, Mapping
 
 from .interp import builtin_interp, eval_interp, parse_interp
 from .pebble import apply, builtin_polyfun, innsq_direct, parse_polyfun
 from .psi import dcomplete_witness, psi
+from .records import record
 from .twoway import RegularFn, builtin_regular_fn
 from .words import Alphabet, Word, erase
 
@@ -42,7 +42,7 @@ def words_upto(alphabet: Alphabet, max_len: int) -> Iterator[Word]:
             yield Word(toks)
 
 
-@dataclass(frozen=True)
+@record
 class LanguageSample:
     """The image of a function restricted to inputs of bounded length,
     each output paired with the first input that produced it."""
@@ -133,7 +133,7 @@ def enumerate_image(
 # -- resolving function references ------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class ResolvedFn:
     ref: str
     fn: Callable[[Word], Word]
@@ -208,7 +208,7 @@ def resolve_function(ref: str, alphabet: Alphabet | None = None) -> ResolvedFn:
 # -- d-completeness at sample scale ------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class DCompleteReport:
     markers: Alphabet
     erasure_checked: int
@@ -372,7 +372,7 @@ def check_dcomplete(
 # -- pumping decompositions ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class PumpDecomposition:
     """w = u0 v1 u1 ... vk uk with short pumpable factors: pieces holds
     the 2k+1 words in that order."""
@@ -500,7 +500,7 @@ def pump_search(
 # -- growth profiling ----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class GrowthEstimate:
     slope: float
     table: tuple[tuple[int, int], ...]

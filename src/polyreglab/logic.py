@@ -8,28 +8,28 @@ core vocabulary stays minimal.
 
 Evaluation has two halves.  A ``FormulaPlan`` does the work that depends
 only on the formula and on which of its variables are rows: it expands the
-macros, renames binders apart, and resolves every variable to a row
-component or an environment slot and every quantifier to one of the two
-ways below.  A plan never changes once built, so one plan serves any
-number of words, also from several threads; an interpretation keeps one
-per formula.  A ``FormulaEvaluator`` binds a plan to one word, building
-only what the word decides, and is used by one thread.
+macros, renames binders apart, resolves every variable to a row component
+or an argument and every quantifier to one of the two ways below, and
+compiles the result, once, into generated Python units.  A plan never
+changes once built, so one plan serves any number of words, also from
+several threads; an interpretation keeps one per formula.  A
+``FormulaEvaluator`` binds a plan to one word, building only the word's
+tables and one function per unit, and is used by one thread.
 
-The bound formula is a tree of closures that return an int mask over a row
-space: a list of row tuples that bind the space's row variables, where bit
-i says the subformula holds with them bound to row i.  Atoms on row
-variables are precomputed position masks, connectives are bitwise
-operations, and quantified subformulas are memoized on the values of their
-scalar free variables.  A quantifier whose free variables include a row
-variable of its space loops over the positions.  One whose free variables
-are all scalar is answered over the positions space, whose rows 1..n bind
-the quantified variable, so a single body call answers it: exists is a
-nonzero mask, forall a full one (bottom-up model checking, restricted to
-the one quantified variable).  The rule applies again inside that body,
-where the quantified variable is the row variable.  An interpretation thus
-evaluates a letter formula on all tuples in one query and its order
-formula one column at a time; a point query is the case of a single empty
-row.
+The generated code computes an int mask over a row space: a list of row
+tuples that bind the space's row variables, where bit i says the formula
+holds with them bound to row i.  Atoms are lookups in the word's tables,
+connectives are inline bitwise operations, and each quantifier is one
+generated function memoized on the values of its scalar free variables.  A
+quantifier whose free variables include a row variable of its space loops
+over the positions.  One whose free variables are all scalar is answered
+over the positions space, whose rows 1..n bind the quantified variable, so
+a single evaluation of its body answers it: exists is a nonzero mask,
+forall a full one (bottom-up model checking, restricted to the one
+quantified variable).  The rule applies again inside that body, where the
+quantified variable is the row variable.  An interpretation thus evaluates
+a letter formula on all tuples in one query and its order formula one
+column at a time; a point query is the case of a single empty row.
 """
 
 from __future__ import annotations
@@ -37,10 +37,10 @@ from __future__ import annotations
 import functools
 import itertools
 import operator
-from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Sequence
 
 from . import sexpr
+from .records import record
 from .words import Word
 
 
@@ -54,6 +54,8 @@ class LogicError(ValueError):
 class Formula:
     """Base class; subclasses are immutable and compared structurally."""
 
+    __slots__ = ()
+
     def render(self) -> str:
         return sexpr.render(to_sexpr(self))
 
@@ -61,30 +63,30 @@ class Formula:
         return self.render()
 
 
-@dataclass(frozen=True)
+@record(slots=True)
 class Letter(Formula):
     letter: str
     var: str
 
 
-@dataclass(frozen=True)
+@record(slots=True)
 class Leq(Formula):
     left: str
     right: str
 
 
-@dataclass(frozen=True)
+@record(slots=True)
 class Eq(Formula):
     left: str
     right: str
 
 
-@dataclass(frozen=True)
+@record(slots=True)
 class Not(Formula):
     body: Formula
 
 
-@dataclass(frozen=True)
+@record(slots=True)
 class And(Formula):
     parts: tuple[Formula, ...]
 
@@ -93,7 +95,7 @@ class And(Formula):
             raise LogicError("empty conjunction")
 
 
-@dataclass(frozen=True)
+@record(slots=True)
 class Or(Formula):
     parts: tuple[Formula, ...]
 
@@ -102,32 +104,32 @@ class Or(Formula):
             raise LogicError("empty disjunction")
 
 
-@dataclass(frozen=True)
+@record(slots=True)
 class Implies(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True)
+@record(slots=True)
 class Forall(Formula):
     var: str
     body: Formula
 
 
-@dataclass(frozen=True)
+@record(slots=True)
 class Exists(Formula):
     var: str
     body: Formula
 
 
-@dataclass(frozen=True)
+@record(slots=True)
 class Max(Formula):
     """Macro: max(x) iff every position is <= x."""
 
     var: str
 
 
-@dataclass(frozen=True)
+@record(slots=True)
 class Min(Formula):
     """Macro: min(x) iff x is <= every position."""
 
@@ -162,18 +164,7 @@ def children(f: Formula) -> tuple[Formula, ...]:
 
 
 def free_vars(f: Formula) -> frozenset[str]:
-    if isinstance(f, Letter):
-        return frozenset((f.var,))
-    if isinstance(f, (Leq, Eq)):
-        return frozenset((f.left, f.right))
-    if isinstance(f, (Max, Min)):
-        return frozenset((f.var,))
-    if isinstance(f, (Forall, Exists)):
-        return free_vars(f.body) - {f.var}
-    out: frozenset[str] = frozenset()
-    for sub in children(f):
-        out |= free_vars(sub)
-    return out
+    return _collect_frees(f, {})
 
 
 def all_vars(f: Formula) -> frozenset[str]:
@@ -408,22 +399,37 @@ def parse_formula(text: str) -> Formula:
 # -- evaluation ----------------------------------------------------------
 
 
-class _RowSpace:
-    """The rows a bound node answers for; ``all`` is the mask of every row.
-    Position masks are built per row component on first use."""
+class RowSpace:
+    """Rows of one word that a bound formula answers for: bit i of a mask
+    over the space stands for ``rows[i]``, and ``all`` is the mask of every
+    row.  The tables that plans read (see ``table``) are built on first use
+    and kept, so evaluators of several formulas that share a space build
+    each table once.  ``positions`` is the space of the rows (1,) to (n,)
+    of the same word, built on first use."""
 
-    __slots__ = ("n", "rows", "all", "_tables")
+    __slots__ = ("word", "n", "rows", "all", "_letters", "_masks", "_tables", "_positions")
 
-    def __init__(self, n: int, rows: Sequence[tuple[int, ...]]):
-        self.n = n
+    def __init__(self, word: Word, rows: Sequence[tuple[int, ...]], letters=None):
+        self.word = word
+        self.n = len(word)
         self.rows = rows
         self.all = (1 << len(rows)) - 1
-        self._tables: dict[int, tuple[list[int], list[int], list[int]]] = {}
+        self._letters: dict[str, list[bool]] = {} if letters is None else letters
+        self._masks: dict[int, tuple[list[int], list[int], list[int]]] = {}
+        self._tables: dict[tuple, object] = {}
+        self._positions: RowSpace | None = None
+
+    @property
+    def positions(self) -> RowSpace:
+        if self._positions is None:
+            rows = [(p,) for p in range(1, self.n + 1)]
+            self._positions = RowSpace(self.word, rows, self._letters)
+        return self._positions
 
     def masks(self, a: int) -> tuple[list[int], list[int], list[int]]:
         """Masks of the rows whose component ``a`` is ==, <= and >= each
         position p, indexed by p (0 to n + 1)."""
-        tables = self._tables.get(a)
+        tables = self._masks.get(a)
         if tables is None:
             bufs = [bytearray((len(self.rows) + 7) >> 3) for _ in range(self.n + 2)]
             for i, row in enumerate(self.rows):
@@ -431,200 +437,241 @@ class _RowSpace:
             eq = [int.from_bytes(buf, "little") for buf in bufs]
             le = list(itertools.accumulate(eq, operator.or_))
             ge = [self.all ^ below for below in [0, *le[:-1]]]
-            tables = self._tables[a] = (eq, le, ge)
+            tables = self._masks[a] = (eq, le, ge)
         return tables
 
-
-_Closure = Callable[[list[int]], int]
-
-
-# -- plan nodes ------------------------------------------------------------
-#
-# A plan node is an immutable tuple of the fields its docstring lists, in
-# which every variable is already resolved to a row component (a, b) of
-# the node's space or to an environment slot (s, t).  ``bind(ev, space)``
-# builds, for the word of the evaluator ``ev``, the closure that maps an
-# environment to the mask of the rows of ``space`` on which the node
-# holds.  Each kind binds in its own small method, so building a closure
-# creates only the cells it uses, and binding recurses one frame per level
-# of the formula.
-
-
-class _Node(tuple):
-    def __new__(cls, *fields):
-        return tuple.__new__(cls, fields)
-
-
-class _LetterRows(_Node):
-    """(letter, a): the letter holds at row component a."""
-
-    def bind(self, ev: FormulaEvaluator, space: _RowSpace) -> _Closure:
-        letter, a = self
-        at_letter = itertools.compress(space.masks(a)[0], ev._letter_table(letter))
-        mask = functools.reduce(operator.or_, at_letter, 0)
-        return lambda env: mask
-
-
-class _LetterSlot(_Node):
-    """(letter, s): the letter holds at the position in slot s."""
-
-    def bind(self, ev: FormulaEvaluator, space: _RowSpace) -> _Closure:
-        letter, s = self
-        ALL = space.all
-        masks = [ALL if holds else 0 for holds in ev._letter_table(letter)]
-        return lambda env: masks[env[s]]
-
-
-class _CompareSlots(_Node):
-    """(test, s, t): ``test`` (``operator.le`` or ``operator.eq``) holds
-    between the positions in slots s and t."""
-
-    def bind(self, ev: FormulaEvaluator, space: _RowSpace) -> _Closure:
-        test, s, t = self
-        ALL = space.all
-        return lambda env: ALL if test(env[s], env[t]) else 0
-
-
-class _CompareRows(_Node):
-    """(is_eq, a, b): row component a is == (or <=) row component b."""
-
-    def bind(self, ev: FormulaEvaluator, space: _RowSpace) -> _Closure:
-        # The rows whose component a is some p, and component b is == p or >= p.
-        is_eq, a, b = self
-        eq_b, _, ge_b = space.masks(b)
-        at_p = map(operator.and_, space.masks(a)[0], eq_b if is_eq else ge_b)
-        mask = functools.reduce(operator.or_, at_p, 0)
-        return lambda env: mask
-
-
-class _CompareRowSlot(_Node):
-    """(table, a, s): row component a against the position p in slot s;
-    ``table`` picks the rows whose component is == p (0), <= p (1) or
-    >= p (2)."""
-
-    def bind(self, ev: FormulaEvaluator, space: _RowSpace) -> _Closure:
-        which, a, s = self
-        table = space.masks(a)[which]
-        return lambda env: table[env[s]]
-
-
-class _Not(_Node):
-    """(body,)"""
-
-    def bind(self, ev: FormulaEvaluator, space: _RowSpace) -> _Closure:
-        (body_node,) = self
-        ALL, body = space.all, body_node.bind(ev, space)
-        return lambda env: ALL ^ body(env)
-
-
-class _And(_Node):
-    """(parts,)"""
-
-    def bind(self, ev: FormulaEvaluator, space: _RowSpace) -> _Closure:
-        ALL, parts = space.all, [p.bind(ev, space) for p in self[0]]
-
-        def run_and(env: list[int]) -> int:
-            acc = ALL
-            for p in parts:
-                acc &= p(env)
-                if not acc:
-                    break
-            return acc
-
-        return run_and
-
-
-class _Or(_Node):
-    """(parts,)"""
-
-    def bind(self, ev: FormulaEvaluator, space: _RowSpace) -> _Closure:
-        ALL, parts = space.all, [p.bind(ev, space) for p in self[0]]
-
-        def run_or(env: list[int]) -> int:
-            acc = 0
-            for p in parts:
-                acc |= p(env)
-                if acc == ALL:
-                    break
-            return acc
-
-        return run_or
-
-
-class _Implies(_Node):
-    """(left, right)"""
-
-    def bind(self, ev: FormulaEvaluator, space: _RowSpace) -> _Closure:
-        ALL = space.all
-        left, right = (node.bind(ev, space) for node in self)
-
-        def run_implies(env: list[int]) -> int:
-            held = left(env)
-            return (ALL ^ held) | right(env) if held else ALL
-
-        return run_implies
-
-
-class _Masked(_Node):
-    """(exists, key, body): a quantifier whose free variables are all
-    scalar.  Its body answers all positions of the quantified variable at
-    once, over the positions space, whose one row component is that
-    variable; ``key`` reads the memo key, the values of the scalar free
-    variables, from the environment."""
-
-    def bind(self, ev: FormulaEvaluator, space: _RowSpace) -> _Closure:
-        exists, key_of, body_node = self
-        ALL, positions = space.all, ev._positions_space()
-        body, FULL = body_node.bind(ev, positions), positions.all
-        cache: dict[object, int] = {}
-
-        def run_masked(env: list[int]) -> int:
-            key = key_of(env)
-            hit = cache.get(key)
-            if hit is None:
-                mask = body(env)
-                hit = cache[key] = ALL if (mask != 0 if exists else mask == FULL) else 0
-            return hit
-
-        return run_masked
-
-
-class _Loop(_Node):
-    """(exists, key, slot, body): a quantifier whose variable runs through
-    ``slot``, memoized on ``key`` as in ``_Masked``."""
-
-    def bind(self, ev: FormulaEvaluator, space: _RowSpace) -> _Closure:
-        exists, key_of, slot, body_node = self
-        ALL, n, body = space.all, space.n, body_node.bind(ev, space)
-        cache: dict[object, int] = {}
-
-        def run_quant(env: list[int]) -> int:
-            key = key_of(env)
-            hit = cache.get(key)
-            if hit is not None:
-                return hit
-            if exists:
-                acc = 0
-                for i in range(1, n + 1):
-                    env[slot] = i
-                    acc |= body(env)
-                    if acc == ALL:
-                        break
+    def table(self, spec: tuple):
+        """The value on this space of an atom spec, complemented when its
+        last field is true: ``("letter", letter, a, neg)``, the mask of the
+        rows whose component a carries the letter, or for a None, a list by
+        position p of ``all`` where the letter stands at p and 0 elsewhere;
+        ``("rows", is_eq, a, b, neg)``, the rows whose component a is ==
+        (or <=) component b; ``("slot", which, a, neg)``, a list by
+        position p of the rows whose component a is == p (0), <= p (1) or
+        >= p (2)."""
+        value = self._tables.get(spec)
+        if value is None:
+            kind, x, a, *b, neg = spec
+            if kind == "letter":
+                holds = self._letters.get(x)
+                if holds is None:
+                    holds = self._letters[x] = [False, *(t == x for t in self.word.tokens)]
+                if a is None:
+                    value = [self.all if h else 0 for h in holds]
+                else:
+                    at_p = itertools.compress(self.masks(a)[0], holds)
+                    value = functools.reduce(operator.or_, at_p, 0)
+            elif kind == "rows":
+                # The rows whose component a is some p, and component b is == p or >= p.
+                eq_b, _, ge_b = self.masks(b[0])
+                at_p = map(operator.and_, self.masks(a)[0], eq_b if x else ge_b)
+                value = functools.reduce(operator.or_, at_p, 0)
             else:
-                acc = ALL
-                for i in range(1, n + 1):
-                    env[slot] = i
-                    acc &= body(env)
-                    if not acc:
-                        break
-            cache[key] = acc
-            return acc
-
-        return run_quant
+                value = self.masks(a)[x]
+            if neg:
+                ALL = self.all
+                value = ALL ^ value if isinstance(value, int) else [ALL ^ m for m in value]
+            self._tables[spec] = value
+        return value
 
 
-def _no_key(env: list[int]) -> tuple[()]:
-    return ()
+# -- generated code --------------------------------------------------------
+#
+# A plan compiles into units, each a small Python function generated and
+# compiled once per plan: the root, one per quantifier, and one per
+# subformula that would nest deeper than ``_UNIT_DEPTH`` connectives in its
+# unit, which keeps every unit far inside the parser's nesting limits.  A
+# unit's arguments are the positions of the scalar variables it reads,
+# ``v<slot>``.  Atoms read tables of the word, ``c<k>``, which
+# ``RowSpace.table`` computes from the plan's specs, so letters and
+# variable names never appear in the source: it holds only generated
+# names, integer literals and operators.  Connectives are inline bitwise
+# expressions that stop early (an and at 0, an or at A), as do quantifier
+# loops (exists at A, forall at 0), and a quantifier's unit memoizes on its
+# arguments in a dict made per word.  A unit's ``make`` takes ``A``, the
+# mask of all rows of the space its body answers over, ``B``, that of the
+# space it answers to, ``R``, the positions 1..n, then its tables and the
+# units it calls, ``q<k>``.  A generated ``bind`` calls every ``make`` once
+# per word, callees first, with the tables of the rows (``t0``) and of the
+# positions (``t1``).
+
+_UNIT_DEPTH = 32
+
+_MAKE = "def make(A, B, R{params}):\n{setup}    def f({args}):\n{body}    return f\n"
+
+_MEMO = """\
+        key = {key}
+        hit = cache.get(key)
+        if hit is None:
+{inner}        return hit
+"""
+
+_LOOP = """\
+            hit = {start}
+            for v{slot} in R:
+                hit {op}= {body}
+                if {stop}:
+                    break
+            cache[key] = hit
+"""
+
+
+# A unit being generated: whether its body answers over, and its result is
+# a mask over, the evaluator's rows (0) or its positions (1), and the
+# tables and the units it reads, as dicts used as ordered sets.
+_Unit = tuple[int, int, dict[int, None], dict[int, None]]
+
+
+def _vars(slots: Iterable[int]) -> str:
+    return ", ".join(f"v{s}" for s in slots)
+
+
+def _strip(f: Formula) -> tuple[Formula, bool]:
+    """``f`` without its leading nots, and whether their number is odd."""
+    neg = False
+    while isinstance(f, Not):
+        f, neg = f.body, not neg
+    return f, neg
+
+
+def _flat(f: And | Or) -> list[Formula]:
+    """The parts of ``f``, with the parts of any part of the same kind,
+    under an even number of nots, spliced in."""
+    out: list[Formula] = []
+    todo = list(reversed(f.parts))
+    while todo:
+        g, neg = _strip(todo.pop())
+        if type(g) is type(f) and not neg:
+            todo.extend(reversed(g.parts))  # type: ignore[attr-defined]
+        else:
+            out.append(Not(g) if neg else g)
+    return out
+
+
+class _Codegen:
+    """Generates the sources of one plan's units, callees first, so the
+    root comes last, and the lines of its ``bind``."""
+
+    def __init__(self, frees: dict[int, frozenset[str]], slots: dict[str, int]):
+        self.frees, self.slots = frees, slots
+        self.specs: tuple[dict[tuple, int], dict[tuple, int]] = ({}, {})
+        self.sources: list[str] = []
+        self.binds: list[str] = []
+        self.nodes = 0
+        self.masked = False
+
+    def finish(self, u: _Unit, args: list[int], setup: str, body: str) -> int:
+        space, outer, consts, calls = u
+        k = len(self.sources)
+        params = "".join(f", c{c}" for c in consts) + "".join(f", q{q}" for q in calls)
+        self.sources.append(_MAKE.format(params=params, setup=setup, args=_vars(args), body=body))
+        refs = "".join(f", t{space}[{c}]" for c in consts) + "".join(f", q{q}" for q in calls)
+        self.binds.append(f"    q{k} = M[{k}](A{space}, A{outer}, R{refs})\n")
+        return k
+
+    def const(self, u: _Unit, spec: tuple) -> str:
+        specs = self.specs[u[0]]
+        k = specs.setdefault(spec, len(specs))
+        u[2][k] = None
+        return f"c{k}"
+
+    def call(self, u: _Unit, unit: int, slots: list[int]) -> str:
+        u[3][unit] = None
+        return f"q{unit}({_vars(slots)})"
+
+    def plain(self, f: Formula, index: dict[str, int], space: int, args: list[int]) -> int:
+        u: _Unit = (space, space, {}, {})
+        return self.finish(u, args, "", f"        return {self.expr(f, u, index, 0)}\n")
+
+    def quantifier(self, f: Forall | Exists, index: dict[str, int], space: int):
+        """The unit of a quantifier in a space whose row variables ``index``
+        maps to their components, and the slots it is called with."""
+        fv = self.frees[id(f)]
+        key = sorted(self.slots[v] for v in fv if v not in index)
+        exists = isinstance(f, Exists)
+        if fv.isdisjoint(index):
+            # Masked: the body answers every position of f.var at once.
+            self.masked = True
+            u: _Unit = (1, space, {}, {})
+            test = self.expr(f.body, u, {f.var: 0}, 0) + ("" if exists else " == A")
+            inner = f"            hit = cache[key] = B if {test} else 0\n"
+        else:
+            slot = self.slots.setdefault(f.var, len(self.slots))
+            u = (space, space, {}, {})
+            body = self.expr(f.body, u, index, 0)
+            start, op, stop = (0, "|", "hit == A") if exists else ("A", "&", "not hit")
+            inner = _LOOP.format(start=start, slot=slot, op=op, body=body, stop=stop)
+        keyed = f"({_vars(key)})" if len(key) != 1 else f"v{key[0]}"
+        return self.finish(u, key, "    cache = {}\n", _MEMO.format(key=keyed, inner=inner)), key
+
+    def expr(self, f: Formula, u: _Unit, index: dict[str, int], depth: int) -> str:
+        """Python expression for the mask of ``f`` in unit ``u``, at
+        ``depth`` connectives below the unit's root."""
+        f, neg = _strip(f)
+        if isinstance(f, (Letter, Leq, Eq)):
+            self.nodes += 1
+            return self.atom(f, neg, u, index)
+        # A subformula split off into a unit of its own is counted there.
+        self.nodes += neg + (depth < _UNIT_DEPTH or isinstance(f, (Forall, Exists)))
+        m = f"m{depth}"
+        if isinstance(f, (Forall, Exists)):
+            text = self.call(u, *self.quantifier(f, index, u[0]))
+        elif depth == _UNIT_DEPTH:
+            args = sorted(self.slots[v] for v in self.frees[id(f)] if v not in index)
+            text = self.call(u, self.plain(f, index, u[0], args), args)
+        elif isinstance(f, Implies):
+            left, right = (self.expr(g, u, index, depth + 1) for g in (f.left, f.right))
+            text = f"((A ^ {m}) | {right} if ({m} := {left}) else A)"
+        else:
+            *init, last = (self.expr(g, u, index, depth + 1) for g in _flat(f))
+            if not init:
+                text = last
+            elif isinstance(f, And):
+                steps = [f"({m} := {init[0]})"] + [f"({m} := {m} & {p})" for p in init[1:]]
+                text = f"({' and '.join(steps)} and {m} & {last})"
+            else:
+                steps = [f"({m} := {init[0]}) == A"]
+                steps += [f"({m} := {m} | {p}) == A" for p in init[1:]]
+                text = f"(A if {' or '.join(steps)} else {m} | {last})"
+        return f"(A ^ {text})" if neg else text
+
+    def atom(self, f: Letter | Leq | Eq, neg: bool, u: _Unit, index: dict[str, int]) -> str:
+        slots = self.slots
+        if isinstance(f, Letter):
+            a = index.get(f.var)
+            c = self.const(u, ("letter", f.letter, a, neg))
+            return c if a is not None else f"{c}[v{slots[f.var]}]"
+        is_eq = isinstance(f, Eq)
+        a, b = index.get(f.left), index.get(f.right)
+        if a is None and b is None:
+            op = ("!=" if is_eq else ">") if neg else ("==" if is_eq else "<=")
+            return f"(A if v{slots[f.left]} {op} v{slots[f.right]} else 0)"
+        if a is not None and b is not None:
+            return self.const(u, ("rows", is_eq, a, b, neg))
+        # A row component against a position p: component == p, component
+        # >= p (p on the left of <=) or component <= p (p on the right).
+        if a is None:
+            return f"{self.const(u, ('slot', 0 if is_eq else 2, b, neg))}[v{slots[f.left]}]"
+        return f"{self.const(u, ('slot', 0 if is_eq else 1, a, neg))}[v{slots[f.right]}]"
+
+
+def _generate(core: Formula, frees: dict, free: tuple[str, ...], row_vars: tuple[str, ...]):
+    """The generator run over ``core``, whose nodes' free variables are in
+    ``frees``: its sources are the units, the root last, then ``bind``."""
+    gen = _Codegen(frees, {v: i for i, v in enumerate(free)})
+    root = gen.plain(core, {v: a for a, v in enumerate(row_vars)}, 0, list(range(len(free))))
+    binds = "".join(gen.binds)
+    gen.sources.append(f"def bind(M, R, A0, A1, t0, t1):\n{binds}    return q{root}\n")
+    return gen
+
+
+def _compiled(source: str, filename: str) -> Callable:
+    """The one function that generated ``source`` defines, run with no
+    builtins; a distinct ``filename`` per unit lets profiles tell units apart."""
+    namespace: dict[str, Callable] = {}
+    exec(compile(source, filename, "exec"), {"__builtins__": {}}, namespace)
+    (function,) = namespace.values()
+    return function
 
 
 class FormulaPlan:
@@ -634,17 +681,18 @@ class FormulaPlan:
 
     ``core`` is the formula with its macros expanded and its binders renamed
     apart from each other, from its free variables and from ``row_vars``.
-    ``free`` lists the scalar variables in the order ``at`` binds them, and
-    ``n_slots`` is the size of an evaluator's environment: those variables
-    first, then one slot per looping quantifier.  ``root`` is the core as a
-    tree of plan nodes (``_Not``, ``_Loop`` and the others above), in which
-    every choice that depends only on the variables is made: which are row
-    components of their node's space and which sit in environment slots,
-    which atom tables answer each comparison, and whether each quantifier
-    is answered over the positions space or loops, memoized on which slots.
+    ``free`` lists the scalar variables in the order ``at`` binds them.
+    The plan keeps the core compiled as generated Python (see above).
+    Generating makes every choice that depends only on the variables: which
+    are row components of a unit's space and which are arguments, which
+    table answers each atom, and whether each quantifier is answered over
+    the positions space or loops, memoized on which arguments.  It also
+    normalizes: an and directly under an and (an or under an or) is spliced
+    into it, two nots cancel, and a not over an atom reads the complemented
+    table.
     """
 
-    __slots__ = ("formula", "row_vars", "free", "core", "root", "n_slots")
+    __slots__ = ("formula", "row_vars", "free", "core", "_specs", "_masked", "_makes", "_bind")
 
     def __init__(
         self,
@@ -663,13 +711,16 @@ class FormulaPlan:
             raise LogicError(f"var_order names row variables {sorted(set(free) & set(row_vars))}")
         if not scalar <= set(free):
             raise LogicError(f"var_order misses free variables {sorted(scalar - set(free))}")
-        self.formula = formula
-        self.row_vars = row_vars
-        self.free = free
-        self.core = core
-        slots = {v: i for i, v in enumerate(free)}
-        self.root = _plan(core, {v: a for a, v in enumerate(row_vars)}, frees, slots)
-        self.n_slots = max(1, len(slots))
+        self.formula, self.row_vars, self.free, self.core = formula, row_vars, free, core
+        gen = _generate(core, frees, free, row_vars)
+        *units, binder = gen.sources
+        self._specs = tuple(map(tuple, gen.specs))
+        self._masked = gen.masked
+        # Compiled one unit at a time, after generating, at a shallow stack
+        # and with the generator's tables freed, since compiling peaks higher.
+        del gen, frees
+        self._makes = tuple(_compiled(src, f"<plan unit {k}>") for k, src in enumerate(units))
+        self._bind = _compiled(binder, "<plan bind>")
 
     def serves(
         self, formula: Formula, var_order: tuple[str, ...] | None, row_vars: tuple[str, ...]
@@ -682,10 +733,19 @@ class FormulaPlan:
             and (var_order is None or self.free == tuple(var_order))
         )
 
+    def bind(self, space: RowSpace) -> Callable[..., int]:
+        """The root unit made for the word of ``space``: it maps the
+        positions of the ``free`` variables to the mask of the rows of
+        ``space`` on which the formula holds."""
+        pos = space.positions if self._masked else space
+        t0 = [space.table(spec) for spec in self._specs[0]]
+        t1 = [pos.table(spec) for spec in self._specs[1]]
+        return self._bind(self._makes, range(1, space.n + 1), space.all, pos.all, t0, t1)
+
 
 def _collect_frees(f: Formula, frees: dict[int, frozenset[str]]) -> frozenset[str]:
     """The free variables of ``f``; records those of every node in ``frees``."""
-    if isinstance(f, Letter):
+    if isinstance(f, (Letter, Max, Min)):
         fv = frozenset((f.var,))
     elif isinstance(f, (Leq, Eq)):
         fv = frozenset((f.left, f.right))
@@ -699,46 +759,6 @@ def _collect_frees(f: Formula, frees: dict[int, frozenset[str]]) -> frozenset[st
     return fv
 
 
-def _plan(
-    f: Formula, index: dict[str, int], frees: dict[int, frozenset[str]], slots: dict[str, int]
-) -> _Node:
-    """The plan node of ``f`` in a space whose row variables ``index`` maps
-    to their components; looping quantifiers add their slots to ``slots``."""
-    if isinstance(f, Letter):
-        a = index.get(f.var)
-        return _LetterSlot(f.letter, slots[f.var]) if a is None else _LetterRows(f.letter, a)
-    if isinstance(f, (Leq, Eq)):
-        a, b = index.get(f.left), index.get(f.right)
-        is_eq = isinstance(f, Eq)
-        if a is None and b is None:
-            test = operator.eq if is_eq else operator.le
-            return _CompareSlots(test, slots[f.left], slots[f.right])
-        if a is not None and b is not None:
-            return _CompareRows(is_eq, a, b)
-        # A row component against a position p: component == p, component
-        # >= p (p on the left of <=) or component <= p (p on the right).
-        if a is None:
-            return _CompareRowSlot(0 if is_eq else 2, b, slots[f.left])
-        return _CompareRowSlot(0 if is_eq else 1, a, slots[f.right])
-    if isinstance(f, Not):
-        return _Not(_plan(f.body, index, frees, slots))
-    if isinstance(f, (And, Or)):
-        parts = tuple(_plan(p, index, frees, slots) for p in f.parts)
-        return _And(parts) if isinstance(f, And) else _Or(parts)
-    if isinstance(f, Implies):
-        return _Implies(_plan(f.left, index, frees, slots), _plan(f.right, index, frees, slots))
-    if isinstance(f, (Forall, Exists)):
-        fv = frees[id(f)]
-        key_slots = sorted(slots[v] for v in fv if v not in index)
-        key = operator.itemgetter(*key_slots) if key_slots else _no_key
-        exists = isinstance(f, Exists)
-        if fv.isdisjoint(index):
-            return _Masked(exists, key, _plan(f.body, {f.var: 0}, frees, slots))
-        slot = slots.setdefault(f.var, len(slots))
-        return _Loop(exists, key, slot, _plan(f.body, index, frees, slots))
-    raise LogicError(f"unknown formula node {f!r}")
-
-
 class FormulaEvaluator:
     """One formula bound to one fixed word.
 
@@ -747,21 +767,21 @@ class FormulaEvaluator:
     binds the scalar variables positionally (see ``free``) and returns an
     int mask whose bit i says the formula holds with the row variables
     bound to ``rows[i]``.  By default there is one empty row, and ``at`` is
-    a point query answering 0 or 1.
+    a point query answering 0 or 1.  ``rows`` may also be a ``RowSpace`` of
+    the word, to share its tables with the evaluators of other formulas.
 
     The word-independent work lives in a ``FormulaPlan``: pass one built for
     the same ``(formula, var_order, row_vars)`` as ``plan`` to share it
     across words, or let the evaluator build its own.  Binding a plan to the
-    word builds only what depends on the word: the letter tables, the row
-    space over ``rows`` and the positions space over (1,) to (n,) with their
-    position masks, and closures with fresh memo caches.  A quantifier whose
-    free variables are all scalar asks its body, bound to the positions
-    space, once per binding of them; other quantifiers loop over the n
-    positions.
+    word builds only what depends on the word: the tables of the row space
+    and of the positions space over (1,) to (n,), and one function per unit
+    of the plan, with fresh memo caches.  A quantifier whose free variables
+    are all scalar asks its body, over the positions space, once per
+    binding of them; other quantifiers loop over the n positions.
 
     Build once per word, query many times.  A plan may be shared across
     words and threads; an evaluator may not (each instance owns its memo
-    caches and a scratch environment).
+    caches).
     """
 
     def __init__(
@@ -769,7 +789,7 @@ class FormulaEvaluator:
         word: Word,
         formula: Formula,
         var_order: tuple[str, ...] | None = None,
-        rows: Sequence[tuple[int, ...]] = ((),),
+        rows: Sequence[tuple[int, ...]] | RowSpace = ((),),
         row_vars: tuple[str, ...] = (),
         *,
         plan: FormulaPlan | None = None,
@@ -778,38 +798,17 @@ class FormulaEvaluator:
             plan = FormulaPlan(formula, var_order, row_vars)
         elif not plan.serves(formula, var_order, row_vars):
             raise LogicError("plan was built for another formula, var_order or row_vars")
-        self.word = word
-        self.formula = formula
-        self.free = plan.free
-        self._n = len(word)
-        self._letter_tables: dict[str, list[bool]] = {}
-        self._positions: _RowSpace | None = None
-        self._root = plan.root.bind(self, _RowSpace(self._n, rows))
-        self._env = [0] * plan.n_slots
-
-    def _letter_table(self, letter: str) -> list[bool]:
-        table = self._letter_tables.get(letter)
-        if table is None:
-            table = [False] * (self._n + 1)
-            for i, tok in enumerate(self.word.tokens):
-                if tok == letter:
-                    table[i + 1] = True
-            self._letter_tables[letter] = table
-        return table
-
-    def _positions_space(self) -> _RowSpace:
-        if self._positions is None:
-            self._positions = _RowSpace(self._n, [(p,) for p in range(1, self._n + 1)])
-        return self._positions
+        space = rows if isinstance(rows, RowSpace) else RowSpace(word, rows)
+        if space.word != word:
+            raise LogicError("row space was built for another word")
+        self.word, self.formula, self.free, self._n = word, formula, plan.free, len(word)
+        self._root = plan.bind(space)
 
     def at(self, values: tuple[int, ...]) -> int:
         """The mask of the rows on which the formula holds, with the scalar
         variables bound positionally (see ``free``).  No range validation;
         callers supply positions of the word."""
-        env = self._env
-        for i, v in enumerate(values):
-            env[i] = v
-        return self._root(env)
+        return self._root(*values)
 
     def evaluate(self, env: Mapping[str, int]) -> bool:
         """Point query with the scalar variables bound by name: does the
@@ -871,7 +870,7 @@ def relativize(formula: Formula, guard: str) -> Formula:
 # sort 2.  The check is a union-find closure over comparison atoms.
 
 
-@dataclass(frozen=True)
+@record
 class SortWitness:
     formula_key: str
     atom: Formula
@@ -880,7 +879,7 @@ class SortWitness:
         return f"{self.formula_key}: {self.atom.render()} merges sort 1 with sort 2"
 
 
-@dataclass(frozen=True)
+@record
 class SortReport:
     ok: bool
     sorts: dict[str, dict[str, int]]

@@ -12,10 +12,10 @@ from __future__ import annotations
 
 import os
 import re
-from dataclasses import dataclass
 from typing import Mapping
 
 from . import sexpr
+from .records import record
 from .twoway import RegularFn, builtin_regular_fn, builtin_regular_fns
 from .words import Word, concat, mark_token
 
@@ -30,12 +30,12 @@ class PolyFun:
     """Base class for combinator trees."""
 
 
-@dataclass(frozen=True, eq=False)
+@record(eq=False)
 class Reg(PolyFun):
     fn: RegularFn
 
 
-@dataclass(frozen=True, eq=False)
+@record(eq=False)
 class Pebble0(PolyFun):
     """First matching regular class wins; regexes apply to the canonical
     rendering of the input word."""
@@ -51,7 +51,7 @@ class Pebble0(PolyFun):
                 raise PebbleError(f"bad matcher regex {pattern!r}: {exc}") from exc
 
 
-@dataclass(frozen=True, eq=False)
+@record(eq=False)
 class Pebble(PolyFun):
     head: RegularFn
     branches: Mapping[str, PolyFun]
@@ -60,7 +60,7 @@ class Pebble(PolyFun):
         _check_branches(self.head, self.branches, marked=True)
 
 
-@dataclass(frozen=True, eq=False)
+@record(eq=False)
 class Blind(PolyFun):
     head: RegularFn
     branches: Mapping[str, PolyFun]
@@ -145,7 +145,7 @@ def apply_trace(p: PolyFun, w: Word):
     return concat(pieces), rows
 
 
-@dataclass(frozen=True)
+@record
 class PebbleDepth:
     k: int
     flavor: str  # "pebble" | "blind"

@@ -12,7 +12,6 @@ separator blocks in the output.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 from .interp import Interpretation, eval_interp
@@ -32,6 +31,7 @@ from .logic import (
     strict_less,
     substitute,
 )
+from .records import record
 from .words import Alphabet, Word
 
 
@@ -39,7 +39,7 @@ class PsiError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
+@record
 class MarkerScheme:
     """Concrete spellings for the three fresh tokens a lift introduces."""
 
@@ -78,7 +78,7 @@ def fresh_scheme(interp: Interpretation) -> MarkerScheme:
     raise AssertionError("unreachable")
 
 
-@dataclass(frozen=True)
+@record
 class DecoratedInput:
     """A word u together with club counts p = (p0, ..., pn), one per gap:
     p[i] clubs sit right after letter i (p[0] before the first letter)."""

@@ -9,9 +9,9 @@ position it was produced at.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping
 
+from .records import field, record
 from .words import Alphabet, OriginWord, Word, marked_alphabet
 
 LEFT_END = "<"
@@ -47,7 +47,7 @@ class EmitOnEndmarkerError(RuntimeError):
         self.symbol = symbol
 
 
-@dataclass(frozen=True, eq=False)
+@record(eq=False)
 class TwoWayTransducer:
     states: frozenset[str]
     initial: str
@@ -158,7 +158,7 @@ def _first_repeat(machine: TwoWayTransducer, tape: list[int]) -> NonTerminationE
 # -- regular functions -----------------------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
+@record(eq=False)
 class RegularFn:
     """A string-to-string function of linear growth, normally backed by a
     two-way transducer.  ``growth_constant`` bounds |f(w)| <= C * |w|;
@@ -198,7 +198,7 @@ class RegularFn:
         return self.func(w)
 
 
-@dataclass(frozen=True, eq=False)
+@record(eq=False)
 class ComposedFn:
     """Semantic composition outer(inner(w)), evaluated on demand.  Origins
     are composed: a letter traces through the intermediate word back to a

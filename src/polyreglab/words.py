@@ -7,15 +7,16 @@ symbols like ``club1`` or ``box2`` are ordinary letters.  Positions are
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Iterator
+
+from .records import record
 
 
 class WordError(ValueError):
     """Raised for malformed words, bad positions or alphabet violations."""
 
 
-@dataclass(frozen=True)
+@record
 class Alphabet:
     """A finite set of symbol tokens.
 
@@ -57,7 +58,7 @@ class Alphabet:
         return " ".join(sorted(self.letters))
 
 
-@dataclass(frozen=True)
+@record(slots=True)
 class Word:
     """An immutable sequence of symbol tokens with 1-based indexing."""
 
@@ -185,7 +186,7 @@ def marked_alphabet(alphabet: Alphabet) -> Alphabet:
     return Alphabet(alphabet.letters | marked)
 
 
-@dataclass(frozen=True)
+@record(slots=True)
 class MarkedWord:
     """A word together with a marked position (``underline``'s result)."""
 
@@ -215,7 +216,7 @@ def underline(w: Word, position: int) -> MarkedWord:
     )
 
 
-@dataclass(frozen=True)
+@record(slots=True)
 class OriginWord:
     """An output word whose letters carry origins: tuples of 1-based input
     positions.  Transducer outputs have arity-1 origins, an interpretation

@@ -27,6 +27,7 @@ from polyreglab.logic import (
     Leq,
     Letter,
     Or,
+    RowSpace,
     disj,
     eval_formula,
     strict_less,
@@ -324,6 +325,43 @@ def test_eval_interp_queries_through_module_evaluator(monkeypatch):
     assert out.word().render() == "abaaba#baabaa#bbbb"
     assert built == [*innsq.letter_formulas.values(), innsq.order_formula]
     assert len(queries) == len(innsq.letter_formulas) + len(out)
+
+
+def test_eval_interp_builds_each_table_once_per_word(monkeypatch):
+    """One ``eval_interp`` of the lifted innsq interpretation on a word of
+    length 6 builds one row space over the 36 tuples, shared by all five
+    letter formulas, one over the 9 output tuples for the order check and a
+    positions space beside each.  Each space builds the position masks of
+    each row component once; of the 56 tables the evaluators ask for, 39
+    are built and the rest come from the shared space."""
+    spaces, masks, tables = [], [], []
+    init, build_masks, build_table = RowSpace.__init__, RowSpace.masks, RowSpace.table
+
+    def counting_init(self, word, rows, *args):
+        spaces.append(len(rows))
+        init(self, word, rows, *args)
+
+    def counting_masks(self, a):
+        result = build_masks(self, a)
+        masks.append((self, a, result))
+        return result
+
+    def counting_table(self, spec):
+        tables.append((self, spec))
+        return build_table(self, spec)
+
+    monkeypatch.setattr(RowSpace, "__init__", counting_init)
+    monkeypatch.setattr(RowSpace, "masks", counting_masks)
+    monkeypatch.setattr(RowSpace, "table", counting_table)
+    lifted = psi(builtin_interp("innsq-interp"))
+    lifted.letter_plans, lifted.order_plan  # planned before counting
+    spaces.clear()
+    out = eval_interp(lifted, Word.parse("a♣b#♣a"))
+    assert len(out) == 9
+    assert sorted(spaces) == [6, 6, 9, 36]
+    built = {id(result) for _, _, result in masks}  # the results are kept alive in masks
+    assert len(built) == len({(id(space), a) for space, a, _ in masks}) == 6
+    assert (len(tables), len({(id(space), spec) for space, spec in tables})) == (56, 39)
 
 
 def test_image_sweep_plans_each_formula_once(monkeypatch):

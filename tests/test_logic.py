@@ -5,8 +5,13 @@ written here in the test module: plain recursive Tarskian semantics over
 a dict environment, no compilation, no caching.
 """
 
+import contextlib
+import io
 import itertools
 import random
+import re
+import sys
+import tokenize
 
 import pytest
 from hypothesis import given, settings
@@ -14,6 +19,7 @@ from hypothesis import strategies as st
 
 from polyreglab import sexpr
 from polyreglab.interp import Interpretation, builtin_interp
+from polyreglab.psi import psi
 from polyreglab.logic import (
     And,
     Eq,
@@ -29,7 +35,9 @@ from polyreglab.logic import (
     Min,
     Not,
     Or,
+    RowSpace,
     check_sortable,
+    children,
     eval_formula,
     expand_macros,
     free_vars,
@@ -39,6 +47,8 @@ from polyreglab.logic import (
     rename_bound,
     substitute,
     to_sexpr,
+    _collect_frees,
+    _generate,
 )
 from polyreglab.words import Alphabet, Word
 
@@ -343,6 +353,270 @@ def test_sentences_on_the_empty_word(text, holds):
     f = parse_formula(text)
     assert eval_formula(Word(), f) is holds
     assert naive_eval(Word(), f, {}) is holds
+
+
+# -- generated code ----------------------------------------------------------
+
+
+def _renamed(f, names, letters):
+    """``f`` with every variable (binders included) and every letter
+    renamed through the two mappings."""
+    if isinstance(f, Letter):
+        return Letter(letters[f.letter], names[f.var])
+    if isinstance(f, (Leq, Eq)):
+        return type(f)(names[f.left], names[f.right])
+    if isinstance(f, (Max, Min)):
+        return type(f)(names[f.var])
+    if isinstance(f, Not):
+        return Not(_renamed(f.body, names, letters))
+    if isinstance(f, (And, Or)):
+        return type(f)(tuple(_renamed(p, names, letters) for p in f.parts))
+    if isinstance(f, Implies):
+        return Implies(_renamed(f.left, names, letters), _renamed(f.right, names, letters))
+    return type(f)(names[f.var], _renamed(f.body, names, letters))
+
+
+_GENERATED_NAME = re.compile(r"[vcqmt]\d+|A[01]?|B|R|M|f|make|bind|cache|key|hit|get")
+_GENERATED_KEYWORDS = {"def", "return", "if", "else", "and", "or", "not", "is", "None", "for", "in", "break"}
+_GENERATED_OPS = set("( ) [ ] { } , : . = ^ & | < >".split()) | {
+    ":=", "==", "!=", "<=", ">=", "|=", "&=",
+}
+_LAYOUT = {tokenize.NEWLINE, tokenize.NL, tokenize.INDENT, tokenize.DEDENT, tokenize.ENDMARKER}
+
+
+def _generated(plan):
+    """The generator re-run over ``plan``'s core, as the plan ran it: its
+    ``sources`` and its count of ``nodes``."""
+    frees = {}
+    _collect_frees(plan.core, frees)
+    return _generate(plan.core, frees, plan.free, plan.row_vars)
+
+
+def _assert_generated_text_only(plan):
+    """Every unit's source, and the binder's, holds only generated names,
+    keywords, integer literals and operators."""
+    sources = _generated(plan).sources
+    assert sources
+    for source in sources:
+        for tok in tokenize.generate_tokens(io.StringIO(source).readline):
+            if tok.type == tokenize.NAME:
+                assert tok.string in _GENERATED_KEYWORDS or _GENERATED_NAME.fullmatch(tok.string), tok
+            elif tok.type == tokenize.NUMBER:
+                assert re.fullmatch(r"\d+", tok.string), tok
+            elif tok.type == tokenize.OP:
+                assert tok.string in _GENERATED_OPS, tok
+            else:
+                assert tok.type in _LAYOUT, tok
+
+
+_HOSTILE_NAMES = ["'); import os #", "x\n", "♣", "def", "None", "lambda", "v0", "A", "cache", "m0"]
+_HOSTILE_LETTERS = ["'); import os #", "♣", "\n", "None"]
+
+
+def test_hostile_names_reach_generated_code_only_as_tables():
+    """Letters and variables named like Python code, keywords, the
+    generator's own names or non-ASCII text: plans built through the API
+    agree with the naive reference in point mode and with one and two row
+    variables, and their sources hold generated text only."""
+    rng = random.Random(17)
+    for trial in range(60):
+        names = dict(zip(["x", "y", "u", "v", "t"], rng.sample(_HOSTILE_NAMES, 5)))
+        letters = dict(zip("ab#", rng.sample(_HOSTILE_LETTERS, 3)))
+        f = _renamed(_random_formula(rng, ["x", "y"], depth=4, qdepth=3), names, letters)
+        x, y = names["x"], names["y"]
+        n = rng.randint(0, 4)
+        w = Word(tuple(rng.choices(list(letters.values()), k=n)))
+        positions = range(1, n + 1)
+        for var_order, row_vars in [((x, y), ()), ((y,), (x,)), ((), (x, y))]:
+            plan = FormulaPlan(f, var_order, row_vars)
+            _assert_generated_text_only(plan)
+            rows = list(itertools.product(positions, repeat=len(row_vars)))
+            ev = FormulaEvaluator(w, f, var_order, rows, row_vars, plan=plan)
+            for values in itertools.product(positions, repeat=len(var_order)):
+                env = dict(zip(var_order, values))
+                want = _mask(naive_eval(w, f, {**env, **dict(zip(row_vars, r))}) for r in rows)
+                assert ev.at(values) == want, (sexpr.render(to_sexpr(f)), w.tokens, values)
+
+
+@contextlib.contextmanager
+def _deep_stack():
+    """The formula walkers and the reference evaluators recurse two frames
+    per and/or level, so chains several hundred deep need a larger limit
+    than Python's default; the generated code itself does not."""
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(max(limit, 8000))
+    try:
+        yield
+    finally:
+        sys.setrecursionlimit(limit)
+
+
+_AROUND_SPLITS = st.sampled_from([30, 31, 32, 33, 34, 63, 64, 65, 66, 96, 97])
+
+
+@st.composite
+def _deep_chains(draw):
+    """A chain of and/or/not/implies of depth 1 to 650, each level with an
+    atom beside the deeper part; alternating and/or levels keep their depth
+    when normalized.  A level puts the deeper part first, or puts first an
+    atom that never stops the evaluation early, so every query reaches the
+    innermost atom.  Two in three chains also mention z and sit under a
+    quantifier on z."""
+    depth = draw(st.one_of(st.integers(1, 650), _AROUND_SPLITS))
+    kinds = draw(st.sampled_from([("and", "or"), ("and", "or", "not", "implies"), ("not", "implies")]))
+    quantifier = draw(st.sampled_from([None, Forall, Exists]))
+    names = st.sampled_from("xyz" if quantifier else "xy")
+    atoms = st.one_of(
+        st.builds(Letter, st.sampled_from("ab"), names),
+        st.builds(Leq, names, names),
+        st.builds(Eq, names, names),
+    )
+    start = draw(st.integers(0, len(kinds) - 1))
+    f = draw(atoms)
+    for level in range(depth):
+        kind, atom, deep_first = kinds[(start + level) % len(kinds)], draw(atoms), draw(st.booleans())
+        v = draw(names)
+        true = Leq(v, v)
+        if kind == "not":
+            f = Not(f)
+        elif kind == "implies":
+            f = Implies(f, atom) if deep_first else Implies(true, f)
+        elif kind == "and":
+            f = And((f, atom) if deep_first else (true, f))
+        else:
+            f = Or((f, atom) if deep_first else (Not(true), f))
+    if quantifier:
+        f = quantifier("z", draw(st.sampled_from([And, Or]))((f, Leq("z", draw(names)))))
+    return f
+
+
+@st.composite
+def _quantifier_chains(draw):
+    """Up to 120 nested quantifiers over z1, z2, ..., each comparing its
+    variable with the one bound just outside it (y for the outermost), so
+    that some loop and some are answered over the positions."""
+    depth = draw(st.one_of(st.integers(1, 120), _AROUND_SPLITS))
+    names = ["y"] + [f"z{k}" for k in range(1, depth + 1)]
+    f = draw(st.sampled_from([Letter("a", names[-1]), Leq("x", names[-1]), Letter("b", "x")]))
+    for var, outer in reversed(list(zip(names[1:], names))):
+        link = draw(st.sampled_from([Leq(var, outer), Leq(outer, var), Not(Eq(var, outer))]))
+        guard = draw(st.sampled_from([Letter("a", var), Leq(var, "x"), Not(Letter("b", var))]))
+        body = draw(st.sampled_from([And, Or]))(tuple(draw(st.permutations([link, guard, f]))))
+        f = draw(st.sampled_from([Forall, Exists]))(var, body)
+    return And((Letter("a", "y"), f)) if draw(st.booleans()) else f
+
+
+def _memo_eval(w, f):
+    """``naive_eval(w, f, env)`` as a function of ``env``, memoized on the
+    values of each subformula's free variables, so long quantifier chains
+    stay polynomial."""
+    frees, memo = {}, {}
+
+    def collect(g):
+        fv = set(free_vars(g)) if isinstance(g, (Letter, Leq, Eq)) else set()
+        for h in children(g):
+            fv |= collect(h)
+        if isinstance(g, (Forall, Exists)):
+            fv.discard(g.var)
+        frees[id(g)] = sorted(fv)
+        return fv
+
+    def ev(g, env):
+        key = (id(g), *(env[v] for v in frees[id(g)]))
+        if key not in memo:
+            if isinstance(g, (Letter, Leq, Eq)):
+                memo[key] = naive_eval(w, g, env)
+            elif isinstance(g, Not):
+                memo[key] = not ev(g.body, env)
+            elif isinstance(g, (And, Or)):
+                memo[key] = scan(isinstance(g, And), [(h, env) for h in g.parts])
+            elif isinstance(g, Implies):
+                memo[key] = not ev(g.left, env) or ev(g.right, env)
+            else:
+                branches = [(g.body, {**env, g.var: i}) for i in range(1, len(w) + 1)]
+                memo[key] = scan(isinstance(g, Forall), branches)
+        return memo[key]
+
+    def scan(every, branches):
+        # ``all`` (or ``any``) of the branches, in a plain loop: ``all`` over
+        # a generator recurses through C frames, which Python 3.12 limits
+        # to fewer than the deepest chains here need.
+        for g, env in branches:
+            if ev(g, env) != every:
+                return not every
+        return every
+
+    collect(f)
+    return lambda env: ev(f, env)
+
+
+def _words_up_to(n):
+    return [Word(t) for k in range(n + 1) for t in itertools.product("ab", repeat=k)]
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.one_of(_deep_chains(), _quantifier_chains()))
+def test_deep_formulas_agree_with_naive_reference(f):
+    """Deep connective chains and long quantifier chains, at depths around
+    the points where a generated unit is split, give the naive masks in
+    point mode, with y as a row variable and with x and y as row
+    variables."""
+    with _deep_stack():
+        _check_deep(f)
+
+
+def _check_deep(f):
+    modes = [(("x", "y"), ()), (("x",), ("y",)), ((), ("x", "y"))]
+    plans = [FormulaPlan(f, var_order, row_vars) for var_order, row_vars in modes]
+    for plan in plans:
+        _assert_generated_text_only(plan)
+    for w in _words_up_to(3):
+        positions = range(1, len(w) + 1)
+        reference = _memo_eval(w, f)
+        for (var_order, row_vars), plan in zip(modes, plans):
+            rows = list(itertools.product(positions, repeat=len(row_vars)))
+            at = FormulaEvaluator(w, f, var_order, rows, row_vars, plan=plan).at
+            for values in itertools.product(positions, repeat=len(var_order)):
+                env = dict(zip(var_order, values))
+                want = _mask(reference({**env, **dict(zip(row_vars, r))}) for r in rows)
+                assert at(values) == want, (w.render(), row_vars, values)
+
+
+def test_evaluators_share_a_row_space_of_their_word():
+    """Evaluators of several formulas over one ``RowSpace`` give the masks
+    of evaluators with their own rows; a space of another word is refused."""
+    rng = random.Random(23)
+    w = Word(tuple("ab#ba"))
+    rows = list(itertools.product(range(1, 6), repeat=2))
+    space = RowSpace(w, rows)
+    for trial in range(20):
+        f = _random_formula(rng, ["x", "y"], depth=4, qdepth=3)
+        shared = FormulaEvaluator(w, f, (), space, ("x", "y")).at(())
+        assert shared == FormulaEvaluator(w, f, (), rows, ("x", "y")).at(())
+    with pytest.raises(LogicError, match="another word"):
+        FormulaEvaluator(Word(tuple("ab#bb")), f, (), space, ("x", "y"))
+
+
+def _size(f):
+    return 1 + sum(_size(g) for g in children(f))
+
+
+def test_plans_normalize_connectives():
+    """An and under an and is spliced into it, two nots cancel and a not
+    over an atom is folded into its table; the lifted innsq order plan
+    loses at least its 17 nested ands and 38 negated atoms."""
+    a, b, c = Letter("a", "x"), Leq("x", "y"), Eq("x", "y")
+    nodes = lambda f: _generated(FormulaPlan(f, ("x", "y"))).nodes  # noqa: E731
+    assert nodes(And((And((a, b)), Not(Not(c))))) == 4
+    assert nodes(Or((Not(a), Or((Not(b), Not(Not(Not(c)))))))) == 4
+    assert nodes(Not(And((a, Not(Or((b, c))))))) == 7
+    deep = a
+    for k in range(40):  # split into a second unit at depth 32, and counted once
+        deep = (And if k % 2 else Or)((b, deep))
+    assert nodes(deep) == _size(deep)
+    plan = psi(builtin_interp("innsq-interp")).order_plan
+    assert _size(plan.core) == 234
+    assert _generated(plan).nodes <= 234 - 17 - 38
 
 
 def test_sexpr_round_trip_exact():
