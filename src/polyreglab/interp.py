@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from typing import Iterable, Mapping
+from typing import Mapping, Sequence
 
 from . import sexpr
 from .logic import (
@@ -125,8 +125,7 @@ def compute_domain(interp: Interpretation, u: Word) -> InterpDomain:
     n = len(u)
     if n == 0:
         return InterpDomain({})
-    rows = list(itertools.product(range(1, n + 1), repeat=interp.dim))
-    space = RowSpace(u, rows)
+    space = RowSpace.product(u, interp.dim)
     holding: dict[int, list[str]] = {}
     plans = interp.letter_plans
     for letter, formula in interp.letter_formulas.items():
@@ -135,12 +134,17 @@ def compute_domain(interp: Interpretation, u: Word) -> InterpDomain:
         )
         for i in _set_bits(ev.at(())):
             holding.setdefault(i, []).append(letter)
-    return InterpDomain({rows[i]: frozenset(holding[i]) for i in sorted(holding)})
+    return InterpDomain({space.rows[i]: frozenset(holding[i]) for i in sorted(holding)})
 
 
 def _set_bits(mask: int) -> list[int]:
     """The indices of the bits set in ``mask``, in increasing order."""
-    return [i for i, bit in enumerate(bin(mask)[:1:-1]) if bit == "1"]
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
 
 
 @record(slots=True)
@@ -161,40 +165,41 @@ class OrderCheck:
 
 
 def check_linear_order(
-    dom: Iterable[tuple[int, ...]], interp: Interpretation, u: Word
+    dom: Sequence[tuple[int, ...]], interp: Interpretation, u: Word
 ) -> OrderCheck:
     """Is the order formula a linear (reflexive, total) order on ``dom``?
 
-    One query per tuple t, with the x variables bound to each tuple as a
-    row, from the interpretation's order plan bound to ``u``: bit i of
-    ``masks[j]`` says tuple i <= tuple j.  Ranked by
+    ``dom`` lists the domain in increasing order, as
+    ``InterpDomain.tuples`` does; that order decides only which violation a
+    failed check names.  One query per tuple t, with the x variables bound
+    to each tuple as a row, from the interpretation's order plan bound to
+    ``u``: bit i of ``masks[j]`` says tuple i <= tuple j.  Ranked by
     predecessor count, the relation is the ranking's linear order exactly
     when each tuple's mask holds itself and the tuples ranked below it, and
     nothing else.
     """
-    tuples = sorted(dom)
-    m = len(tuples)
+    m = len(dom)
     if m == 0:
         return OrderCheck(True, ())
     at = FormulaEvaluator(
         u,
         interp.order_formula,
         var_order=_var_names("y", interp.dim),
-        rows=tuples,
+        rows=dom,
         row_vars=interp.tuple_vars(),
         plan=interp.order_plan,
     ).at
-    masks = [at(t) for t in tuples]
+    masks = [at(t) for t in dom]
     ranked = sorted(range(m), key=lambda j: masks[j].bit_count())
     below = 0
     for j in ranked:
         below |= 1 << j
         if masks[j] != below:
-            return OrderCheck(False, (), _order_violation(tuples, masks))
-    return OrderCheck(True, tuple(tuples[j] for j in ranked))
+            return OrderCheck(False, (), _order_violation(dom, masks))
+    return OrderCheck(True, tuple(dom[j] for j in ranked))
 
 
-def _order_violation(tuples: list[tuple[int, ...]], masks: list[int]) -> OrderViolation:
+def _order_violation(tuples: Sequence[tuple[int, ...]], masks: list[int]) -> OrderViolation:
     """Name a property that the relation given by ``masks`` breaks."""
     for j, mask in enumerate(masks):
         if not mask >> j & 1:
@@ -247,7 +252,8 @@ class InterpResult:
 
 def eval_interp_details(interp: Interpretation, u: Word) -> InterpResult:
     domain = compute_domain(interp, u)
-    for tup in domain.tuples():
+    tuples = domain.tuples()
+    for tup in tuples:
         holds = domain.letters_at[tup]
         if len(holds) > 1:
             diag = InterpDiagnostic(
@@ -257,7 +263,7 @@ def eval_interp_details(interp: Interpretation, u: Word) -> InterpResult:
                 tuple(sorted(holds)),
             )
             return InterpResult(OriginWord(), diag)
-    check = check_linear_order(domain.tuples(), interp, u)
+    check = check_linear_order(tuples, interp, u)
     if not check.ok:
         assert check.violation is not None
         diag = InterpDiagnostic(

@@ -21,15 +21,16 @@ tuples that bind the space's row variables, where bit i says the formula
 holds with them bound to row i.  Atoms are lookups in the word's tables,
 connectives are inline bitwise operations, and each quantifier is one
 generated function memoized on the values of its scalar free variables.  A
-quantifier whose free variables include a row variable of its space loops
-over the positions.  One whose free variables are all scalar is answered
-over the positions space, whose rows 1..n bind the quantified variable, so
-a single evaluation of its body answers it: exists is a nonzero mask,
-forall a full one (bottom-up model checking, restricted to the one
-quantified variable).  The rule applies again inside that body, where the
-quantified variable is the row variable.  An interpretation thus evaluates
-a letter formula on all tuples in one query and its order formula one
-column at a time; a point query is the case of a single empty row.
+quantifier whose free variables are all scalar is answered over the
+positions space, whose rows 1..n bind the quantified variable, so a single
+evaluation of its body answers it: exists is a nonzero mask, forall a full
+one (bottom-up model checking, restricted to the one quantified variable).
+Any other quantifier loops over the positions that its guard allows: the
+conjuncts of its body (of its negation, for forall) free of row variables,
+answered over the positions space in the same way.  The rule applies again
+inside those bodies.  An interpretation thus evaluates a letter formula on
+all tuples in one query and its order formula one column at a time; a
+point query is the case of a single empty row.
 """
 
 from __future__ import annotations
@@ -409,36 +410,51 @@ class RowSpace:
 
     __slots__ = ("word", "n", "rows", "all", "_letters", "_masks", "_tables", "_positions")
 
-    def __init__(self, word: Word, rows: Sequence[tuple[int, ...]], letters=None):
+    def __init__(self, word: Word, rows: Sequence[tuple[int, ...]]):
         self.word = word
         self.n = len(word)
         self.rows = rows
         self.all = (1 << len(rows)) - 1
-        self._letters: dict[str, list[bool]] = {} if letters is None else letters
+        self._letters: dict[str, list[bool]] = {}
         self._masks: dict[int, tuple[list[int], list[int], list[int]]] = {}
         self._tables: dict[tuple, object] = {}
         self._positions: RowSpace | None = None
 
+    @classmethod
+    def product(cls, word: Word, dim: int) -> RowSpace:
+        """All ``dim``-tuples of positions of ``word``, in ``itertools.product``
+        order, with each component's masks in closed form, not row by row:
+        component a holds each of 1..n in turn for a run of s = n^(dim-1-a)
+        rows, so it is == p on one pattern of runs shifted by (p-1)s."""
+        n = len(word)
+        space = cls(word, list(itertools.product(range(1, n + 1), repeat=dim)))
+        for a in range(dim):
+            s = n ** (dim - 1 - a)
+            run = (space.all // ((1 << n * s) - 1) if n else 0) * ((1 << s) - 1)
+            space._fill(a, [0, *(run << p * s for p in range(n)), 0])
+        return space
+
     @property
     def positions(self) -> RowSpace:
         if self._positions is None:
-            rows = [(p,) for p in range(1, self.n + 1)]
-            self._positions = RowSpace(self.word, rows, self._letters)
+            self._positions = RowSpace.product(self.word, 1)
+            self._positions._letters = self._letters
         return self._positions
 
     def masks(self, a: int) -> tuple[list[int], list[int], list[int]]:
         """Masks of the rows whose component ``a`` is ==, <= and >= each
         position p, indexed by p (0 to n + 1)."""
-        tables = self._masks.get(a)
-        if tables is None:
+        if a not in self._masks:
             bufs = [bytearray((len(self.rows) + 7) >> 3) for _ in range(self.n + 2)]
             for i, row in enumerate(self.rows):
                 bufs[row[a]][i >> 3] |= 1 << (i & 7)
-            eq = [int.from_bytes(buf, "little") for buf in bufs]
-            le = list(itertools.accumulate(eq, operator.or_))
-            ge = [self.all ^ below for below in [0, *le[:-1]]]
-            tables = self._masks[a] = (eq, le, ge)
-        return tables
+            self._fill(a, [int.from_bytes(buf, "little") for buf in bufs])
+        return self._masks[a]
+
+    def _fill(self, a: int, eq: list[int]) -> None:
+        """Keep ``eq`` as component a's == masks, with the <= and >= it implies."""
+        le = list(itertools.accumulate(eq, operator.or_))
+        self._masks[a] = (eq, le, [self.all ^ below for below in [0, *le[:-1]]])
 
     def table(self, spec: tuple):
         """The value on this space of an atom spec, complemented when its
@@ -478,22 +494,23 @@ class RowSpace:
 # -- generated code --------------------------------------------------------
 #
 # A plan compiles into units, each a small Python function generated and
-# compiled once per plan: the root, one per quantifier, and one per
-# subformula that would nest deeper than ``_UNIT_DEPTH`` connectives in its
-# unit, which keeps every unit far inside the parser's nesting limits.  A
-# unit's arguments are the positions of the scalar variables it reads,
-# ``v<slot>``.  Atoms read tables of the word, ``c<k>``, which
+# compiled once per plan: the root, one per quantifier, one per guard, and
+# one per subformula that would nest deeper than ``_UNIT_DEPTH`` connectives
+# in its unit, which keeps every unit far inside the parser's nesting
+# limits.  A unit's arguments are the positions of the scalar variables it
+# reads, ``v<slot>``.  Atoms read tables of the word, ``c<k>``, which
 # ``RowSpace.table`` computes from the plan's specs, so letters and
 # variable names never appear in the source: it holds only generated
 # names, integer literals and operators.  Connectives are inline bitwise
-# expressions that stop early (an and at 0, an or at A), as do quantifier
-# loops (exists at A, forall at 0), and a quantifier's unit memoizes on its
-# arguments in a dict made per word.  A unit's ``make`` takes ``A``, the
-# mask of all rows of the space its body answers over, ``B``, that of the
-# space it answers to, ``R``, the positions 1..n, then its tables and the
-# units it calls, ``q<k>``.  A generated ``bind`` calls every ``make`` once
-# per word, callees first, with the tables of the rows (``t0``) and of the
-# positions (``t1``).
+# expressions that stop early (an and at 0, an or at A).  A quantifier
+# that loops visits, lowest first, the positions set in its guard's mask
+# over the positions space (all of them, ``R``, without a guard), stops
+# early too (exists at A, forall at 0) and memoizes on its arguments in a
+# dict made per word.  A unit's ``make`` takes ``A``, the mask of all rows
+# of the space its body answers over, ``B``, that of the space it answers
+# to, ``R``, then its tables and the units it calls, ``q<k>``.  A generated
+# ``bind`` calls every ``make`` once per word, callees first, with the
+# tables of the rows (``t0``) and of the positions (``t1``).
 
 _UNIT_DEPTH = 32
 
@@ -508,7 +525,10 @@ _MEMO = """\
 
 _LOOP = """\
             hit = {start}
-            for v{slot} in R:
+            todo = {guard}
+            while todo:
+                v{slot} = (todo & -todo).bit_length()
+                todo &= todo - 1
                 hit {op}= {body}
                 if {stop}:
                     break
@@ -543,6 +563,24 @@ def _flat(f: And | Or) -> list[Formula]:
         g, neg = _strip(todo.pop())
         if type(g) is type(f) and not neg:
             todo.extend(reversed(g.parts))  # type: ignore[attr-defined]
+        else:
+            out.append(Not(g) if neg else g)
+    return out
+
+
+def _conjuncts(f: Formula) -> list[Formula]:
+    """Parts whose conjunction is ``f``: the parts of an and, and the
+    negated parts of a negated or or implies, spliced in at any depth."""
+    out: list[Formula] = []
+    todo = [f]
+    while todo:
+        g, neg = _strip(todo.pop())
+        if isinstance(g, And) and not neg:
+            todo.extend(reversed(g.parts))
+        elif isinstance(g, Or) and neg:
+            todo.extend(Not(p) for p in reversed(g.parts))
+        elif isinstance(g, Implies) and neg:
+            todo += [Not(g.right), g.left]
         else:
             out.append(Not(g) if neg else g)
     return out
@@ -596,11 +634,21 @@ class _Codegen:
             test = self.expr(f.body, u, {f.var: 0}, 0) + ("" if exists else " == A")
             inner = f"            hit = cache[key] = B if {test} else 0\n"
         else:
+            # The guard: the conjuncts of the body (of its negation, for
+            # forall) free of row variables; the loop evaluates the rest.
             slot = self.slots.setdefault(f.var, len(self.slots))
             u = (space, space, {}, {})
-            body = self.expr(f.body, u, index, 0)
+            guard, rest = [], []
+            for part in _conjuncts(f.body if exists else Not(f.body)):
+                (guard if self.frees[id(_strip(part)[0])].isdisjoint(index) else rest).append(part)
+            todo = "R"
+            if guard:
+                self.masked, g = True, conj(*guard)
+                args = sorted(self.slots[v] for v in free_vars(g) - {f.var})
+                todo = self.call(u, self.plain(g, {f.var: 0}, 1, args), args)
+            body = self.expr(conj(*rest) if exists else Not(conj(*rest)), u, index, 0)
             start, op, stop = (0, "|", "hit == A") if exists else ("A", "&", "not hit")
-            inner = _LOOP.format(start=start, slot=slot, op=op, body=body, stop=stop)
+            inner = _LOOP.format(start=start, guard=todo, slot=slot, op=op, body=body, stop=stop)
         keyed = f"({_vars(key)})" if len(key) != 1 else f"v{key[0]}"
         return self.finish(u, key, "    cache = {}\n", _MEMO.format(key=keyed, inner=inner)), key
 
@@ -686,10 +734,10 @@ class FormulaPlan:
     Generating makes every choice that depends only on the variables: which
     are row components of a unit's space and which are arguments, which
     table answers each atom, and whether each quantifier is answered over
-    the positions space or loops, memoized on which arguments.  It also
-    normalizes: an and directly under an and (an or under an or) is spliced
-    into it, two nots cancel, and a not over an atom reads the complemented
-    table.
+    the positions space or loops under which guard, memoized on which
+    arguments.  It also normalizes: an and directly under an and (an or
+    under an or) is spliced into it, two nots cancel, and a not over an
+    atom reads the complemented table.
     """
 
     __slots__ = ("formula", "row_vars", "free", "core", "_specs", "_masked", "_makes", "_bind")
@@ -740,7 +788,7 @@ class FormulaPlan:
         pos = space.positions if self._masked else space
         t0 = [space.table(spec) for spec in self._specs[0]]
         t1 = [pos.table(spec) for spec in self._specs[1]]
-        return self._bind(self._makes, range(1, space.n + 1), space.all, pos.all, t0, t1)
+        return self._bind(self._makes, (1 << space.n) - 1, space.all, pos.all, t0, t1)
 
 
 def _collect_frees(f: Formula, frees: dict[int, frozenset[str]]) -> frozenset[str]:
@@ -777,7 +825,7 @@ class FormulaEvaluator:
     and of the positions space over (1,) to (n,), and one function per unit
     of the plan, with fresh memo caches.  A quantifier whose free variables
     are all scalar asks its body, over the positions space, once per
-    binding of them; other quantifiers loop over the n positions.
+    binding of them; others loop over the positions their guard allows.
 
     Build once per word, query many times.  A plan may be shared across
     words and threads; an evaluator may not (each instance owns its memo
@@ -935,9 +983,7 @@ def _sort_one(key: str, formula: Formula, seeds: Mapping[str, int]):
     for var, sort in seeds.items():
         uf.union(var, _ANCHOR1 if sort == 1 else _ANCHOR2)
     for atom in _comparison_atoms(core):
-        left = atom.left  # type: ignore[attr-defined]
-        right = atom.right  # type: ignore[attr-defined]
-        uf.union(left, right)
+        uf.union(atom.left, atom.right)  # type: ignore[attr-defined]
         if uf.find(_ANCHOR1) == uf.find(_ANCHOR2):
             return None, SortWitness(key, atom)
     assignment: dict[str, int] = {}
@@ -952,18 +998,13 @@ def check_sortable(interp) -> SortReport:
     with ``dim``, ``letter_formulas`` and ``order_formula``)."""
     if interp.dim != 2:
         raise LogicError(f"sort analysis needs dimension 2, got {interp.dim}")
+    letters = interp.letter_formulas
+    jobs = [(f"letter {c}", letters[c], {"x1": 1, "x2": 2}) for c in sorted(letters)]
+    jobs.append(("order", interp.order_formula, {"x1": 1, "y1": 1, "x2": 2, "y2": 2}))
     sorts: dict[str, dict[str, int]] = {}
-    for letter in sorted(interp.letter_formulas):
-        assignment, witness = _sort_one(
-            f"letter {letter}", interp.letter_formulas[letter], {"x1": 1, "x2": 2}
-        )
+    for key, formula, seeds in jobs:
+        assignment, witness = _sort_one(key, formula, seeds)
         if witness is not None:
             return SortReport(False, {}, witness)
-        sorts[f"letter {letter}"] = assignment or {}
-    assignment, witness = _sort_one(
-        "order", interp.order_formula, {"x1": 1, "y1": 1, "x2": 2, "y2": 2}
-    )
-    if witness is not None:
-        return SortReport(False, {}, witness)
-    sorts["order"] = assignment or {}
+        sorts[key] = assignment or {}
     return SortReport(True, sorts)

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -305,6 +306,42 @@ def test_domain_agrees_with_point_queries(interp):
         assert dict(compute_domain(interp, u).letters_at) == expected, u.render()
 
 
+def test_set_bits_decodes_every_set_bit():
+    """``_set_bits`` lists the same indices as reading the binary digits
+    one by one, on 0 and on seeded random masks of up to 1,000 bits, sparse
+    and dense."""
+    rng = random.Random(3)
+    masks = [0, 1, 1 << 999] + [
+        sum(1 << i for i in range(rng.randint(1, 1000)) if rng.random() < density)
+        for density in (0.02, 0.2, 0.5, 0.98)
+        for _ in range(25)
+    ]
+    for mask in masks:
+        digits = [i for i, bit in enumerate(bin(mask)[:1:-1]) if bit == "1"]
+        assert interp_module._set_bits(mask) == digits
+
+
+def test_eval_interp_sorts_the_domain_once(monkeypatch):
+    """The domain is listed in order once, and the order check gets that
+    very list."""
+    listed, checked = [], []
+    tuples, check = interp_module.InterpDomain.tuples, interp_module.check_linear_order
+
+    def listing(self):
+        listed.append(tuples(self))
+        return listed[-1]
+
+    def checking(dom, interp, u):
+        checked.append(dom)
+        return check(dom, interp, u)
+
+    monkeypatch.setattr(interp_module.InterpDomain, "tuples", listing)
+    monkeypatch.setattr(interp_module, "check_linear_order", checking)
+    out = eval_interp(builtin_interp("innsq-interp"), Word.parse("ab#ba#"))
+    assert out.word() == innsq_direct(Word.parse("ab#ba#"))
+    assert len(listed) == len(checked) == 1 and checked[0] is listed[0]
+
+
 def test_eval_interp_queries_through_module_evaluator(monkeypatch):
     """Evaluators are built through ``interp.FormulaEvaluator`` and queried
     through ``at``, the two bindings a tracer wraps to count queries."""
@@ -332,7 +369,7 @@ def test_eval_interp_builds_each_table_once_per_word(monkeypatch):
     length 6 builds one row space over the 36 tuples, shared by all five
     letter formulas, one over the 9 output tuples for the order check and a
     positions space beside each.  Each space builds the position masks of
-    each row component once; of the 56 tables the evaluators ask for, 39
+    each row component once; of the 52 tables the evaluators ask for, 35
     are built and the rest come from the shared space."""
     spaces, masks, tables = [], [], []
     init, build_masks, build_table = RowSpace.__init__, RowSpace.masks, RowSpace.table
@@ -361,7 +398,7 @@ def test_eval_interp_builds_each_table_once_per_word(monkeypatch):
     assert sorted(spaces) == [6, 6, 9, 36]
     built = {id(result) for _, _, result in masks}  # the results are kept alive in masks
     assert len(built) == len({(id(space), a) for space, a, _ in masks}) == 6
-    assert (len(tables), len({(id(space), spec) for space, spec in tables})) == (56, 39)
+    assert (len(tables), len({(id(space), spec) for space, spec in tables})) == (52, 35)
 
 
 def test_image_sweep_plans_each_formula_once(monkeypatch):

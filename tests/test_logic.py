@@ -38,6 +38,8 @@ from polyreglab.logic import (
     RowSpace,
     check_sortable,
     children,
+    conj,
+    disj,
     eval_formula,
     expand_macros,
     free_vars,
@@ -273,6 +275,87 @@ def test_quantifiers_agree_with_naive_reference(case):
 
 
 @st.composite
+def _guard_parts(draw):
+    """One part of a quantifier body on v: a part that selects no position
+    or every position, a literal or a small or over v and a subset of x and
+    y, or a quantifier on w whose own body mentions v."""
+    kind = draw(st.sampled_from(["none", "every", "nested", "v", "vy", "vx", "vxy"]))
+    if kind == "none":
+        return draw(st.sampled_from([Letter("c", "v"), Not(Leq("v", "v"))]))
+    if kind == "every":
+        return draw(st.sampled_from([Leq("v", "v"), Not(Letter("c", "v"))]))
+    names = st.sampled_from(("w", "v", draw(st.sampled_from("xy"))) if kind == "nested" else kind)
+
+    def literal():
+        a, b = draw(names), draw(names)
+        atom = draw(st.sampled_from([Letter("a", a), Letter("b", a), Leq(a, b), Eq(a, b)]))
+        return Not(atom) if draw(st.booleans()) else atom
+
+    part = Or((literal(), literal())) if draw(st.booleans()) else literal()
+    if kind == "nested":
+        link = draw(st.sampled_from([Leq("w", "v"), Leq("v", "w")]))
+        part = draw(st.sampled_from([Exists("w", And((link, part))), Forall("w", Implies(link, part))]))
+    return part
+
+
+@st.composite
+def _guarded_quantifiers(draw):
+    """A quantifier on v whose body splits into conjuncts (of its negation,
+    for forall) as an and, an implies, an or, a negated or or a negated
+    implies; some of them mention no row variable, depending on which of
+    x and y are rows."""
+    parts = draw(st.lists(_guard_parts(), min_size=1, max_size=4))
+    cut = draw(st.integers(0, len(parts)))
+    left, right = conj(*(parts[:cut] or [Leq("v", "v")])), disj(*(parts[cut:] or [Letter("c", "v")]))
+    return draw(
+        st.sampled_from(
+            [
+                Exists("v", conj(*parts)),
+                Forall("v", Implies(left, right)),
+                Forall("v", disj(*parts)),
+                Exists("v", Not(disj(*parts))),
+                Exists("v", Not(Implies(left, right))),
+            ]
+        )
+    )
+
+
+@settings(deadline=None, max_examples=200)
+@given(_guarded_quantifiers())
+def test_guarded_loops_agree_with_naive_reference(f):
+    """A quantifier that loops takes its positions from its guard, the
+    conjuncts free of row variables, and evaluates the rest at each.  Its
+    masks equal the naive reference's in point mode, with x as a row
+    variable and with x and y as row variables, on every word over a and b
+    of length 0 to 3; guards include ones that select no position (the
+    letter c never occurs) and ones that select every position."""
+    for var_order, row_vars in [(("x", "y"), ()), (("y",), ("x",)), ((), ("x", "y"))]:
+        plan = FormulaPlan(f, var_order, row_vars)
+        for w in _words_up_to(3):
+            positions = range(1, len(w) + 1)
+            rows = list(itertools.product(positions, repeat=len(row_vars)))
+            at = FormulaEvaluator(w, f, var_order, rows, row_vars, plan=plan).at
+            for values in itertools.product(positions, repeat=len(var_order)):
+                env = dict(zip(var_order, values))
+                want = _mask(naive_eval(w, f, {**env, **dict(zip(row_vars, r))}) for r in rows)
+                assert at(values) == want, (f.render(), w.render(), row_vars, values)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_product_space_masks_match_the_row_by_row_build(dim):
+    """``RowSpace.product`` lists the same rows as ``itertools.product`` and
+    its closed-form masks equal those built row by row from that list, for
+    every component and words of length 0 to 7."""
+    for n in range(8):
+        w = Word(tuple("ab#"[k % 3] for k in range(n)))
+        space = RowSpace.product(w, dim)
+        generic = RowSpace(w, list(itertools.product(range(1, n + 1), repeat=dim)))
+        assert space.rows == generic.rows and space.all == generic.all
+        for a in range(dim):
+            assert space.masks(a) == generic.masks(a), (n, a)
+
+
+@st.composite
 def _word_sequences(draw):
     """One to three random words of length 0 to 6, and the empty word at a
     random place among them."""
@@ -376,9 +459,9 @@ def _renamed(f, names, letters):
     return type(f)(names[f.var], _renamed(f.body, names, letters))
 
 
-_GENERATED_NAME = re.compile(r"[vcqmt]\d+|A[01]?|B|R|M|f|make|bind|cache|key|hit|get")
-_GENERATED_KEYWORDS = {"def", "return", "if", "else", "and", "or", "not", "is", "None", "for", "in", "break"}
-_GENERATED_OPS = set("( ) [ ] { } , : . = ^ & | < >".split()) | {
+_GENERATED_NAME = re.compile(r"[vcqmt]\d+|A[01]?|B|R|M|f|make|bind|cache|key|hit|todo|get|bit_length")
+_GENERATED_KEYWORDS = {"def", "return", "if", "else", "and", "or", "not", "is", "None", "for", "in", "while", "break"}
+_GENERATED_OPS = set("( ) [ ] { } , : . = ^ & | < > -".split()) | {
     ":=", "==", "!=", "<=", ">=", "|=", "&=",
 }
 _LAYOUT = {tokenize.NEWLINE, tokenize.NL, tokenize.INDENT, tokenize.DEDENT, tokenize.ENDMARKER}
