@@ -15,9 +15,9 @@ import sys
 
 from .interp import (
     InterpError,
-    builtin_interp,
+    eval_interp,
     eval_interp_details,
-    parse_interp,
+    interpretations,
     render_interp,
 )
 from .langlab import (
@@ -29,16 +29,16 @@ from .langlab import (
     growth_degree,
     pump_search,
     resolve_function,
+    words_upto,
 )
 from .logic import LogicError, check_sortable
-from .pebble import PebbleError, apply, builtin_polyfun, innsq_direct, parse_polyfun
+from .pebble import PebbleError, apply, innsq_direct, polyfuns
 from .psi import MarkerScheme, PsiError, family, family_markers, fresh_scheme, psi
 from .twoway import (
     EmitOnEndmarkerError,
     NonTerminationError,
-    RegularFn,
     TransducerError,
-    builtin_regular_fn,
+    regular_fns,
 )
 from .words import Alphabet, Word, WordError
 
@@ -88,32 +88,6 @@ def _parse_lengths(text: str) -> list[int]:
     return [int(p) for p in text.split(",") if p]
 
 
-def _interp_ref(ref: str):
-    try:
-        return builtin_interp(ref)
-    except KeyError:
-        pass
-    with open(ref, encoding="utf-8") as handle:
-        return parse_interp(handle.read(), name=os.path.basename(ref))
-
-
-def _regular_ref(ref: str) -> RegularFn:
-    try:
-        return builtin_regular_fn(ref)
-    except KeyError:
-        pass
-    return RegularFn.from_file(ref, os.path.basename(ref))
-
-
-def _pebble_ref(ref: str):
-    try:
-        return builtin_polyfun(ref)
-    except KeyError:
-        pass
-    with open(ref, encoding="utf-8") as handle:
-        return parse_polyfun(handle.read(), base_dir=os.path.dirname(ref) or ".")
-
-
 def _emit(path: str | None, text: str) -> None:
     if path:
         with open(path, "w", encoding="utf-8") as handle:
@@ -130,7 +104,7 @@ def _origins_line(annotated) -> str:
 
 
 def _cmd_eval_interp(args) -> int:
-    interp = _interp_ref(args.interp)
+    interp = interpretations.load(args.interp)
     w = _read_word(args.word, interp.input_alphabet)
     result = eval_interp_details(interp, w)
     if args.format == "json":
@@ -153,10 +127,8 @@ def _cmd_eval_interp(args) -> int:
 
 
 def _cmd_eval_pebble(args) -> int:
-    tree = _pebble_ref(args.tree)
-    from .pebble import _input_alphabet
-
-    w = _read_word(args.word, _input_alphabet(tree))
+    tree = polyfuns.load(args.tree)
+    w = _read_word(args.word, tree.input_alphabet)
     out = apply(tree, w)
     if args.format == "json":
         print(json.dumps({"output": out.render()}, ensure_ascii=False, sort_keys=True))
@@ -166,7 +138,7 @@ def _cmd_eval_pebble(args) -> int:
 
 
 def _cmd_run_2dft(args) -> int:
-    rf = _regular_ref(args.machine)
+    rf = regular_fns.load(args.machine)
     w = _read_word(args.word, rf.input_alphabet)
     annotated = rf(w)
     if args.format == "json":
@@ -183,7 +155,7 @@ def _cmd_run_2dft(args) -> int:
 
 
 def _cmd_psi(args) -> int:
-    interp = _interp_ref(args.interp)
+    interp = interpretations.load(args.interp)
     for _ in range(args.iterate):
         interp = psi(interp)
     _emit(args.output, render_interp(interp))
@@ -300,7 +272,7 @@ def _cmd_growth(args) -> int:
 
 
 def _cmd_sort_check(args) -> int:
-    interp = _interp_ref(args.interp)
+    interp = interpretations.load(args.interp)
     report = check_sortable(interp)
     if args.format == "json":
         payload = {
@@ -318,10 +290,8 @@ def _cmd_agree(args) -> int:
     if args.suite != "innsq":
         raise ValueError(f"unknown agreement suite {args.suite!r}")
     alphabet = Alphabet.of("a", "b", "#")
-    tree = builtin_polyfun("innsq-pebble")
-    interp = builtin_interp("innsq-interp")
-    from .interp import eval_interp
-    from .langlab import words_upto
+    tree = polyfuns.builtin("innsq-pebble")
+    interp = interpretations.builtin("innsq-interp")
 
     def via_pebble(w: Word) -> Word:
         return apply(tree, w)

@@ -39,6 +39,7 @@ from .logic import (
     to_sexpr,
 )
 from .records import record
+from .registry import Registry
 from .words import Alphabet, OriginWord, Word
 
 
@@ -443,22 +444,16 @@ def _cross_sort_demo() -> Interpretation:
     )
 
 
-_BUILTIN_MAKERS = {
-    "squaring-family": _squaring_family,
-    "innsq-interp": _innsq_interp,
-    "cross-sort-demo": _cross_sort_demo,
-}
-
-_builtin_cache: dict[str, Interpretation] = {}
-
-
-def builtin_interpretations() -> tuple[str, ...]:
-    return tuple(sorted(_BUILTIN_MAKERS))
-
-
-def builtin_interp(name: str) -> Interpretation:
-    if name not in _BUILTIN_MAKERS:
-        raise KeyError(f"no builtin interpretation named {name!r}")
-    if name not in _builtin_cache:
-        _builtin_cache[name] = _BUILTIN_MAKERS[name]()
-    return _builtin_cache[name]
+interpretations = Registry(
+    "interp",
+    "interpretation",
+    ".interp",
+    {
+        "squaring-family": _squaring_family,
+        "innsq-interp": _innsq_interp,
+        "cross-sort-demo": _cross_sort_demo,
+    },
+    lambda text, name, _dir: parse_interp(text, name),
+)
+builtin_interpretations = interpretations.names
+builtin_interp = interpretations.builtin

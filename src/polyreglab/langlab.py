@@ -12,16 +12,15 @@ from __future__ import annotations
 import itertools
 import json
 import math
-import os
 import random
 import statistics
 from typing import Callable, Iterator, Mapping
 
-from .interp import builtin_interp, eval_interp, parse_interp
-from .pebble import apply, builtin_polyfun, innsq_direct, parse_polyfun
+from .interp import eval_interp, interpretations
+from .pebble import apply, innsq_direct, polyfuns
 from .psi import dcomplete_witness, psi
 from .records import record
-from .twoway import RegularFn, builtin_regular_fn
+from .twoway import regular_fns
 from .words import Alphabet, Word, erase
 
 DEFAULT_BUDGET = 5_000_000
@@ -140,69 +139,49 @@ class ResolvedFn:
     input_alphabet: Alphabet | None
 
 
-def _interp_by_ref(ref: str):
-    try:
-        return builtin_interp(ref)
-    except KeyError:
-        pass
-    if ref.endswith(".interp"):
-        with open(ref, encoding="utf-8") as handle:
-            return parse_interp(handle.read(), name=ref)
-    raise ValueError(f"{ref!r} is neither a builtin interpretation nor an .interp file")
+# the registry behind each ``kind:REF`` prefix; ``psi:`` lifts an interpretation
+_KINDS = {
+    "interp": interpretations,
+    "psi": interpretations,
+    "2dft": regular_fns,
+    "pebble": polyfuns,
+}
 
 
 def resolve_function(ref: str, alphabet: Alphabet | None = None) -> ResolvedFn:
     """Turn a function reference into something evaluable.
 
     Accepted forms: ``innsq`` (the direct splitter), ``identity`` (needs
-    an alphabet), ``interp:<name|file.interp>``, ``2dft:<name|file.2dft>``,
-    ``pebble:<name|file.pfn>``, ``psi:<interp ref>``, a bare builtin name
-    of any kind, or a file path by extension.
+    an alphabet), ``interp:REF``, ``2dft:REF`` and ``pebble:REF`` (a
+    builtin of that kind, else a file at any path), ``psi:REF`` (the lift
+    of ``interp:REF``), and a bare ``REF``: a builtin of any kind, else a
+    file of the kind its extension names (``.interp``, ``.2dft`` or
+    ``.pfn``).
     """
-    kind, _, rest = ref.partition(":")
     if ref in ("innsq", "direct:innsq"):
         return ResolvedFn("direct:innsq", innsq_direct, Alphabet.of("a", "b", "#"))
     if ref == "identity":
         if alphabet is None:
             raise ValueError("identity needs an explicit alphabet")
         return ResolvedFn("identity", lambda w: w, alphabet)
-    if kind == "psi" and rest:
-        base = _interp_by_ref(rest)
-        lifted = psi(base)
-        return ResolvedFn(
-            ref, lambda w: eval_interp(lifted, w).word(), lifted.input_alphabet
-        )
-    if kind == "interp" and rest:
-        interp = _interp_by_ref(rest)
-        return ResolvedFn(ref, lambda w: eval_interp(interp, w).word(), interp.input_alphabet)
-    if kind == "2dft" and rest:
-        try:
-            rf = builtin_regular_fn(rest)
-        except KeyError:
-            rf = RegularFn.from_file(rest, rest)
-        return ResolvedFn(ref, lambda w: rf(w).word(), rf.input_alphabet)
-    if kind == "pebble" and rest:
-        try:
-            tree = builtin_polyfun(rest)
-        except KeyError:
-            with open(rest, encoding="utf-8") as handle:
-                tree = parse_polyfun(handle.read(), base_dir=os.path.dirname(rest) or ".")
-        from .pebble import _input_alphabet
-
-        return ResolvedFn(ref, lambda w: apply(tree, w), _input_alphabet(tree))
-    if ":" not in ref:
-        for prefix in ("interp", "2dft", "pebble"):
-            try:
-                return resolve_function(f"{prefix}:{ref}", alphabet)
-            except (ValueError, KeyError, OSError):
-                continue
-        if ref.endswith(".interp"):
-            return resolve_function(f"interp:{ref}", alphabet)
-        if ref.endswith(".2dft"):
-            return resolve_function(f"2dft:{ref}", alphabet)
-        if ref.endswith(".pfn"):
-            return resolve_function(f"pebble:{ref}", alphabet)
-    raise ValueError(f"cannot resolve function reference {ref!r}")
+    kind, colon, rest = ref.partition(":")
+    if not colon:
+        # a builtin of any kind, checked before any file; else a file by extension
+        kinds = (interpretations, regular_fns, polyfuns)
+        matches = [r for r in kinds if ref in r] + [r for r in kinds if ref.endswith(r.extension)]
+        kind, rest = (matches[0].kind if matches else ""), ref
+    if kind not in _KINDS or not rest:
+        raise ValueError(f"cannot resolve function reference {ref!r}")
+    found = _KINDS[kind].load(rest)
+    if kind == "psi":
+        found = psi(found)
+    if kind in ("interp", "psi"):
+        fn = lambda w: eval_interp(found, w).word()
+    elif kind == "2dft":
+        fn = lambda w: found(w).word()
+    else:
+        fn = lambda w: apply(found, w)
+    return ResolvedFn(f"{kind}:{rest}", fn, found.input_alphabet)
 
 
 # -- d-completeness at sample scale ------------------------------------------------

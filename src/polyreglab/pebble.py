@@ -10,16 +10,14 @@ finite-range base of both hierarchies.
 
 from __future__ import annotations
 
-import os
 import re
 from typing import Mapping
 
 from . import sexpr
 from .records import record
-from .twoway import RegularFn, builtin_regular_fn, builtin_regular_fns
-from .words import Word, concat, mark_token
-
-_ = builtin_regular_fns  # re-exported for callers resolving head names
+from .registry import Registry
+from .twoway import RegularFn, builtin_regular_fn, regular_fns
+from .words import Alphabet, Word, concat, mark_token, marked_alphabet
 
 
 class PebbleError(ValueError):
@@ -29,10 +27,17 @@ class PebbleError(ValueError):
 class PolyFun:
     """Base class for combinator trees."""
 
+    # the alphabet the tree reads; None for a Pebble0, which reads any word
+    input_alphabet = None
+
 
 @record(eq=False)
 class Reg(PolyFun):
     fn: RegularFn
+
+    @property
+    def input_alphabet(self) -> Alphabet:
+        return self.fn.input_alphabet
 
 
 @record(eq=False)
@@ -59,6 +64,10 @@ class Pebble(PolyFun):
     def __post_init__(self) -> None:
         _check_branches(self.head, self.branches, marked=True)
 
+    @property
+    def input_alphabet(self) -> Alphabet:
+        return self.head.input_alphabet
+
 
 @record(eq=False)
 class Blind(PolyFun):
@@ -67,6 +76,10 @@ class Blind(PolyFun):
 
     def __post_init__(self) -> None:
         _check_branches(self.head, self.branches, marked=False)
+
+    @property
+    def input_alphabet(self) -> Alphabet:
+        return self.head.input_alphabet
 
 
 def _check_branches(head: RegularFn, branches: Mapping[str, PolyFun], marked: bool) -> None:
@@ -77,24 +90,14 @@ def _check_branches(head: RegularFn, branches: Mapping[str, PolyFun], marked: bo
     if stray:
         raise PebbleError(f"branches for letters the head never outputs: {sorted(stray)}")
     if marked:
-        from .words import marked_alphabet
-
         needed = marked_alphabet(head.input_alphabet)
         for letter, branch in branches.items():
-            got = _input_alphabet(branch)
+            got = branch.input_alphabet
             if got is not None and not needed.issubset(got):
                 raise PebbleError(
                     f"branch {letter!r} reads {{{got.render()}}} but will be fed "
                     f"marked words over {{{needed.render()}}}"
                 )
-
-
-def _input_alphabet(p: PolyFun):
-    if isinstance(p, Reg):
-        return p.fn.input_alphabet
-    if isinstance(p, (Pebble, Blind)):
-        return p.head.input_alphabet
-    return None
 
 
 # -- semantics ---------------------------------------------------------------
@@ -210,20 +213,15 @@ def _innsq_pebble() -> PolyFun:
     )
 
 
-_BUILTIN_MAKERS = {"innsq-pebble": _innsq_pebble}
-_builtin_cache: dict[str, PolyFun] = {}
-
-
-def builtin_polyfuns() -> tuple[str, ...]:
-    return tuple(sorted(_BUILTIN_MAKERS))
-
-
-def builtin_polyfun(name: str) -> PolyFun:
-    if name not in _BUILTIN_MAKERS:
-        raise KeyError(f"no builtin combinator tree named {name!r}")
-    if name not in _builtin_cache:
-        _builtin_cache[name] = _BUILTIN_MAKERS[name]()
-    return _builtin_cache[name]
+polyfuns = Registry(
+    "pebble",
+    "combinator tree",
+    ".pfn",
+    {"innsq-pebble": _innsq_pebble},
+    lambda text, _name, base_dir: parse_polyfun(text, base_dir),
+)
+builtin_polyfuns = polyfuns.names
+builtin_polyfun = polyfuns.builtin
 
 
 # -- file format ---------------------------------------------------------------
@@ -246,15 +244,13 @@ def render_polyfun(p: PolyFun) -> str:
     return sexpr.render(to_sexpr(p)) + "\n"
 
 
-def _resolve_regfn(ref: str, base_dir: str) -> RegularFn:
+def _head(ref: str, base_dir: str) -> RegularFn:
+    """A head named in a ``.pfn`` file: a builtin, else a ``.2dft`` file
+    relative to the tree file's directory."""
     try:
-        return builtin_regular_fn(ref)
-    except KeyError:
-        pass
-    path = ref if os.path.isabs(ref) else os.path.join(base_dir, ref)
-    if os.path.exists(path):
-        return RegularFn.from_file(path, os.path.basename(path))
-    raise PebbleError(f"{ref!r} is neither a builtin regular function nor a file")
+        return regular_fns.load(ref, base_dir)
+    except OSError as exc:
+        raise PebbleError(f"{ref!r} is neither a builtin regular function nor a file") from exc
 
 
 def from_sexpr(expr, base_dir: str = ".") -> PolyFun:
@@ -265,7 +261,7 @@ def from_sexpr(expr, base_dir: str = ".") -> PolyFun:
     if head == "reg":
         if len(args) != 1 or not isinstance(args[0], str):
             raise PebbleError("(reg <name-or-file>) malformed")
-        return Reg(_resolve_regfn(str(args[0]), base_dir))
+        return Reg(_head(str(args[0]), base_dir))
     if head == "const":
         for tok in args:
             if not isinstance(tok, str):
@@ -284,7 +280,7 @@ def from_sexpr(expr, base_dir: str = ".") -> PolyFun:
     if head in ("pebble", "blind"):
         if len(args) != 2 or not isinstance(args[0], str) or not isinstance(args[1], list):
             raise PebbleError(f"({head} <regfn> ((i <subtree>) ...)) malformed")
-        fn = _resolve_regfn(str(args[0]), base_dir)
+        fn = _head(str(args[0]), base_dir)
         branches: dict[str, PolyFun] = {}
         for item in args[1]:
             if not isinstance(item, list) or len(item) != 2 or not isinstance(item[0], str):

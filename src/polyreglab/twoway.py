@@ -12,6 +12,7 @@ from __future__ import annotations
 from typing import Callable, Iterable, Mapping
 
 from .records import field, record
+from .registry import Registry
 from .words import Alphabet, OriginWord, Word, marked_alphabet
 
 LEFT_END = "<"
@@ -176,20 +177,6 @@ class RegularFn:
     def __post_init__(self) -> None:
         if (self.transducer is None) == (self.func is None):
             raise TransducerError("back a RegularFn with a transducer or a callable, not both")
-
-    @classmethod
-    def from_file(cls, path: str, name: str) -> RegularFn:
-        """Load a ``.2dft`` file; ``name`` is the fallback when the file
-        does not name its machine."""
-        with open(path, encoding="utf-8") as handle:
-            machine = parse_transducer(handle.read())
-        return cls(
-            name=machine.name or name,
-            input_alphabet=machine.input_alphabet,
-            output_alphabet=machine.output_alphabet,
-            growth_constant=len(machine.states),
-            transducer=machine,
-        )
 
     def __call__(self, w: Word) -> OriginWord:
         if self.transducer is not None:
@@ -591,23 +578,30 @@ def bouncing_machine() -> TwoWayTransducer:
     )
 
 
-_BUILTIN_MAKERS = {
-    "block-marker": _block_marker,
-    "hash-counter": _hash_counter,
-    "marked-block-copy": _marked_block_copy,
-    "reverse-blocks-ab": _reverse_blocks_ab,
-}
+def _parse_regular_fn(text: str, name: str, _dir: str) -> RegularFn:
+    """The function of a ``.2dft`` file; ``name`` is the fallback when the
+    file does not name its machine."""
+    machine = parse_transducer(text)
+    return RegularFn(
+        name=machine.name or name,
+        input_alphabet=machine.input_alphabet,
+        output_alphabet=machine.output_alphabet,
+        growth_constant=len(machine.states),
+        transducer=machine,
+    )
 
-_builtin_cache: dict[str, RegularFn] = {}
 
-
-def builtin_regular_fns() -> tuple[str, ...]:
-    return tuple(sorted(_BUILTIN_MAKERS))
-
-
-def builtin_regular_fn(name: str) -> RegularFn:
-    if name not in _BUILTIN_MAKERS:
-        raise KeyError(f"no builtin regular function named {name!r}")
-    if name not in _builtin_cache:
-        _builtin_cache[name] = _BUILTIN_MAKERS[name]()
-    return _builtin_cache[name]
+regular_fns = Registry(
+    "2dft",
+    "regular function",
+    ".2dft",
+    {
+        "block-marker": _block_marker,
+        "hash-counter": _hash_counter,
+        "marked-block-copy": _marked_block_copy,
+        "reverse-blocks-ab": _reverse_blocks_ab,
+    },
+    _parse_regular_fn,
+)
+builtin_regular_fns = regular_fns.names
+builtin_regular_fn = regular_fns.builtin

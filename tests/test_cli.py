@@ -314,3 +314,71 @@ def test_relative_head_resolves_from_the_tree_file(capsys, tmp_path, monkeypatch
             assert got.pop("function", "pebble:sub/t.pfn") == "pebble:sub/t.pfn"
             expected.pop("function", None)
             assert got == expected, argv
+
+
+# Each definition file, under the name it is saved as, and the builtin it
+# renders, with every verb that takes one of its kind; {} stands for either.
+_SAME_FILE_VERBS = {
+    "interp": (
+        "sq.txt",
+        "squaring-family",
+        [
+            ["eval-interp", "{}", "aaa", "--origins"],
+            ["sort-check", "{}"],
+            ["psi", "{}"],
+            ["image", "interp:{}", "--max-len", "3"],
+            ["image", "psi:{}", "--max-len", "3"],
+            ["growth", "interp:{}", "--lengths", "2:6:2"],
+        ],
+    ),
+    "2dft": (
+        "rb.2dft",
+        "reverse-blocks-ab",
+        [
+            ["run-2dft", "{}", "aaa#aa", "--origins"],
+            ["image", "{}", "--max-len", "3"],
+            ["growth", "{}", "--lengths", "4:12:4"],
+        ],
+    ),
+    "pebble": (
+        "tree.pfn",
+        "innsq-pebble",
+        [
+            ["eval-pebble", "{}", "ab#b#"],
+            ["image", "{}", "--max-len", "3"],
+            ["growth", "{}", "--lengths", "4:12:4"],
+        ],
+    ),
+}
+
+
+def test_every_verb_takes_the_same_definition_file(capsys, tmp_path, monkeypatch):
+    """A definition file gives each verb that takes its kind the output the
+    builtin it renders gives, whatever the file is called."""
+    from polyreglab.interp import builtin_interp, render_interp
+    from polyreglab.pebble import builtin_polyfun, render_polyfun
+    from polyreglab.twoway import builtin_regular_fn, render_transducer
+
+    monkeypatch.chdir(tmp_path)
+    texts = {
+        "sq.txt": render_interp(builtin_interp("squaring-family")),
+        "rb.2dft": render_transducer(builtin_regular_fn("reverse-blocks-ab").transducer),
+        "tree.pfn": render_polyfun(builtin_polyfun("innsq-pebble")),
+    }
+    for name, text in texts.items():
+        (tmp_path / name).write_text(text, encoding="utf-8")
+
+    for kind, (path, builtin, verbs) in _SAME_FILE_VERBS.items():
+        for template in verbs:
+            outputs = []
+            for ref in (path, builtin):
+                argv = [arg.replace("{}", ref) if "{}" in arg else arg for arg in template]
+                rc, out, err = run(capsys, argv + ["--format", "json"])
+                assert (rc, err) == (0, ""), (argv, err)
+                if argv[0] == "image":
+                    payload = json.loads(out)
+                    fn = argv[1] if ":" in argv[1] else f"{kind}:{argv[1]}"
+                    assert payload.pop("function") == fn, argv
+                    out = payload
+                outputs.append(out)
+            assert outputs[0] == outputs[1], template

@@ -1,8 +1,19 @@
+import itertools
 from pathlib import Path
 
 import pytest
 
-from polyreglab.interp import builtin_interp, eval_interp, render_interp
+from polyreglab import interp as interp_module
+from polyreglab import pebble as pebble_module
+from polyreglab import twoway as twoway_module
+from polyreglab.interp import (
+    InterpError,
+    builtin_interp,
+    builtin_interpretations,
+    eval_interp,
+    interpretations,
+    render_interp,
+)
 from polyreglab.langlab import (
     DEFAULT_BUDGET,
     BudgetError,
@@ -15,8 +26,9 @@ from polyreglab.langlab import (
     resolve_function,
     words_upto,
 )
-from polyreglab.pebble import innsq_direct
+from polyreglab.pebble import builtin_polyfuns, innsq_direct
 from polyreglab.psi import dcomplete_witness
+from polyreglab.twoway import builtin_regular_fn, builtin_regular_fns, render_transducer
 from polyreglab.words import Alphabet, Word, erase
 
 DATA = Path(__file__).parent / "data"
@@ -137,6 +149,58 @@ def test_resolve_interp_file(tmp_path):
 def test_resolve_rejects_unknown():
     with pytest.raises(ValueError, match="cannot resolve"):
         resolve_function("no-such-thing")
+
+
+def test_builtin_names_are_disjoint_across_kinds():
+    """A bare name picks its kind by being a builtin of it, so no name may
+    be a builtin of two kinds."""
+    kinds = (builtin_interpretations(), builtin_regular_fns(), builtin_polyfuns())
+    for first, second in itertools.combinations(kinds, 2):
+        assert not set(first) & set(second)
+
+
+def test_resolve_bare_builtin_name_before_a_file_of_that_name(tmp_path, monkeypatch):
+    machine = builtin_regular_fn("reverse-blocks-ab").transducer
+    (tmp_path / "innsq-pebble").write_text(render_transducer(machine), encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    assert resolve_function("innsq-pebble").ref == "pebble:innsq-pebble"
+    assert resolve_function("2dft:innsq-pebble").ref == "2dft:innsq-pebble"
+
+
+def test_resolve_reads_a_bare_file_once_as_its_extension_says(tmp_path, monkeypatch):
+    path = tmp_path / "sq.interp"
+    path.write_text("dim 1\ndim 1\n", encoding="utf-8")
+    names = []
+    parse_interp = interp_module.parse_interp
+
+    def counted(text, name=None):
+        names.append(name)
+        return parse_interp(text, name)
+
+    def other_format(*args, **kwargs):
+        raise AssertionError("parsed as another kind")
+
+    monkeypatch.setattr(interp_module, "parse_interp", counted)
+    monkeypatch.setattr(twoway_module, "parse_transducer", other_format)
+    monkeypatch.setattr(pebble_module, "parse_polyfun", other_format)
+    with pytest.raises(InterpError, match="duplicate header"):
+        resolve_function(str(path))
+    assert names == ["sq.interp"]
+
+
+def test_resolve_rejects_a_bare_path_without_a_known_extension(tmp_path, monkeypatch):
+    (tmp_path / "sq").write_text(render_interp(builtin_interp("squaring-family")), encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(ValueError, match="cannot resolve"):
+        resolve_function("sq")
+    assert resolve_function("interp:sq").fn(Word.parse("aaa")).render() == "aabaab"
+
+
+def test_file_interpretations_are_named_by_basename(tmp_path):
+    path = tmp_path / "sq.interp"
+    path.write_text(render_interp(builtin_interp("squaring-family")), encoding="utf-8")
+    assert interpretations.load(str(path)).name == "sq.interp"
+    assert interpretations.load("sq.interp", str(tmp_path)).name == "sq.interp"
 
 
 # -- d-completeness -----------------------------------------------------------------
