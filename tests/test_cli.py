@@ -88,6 +88,38 @@ def test_psi_verb_round_trips_through_files(capsys, tmp_path):
     assert out == "a□□□◊◊◊a□□□◊b□□□◊◊a□◊◊◊a□◊b□◊◊\n"
 
 
+def test_psi_prints_the_golden_lift(capsys):
+    """The binder names the lift makes fresh (u2, z5, xh1, ...) are pinned."""
+    rc, out, _ = run(capsys, ["psi", "innsq-interp"])
+    assert rc == 0
+    assert out == (DATA / "psi_innsq-interp.interp").read_text(encoding="utf-8")
+
+
+def test_family_writes_the_golden_interp(capsys, tmp_path):
+    target = tmp_path / "I_3.interp"
+    rc, _, _ = run(capsys, ["family", "3", "-o", str(target)])
+    assert rc == 0
+    assert target.read_bytes() == (DATA / "family_3.interp").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "interp, golden, code",
+    [
+        ("cross-sort-demo", "sort_check_cross-sort-demo.txt", 1),
+        ("innsq-interp", "sort_check_innsq-interp.txt", 0),
+        ("squaring-family", "sort_check_squaring-family.txt", 0),
+        (str(DATA / "psi_innsq-interp.interp"), "sort_check_psi_innsq-interp.txt", 0),
+        (str(DATA / "family_3.interp"), "sort_check_family_3.txt", 0),
+    ],
+)
+def test_sort_check_prints_the_golden_text(capsys, interp, golden, code):
+    """Every builtin of dimension 2, and the two goldens above: the sorts
+    name the binders that renaming them apart makes fresh."""
+    rc, out, _ = run(capsys, ["sort-check", interp])
+    assert rc == code
+    assert out == (DATA / golden).read_text(encoding="utf-8")
+
+
 def test_image_matches_library_bytes(capsys, tmp_path):
     target = tmp_path / "innsq.sample"
     rc, out, _ = run(

@@ -717,9 +717,35 @@ def test_sexpr_round_trip_random():
 
 
 def test_parse_errors():
-    for bad in ["(letter a)", "(leq x)", "(frobnicate x)", "(forall (x) y)"]:
-        with pytest.raises((LogicError, sexpr.SexprError)):
+    """Every message ``from_sexpr`` raises, and which error wins when an
+    input has two: a node's own head, arity and names before its
+    subformulas, and subformulas left to right."""
+    cases = [
+        ("(letter a)", "(letter ...) takes 2 arguments, got 1"),
+        ("(leq x)", "(leq ...) takes 2 arguments, got 1"),
+        ("(frobnicate x)", "unknown formula head 'frobnicate'"),
+        ("(forall (x) y)", "expected a name inside (forall ...), got (x)"),
+        ("x", "expected a formula, got atom 'x'"),
+        ("()", "empty expression"),
+        ("((and) x)", "bad formula head ['and']"),
+        ("(and)", "empty conjunction"),
+        ("(or)", "empty disjunction"),
+        ("(not a b)", "(not ...) takes 1 arguments, got 2"),
+        ("(min x y)", "(min ...) takes 1 arguments, got 2"),
+        ("(eq x (y))", "expected a name inside (eq ...), got (y)"),
+        ("(and (not) (frobnicate x))", "(not ...) takes 1 arguments, got 0"),
+        ("(forall x)", "(forall ...) takes 2 arguments, got 1"),
+        ("(exists (x) (frobnicate y))", "expected a name inside (exists ...), got (x)"),
+        ("(implies (not x) (frobnicate))", "expected a formula, got atom 'x'"),
+        ("(or (min) (max x y))", "(min ...) takes 1 arguments, got 0"),
+        ("(and (letter a x) () (or))", "empty expression"),
+        ("(or (not (and)) (frobnicate))", "empty conjunction"),
+        ("(and (or (letter a x) (leq x)) (not))", "(leq ...) takes 2 arguments, got 1"),
+    ]
+    for bad, message in cases:
+        with pytest.raises(LogicError) as exc:
             parse_formula(bad)
+        assert str(exc.value) == message, bad
 
 
 def test_rename_bound_distinct():
