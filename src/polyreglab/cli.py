@@ -33,7 +33,7 @@ from .langlab import (
 )
 from .logic import LogicError, check_sortable
 from .pebble import PebbleError, apply, innsq_direct, polyfuns
-from .psi import MarkerScheme, PsiError, family, family_markers, fresh_scheme, psi
+from .psi import PsiError, family, family_markers, psi
 from .twoway import (
     EmitOnEndmarkerError,
     NonTerminationError,
@@ -55,9 +55,6 @@ _EVAL_ERRORS = (
     ValueError,
     KeyError,
     OSError,
-    # and/or chains within sexpr.MAX_DEPTH can still overflow the formula
-    # walkers, which spend two frames on each such level
-    RecursionError,
 )
 
 

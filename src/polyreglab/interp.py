@@ -25,13 +25,10 @@ from .logic import (
     Implies,
     Leq,
     Letter,
-    LogicError,
     Max,
     Not,
     Or,
     RowSpace,
-    conj,
-    disj,
     free_vars,
     from_sexpr,
     letters_used,

@@ -149,19 +149,118 @@ def strict_less(a: str, b: str) -> Formula:
     return And((Leq(a, b), Not(Eq(a, b))))
 
 
+# -- the node table and the one traversal -----------------------------------
+
+
+class _Kind:
+    """One node kind: its class, its s-expression head and the role of each
+    of its fields, in order: a ``letter``, a ``var`` (a variable occurrence),
+    the ``bound`` variable of a binder, a ``sub`` formula, or the ``parts``
+    of a connective.  In every kind, as in its s-expression, a node's letters
+    come first, then its variables, then its subformulas.  The getters give
+    a node's letters, its variable occurrences, those and its bound variable,
+    and its children, each as a tuple."""
+
+    __slots__ = ("cls", "head", "arity", "n_names", "letters", "occurs", "variables", "kids")
+
+    def __init__(self, cls: type, head: str, roles: tuple[str, ...]):
+        fields = dict(zip(cls.__slots__, roles))
+
+        def getter(*wanted: str) -> Callable[[Formula], tuple]:
+            names = [f for f, role in fields.items() if role in wanted]
+            if len(names) == 1:
+                get = operator.attrgetter(names[0])
+                return lambda g: (get(g),)
+            return operator.attrgetter(*names) if names else lambda g: ()
+
+        self.cls, self.head = cls, head
+        self.arity = None if roles == ("parts",) else len(roles)  # None: any number
+        self.n_names = sum(role not in ("sub", "parts") for role in roles)
+        self.letters, self.occurs = getter("letter"), getter("var")
+        self.variables = getter("var", "bound")
+        self.kids = operator.attrgetter("parts") if self.arity is None else getter("sub")
+
+    def build(self, names: Sequence[str], kids: Sequence[Formula]) -> Formula:
+        return self.cls(tuple(kids)) if self.arity is None else self.cls(*names, *kids)
+
+
+_KINDS: dict[type, _Kind] = {
+    kind.cls: kind
+    for kind in (
+        _Kind(Letter, "letter", ("letter", "var")),
+        _Kind(Leq, "leq", ("var", "var")),
+        _Kind(Eq, "eq", ("var", "var")),
+        _Kind(Not, "not", ("sub",)),
+        _Kind(And, "and", ("parts",)),
+        _Kind(Or, "or", ("parts",)),
+        _Kind(Implies, "implies", ("sub", "sub")),
+        _Kind(Forall, "forall", ("bound", "sub")),
+        _Kind(Exists, "exists", ("bound", "sub")),
+        _Kind(Max, "max", ("var",)),
+        _Kind(Min, "min", ("var",)),
+    )
+}
+_HEADS = {kind.head: kind for kind in _KINDS.values()}
+
+
+def _fold(root, leave: Callable, enter: Callable | None = None, scope=None):
+    """The tree under ``root`` folded bottom-up on an explicit stack, each
+    step run when a recursive walk would run it, children left to right.
+    ``enter(node, scope)`` runs when a node is reached and returns the item
+    that ``leave`` gets, the node's children and the scope they see;
+    ``leave(item, inner scope, results)`` runs after its last child and
+    returns the node's result from theirs.  Without ``enter`` the nodes are
+    formulas, their children those the node table lists, and the scope is
+    ``scope`` throughout."""
+    kinds = _KINDS
+    # The open nodes: each one's item, inner scope, an iterator over its
+    # children and their results so far, under a frame that holds the root.
+    stack = [(None, scope, iter((root,)), [])]
+    while True:
+        item, inner, kids, done = stack[-1]
+        for node in kids:
+            if enter is None:
+                node_item, node_kids, node_inner = node, kinds[type(node)].kids(node), inner
+            else:
+                node_item, node_kids, node_inner = enter(node, inner)
+            if node_kids:
+                stack.append((node_item, node_inner, iter(node_kids), []))
+                break
+            done.append(leave(node_item, node_inner, ()))
+        else:
+            stack.pop()
+            if not stack:
+                return done[0]
+            stack[-1][3].append(leave(item, inner, done))
+
+
+def _nodes(f: Formula) -> Iterable[Formula]:
+    """The nodes under ``f`` in pre-order, children left to right."""
+    todo = [f]
+    while todo:
+        g = todo.pop()
+        yield g
+        todo.extend(reversed(_KINDS[type(g)].kids(g)))
+
+
+def _rebuilt(g: Formula, env: Mapping[str, str], kids: Sequence[Formula]) -> Formula:
+    """``g`` with the children ``kids`` and its variables renamed by
+    ``env``; ``g`` itself when that changes nothing."""
+    if not (kids or env):
+        return g
+    kind = _KINDS[type(g)]
+    names = kind.variables(g)
+    renamed = tuple([env.get(v, v) for v in names]) if env else names
+    if renamed == names and all(map(operator.is_, kids, kind.kids(g))):
+        return g
+    return kind.build(kind.letters(g) + renamed, kids)
+
+
 # -- structural helpers --------------------------------------------------
 
 
 def children(f: Formula) -> tuple[Formula, ...]:
-    if isinstance(f, Not):
-        return (f.body,)
-    if isinstance(f, (And, Or)):
-        return f.parts
-    if isinstance(f, Implies):
-        return (f.left, f.right)
-    if isinstance(f, (Forall, Exists)):
-        return (f.body,)
-    return ()
+    return _KINDS[type(f)].kids(f)
 
 
 def free_vars(f: Formula) -> frozenset[str]:
@@ -169,35 +268,19 @@ def free_vars(f: Formula) -> frozenset[str]:
 
 
 def all_vars(f: Formula) -> frozenset[str]:
-    if isinstance(f, Letter):
-        return frozenset((f.var,))
-    if isinstance(f, (Leq, Eq)):
-        return frozenset((f.left, f.right))
-    if isinstance(f, (Max, Min)):
-        return frozenset((f.var,))
-    out: frozenset[str] = frozenset()
-    if isinstance(f, (Forall, Exists)):
-        out |= {f.var}
-    for sub in children(f):
-        out |= all_vars(sub)
-    return out
+    out: set[str] = set()
+    for g in _nodes(f):
+        out.update(_KINDS[type(g)].variables(g))
+    return frozenset(out)
 
 
 def letters_used(f: Formula) -> frozenset[str]:
-    if isinstance(f, Letter):
-        return frozenset((f.letter,))
-    out: frozenset[str] = frozenset()
-    for sub in children(f):
-        out |= letters_used(sub)
-    return out
+    return frozenset(x for g in _nodes(f) for x in _KINDS[type(g)].letters(g))
 
 
 def quantifier_count(f: Formula) -> int:
     """Number of quantifier nodes; macros count via their expansion."""
-    if isinstance(f, (Max, Min)):
-        return 1
-    own = 1 if isinstance(f, (Forall, Exists)) else 0
-    return own + sum(quantifier_count(sub) for sub in children(f))
+    return sum(isinstance(g, (Forall, Exists, Max, Min)) for g in _nodes(f))
 
 
 _FRESH_BASE = "u"
@@ -215,30 +298,17 @@ def _fresh_name(base: str, used: set[str]) -> str:
 
 def expand_macros(f: Formula) -> Formula:
     """Rewrite Max/Min to their quantified definitions."""
+    if not any(isinstance(g, (Max, Min)) for g in _nodes(f)):
+        return f
     used = set(all_vars(f))
 
-    def walk(g: Formula) -> Formula:
-        if isinstance(g, Max):
-            v = _fresh_name(_FRESH_BASE, used)
-            return Forall(v, Leq(v, g.var))
-        if isinstance(g, Min):
-            v = _fresh_name(_FRESH_BASE, used)
-            return Forall(v, Leq(g.var, v))
-        if isinstance(g, Not):
-            return Not(walk(g.body))
-        if isinstance(g, And):
-            return And(tuple(walk(p) for p in g.parts))
-        if isinstance(g, Or):
-            return Or(tuple(walk(p) for p in g.parts))
-        if isinstance(g, Implies):
-            return Implies(walk(g.left), walk(g.right))
-        if isinstance(g, Forall):
-            return Forall(g.var, walk(g.body))
-        if isinstance(g, Exists):
-            return Exists(g.var, walk(g.body))
-        return g
+    def leave(g: Formula, _, kids: Sequence[Formula]) -> Formula:
+        if not isinstance(g, (Max, Min)):
+            return _rebuilt(g, {}, kids)
+        v = _fresh_name(_FRESH_BASE, used)
+        return Forall(v, Leq(v, g.var) if isinstance(g, Max) else Leq(g.var, v))
 
-    return walk(f)
+    return _fold(f, leave)
 
 
 def rename_bound(f: Formula, reserved: Iterable[str] = ()) -> Formula:
@@ -246,151 +316,67 @@ def rename_bound(f: Formula, reserved: Iterable[str] = ()) -> Formula:
     distinct from free variables and from ``reserved``.  Binders keep
     their spelling when it is already unique."""
     used = set(free_vars(f)) | set(reserved)
+    binders = [g.var for g in _nodes(f) if isinstance(g, (Forall, Exists))]
+    if used.isdisjoint(binders) and len(set(binders)) == len(binders):
+        return f
 
-    def walk(g: Formula, env: dict[str, str]) -> Formula:
-        if isinstance(g, Letter):
-            return Letter(g.letter, env.get(g.var, g.var))
-        if isinstance(g, Leq):
-            return Leq(env.get(g.left, g.left), env.get(g.right, g.right))
-        if isinstance(g, Eq):
-            return Eq(env.get(g.left, g.left), env.get(g.right, g.right))
-        if isinstance(g, (Max, Min)):
-            return type(g)(env.get(g.var, g.var))
-        if isinstance(g, Not):
-            return Not(walk(g.body, env))
-        if isinstance(g, And):
-            return And(tuple(walk(p, env) for p in g.parts))
-        if isinstance(g, Or):
-            return Or(tuple(walk(p, env) for p in g.parts))
-        if isinstance(g, Implies):
-            return Implies(walk(g.left, env), walk(g.right, env))
+    def enter(g: Formula, env: dict[str, str]):
         if isinstance(g, (Forall, Exists)):
-            name = g.var
-            if name in used:
-                name = _fresh_name(g.var, used)
-            else:
-                used.add(name)
-            inner = dict(env)
-            inner[g.var] = name
-            return type(g)(name, walk(g.body, inner))
-        raise LogicError(f"unknown formula node {g!r}")
+            name = _fresh_name(g.var, used) if g.var in used else g.var
+            used.add(name)
+            env = {**env, g.var: name}
+        return g, _KINDS[type(g)].kids(g), env
 
-    return walk(f, {})
+    return _fold(f, _rebuilt, enter, {})
 
 
 def substitute(f: Formula, mapping: Mapping[str, str]) -> Formula:
     """Capture-avoiding renaming of free variables."""
 
-    def walk(g: Formula, env: dict[str, str]) -> Formula:
-        if isinstance(g, Letter):
-            return Letter(g.letter, env.get(g.var, g.var))
-        if isinstance(g, Leq):
-            return Leq(env.get(g.left, g.left), env.get(g.right, g.right))
-        if isinstance(g, Eq):
-            return Eq(env.get(g.left, g.left), env.get(g.right, g.right))
-        if isinstance(g, (Max, Min)):
-            return type(g)(env.get(g.var, g.var))
-        if isinstance(g, Not):
-            return Not(walk(g.body, env))
-        if isinstance(g, And):
-            return And(tuple(walk(p, env) for p in g.parts))
-        if isinstance(g, Or):
-            return Or(tuple(walk(p, env) for p in g.parts))
-        if isinstance(g, Implies):
-            return Implies(walk(g.left, env), walk(g.right, env))
+    def enter(g: Formula, env: dict[str, str]):
         if isinstance(g, (Forall, Exists)):
-            inner = {k: v for k, v in env.items() if k != g.var}
-            if g.var in inner.values():
-                used = set(all_vars(g)) | set(inner.values()) | set(inner)
+            env = {k: v for k, v in env.items() if k != g.var}
+            if g.var in env.values():
+                used = set(all_vars(g)) | set(env.values()) | set(env)
                 fresh = _fresh_name(g.var, used)
-                body = walk(g.body, {g.var: fresh})
-                return type(g)(fresh, walk(body, inner))
-            return type(g)(g.var, walk(g.body, inner))
-        raise LogicError(f"unknown formula node {g!r}")
+                g = type(g)(fresh, substitute(g.body, {g.var: fresh}))
+        return g, _KINDS[type(g)].kids(g), env
 
-    return walk(f, dict(mapping))
+    return _fold(f, _rebuilt, enter, dict(mapping))
 
 
 # -- text form -----------------------------------------------------------
 
 
 def to_sexpr(f: Formula):
-    if isinstance(f, Letter):
-        return ["letter", f.letter, f.var]
-    if isinstance(f, Leq):
-        return ["leq", f.left, f.right]
-    if isinstance(f, Eq):
-        return ["eq", f.left, f.right]
-    if isinstance(f, Not):
-        return ["not", to_sexpr(f.body)]
-    if isinstance(f, And):
-        return ["and"] + [to_sexpr(p) for p in f.parts]
-    if isinstance(f, Or):
-        return ["or"] + [to_sexpr(p) for p in f.parts]
-    if isinstance(f, Implies):
-        return ["implies", to_sexpr(f.left), to_sexpr(f.right)]
-    if isinstance(f, Forall):
-        return ["forall", f.var, to_sexpr(f.body)]
-    if isinstance(f, Exists):
-        return ["exists", f.var, to_sexpr(f.body)]
-    if isinstance(f, Max):
-        return ["max", f.var]
-    if isinstance(f, Min):
-        return ["min", f.var]
-    raise LogicError(f"unknown formula node {f!r}")
+    def leave(g: Formula, _, kids: list) -> list:
+        kind = _KINDS[type(g)]
+        return [kind.head, *kind.letters(g), *kind.variables(g), *kids]
+
+    return _fold(f, leave)
 
 
 def from_sexpr(expr) -> Formula:
-    if isinstance(expr, str):
-        raise LogicError(f"expected a formula, got atom {expr!r}")
-    if not expr:
-        raise LogicError("empty expression")
-    head = expr[0]
-    if not isinstance(head, str):
-        raise LogicError(f"bad formula head {head!r}")
-    args = expr[1:]
+    def enter(e, _):
+        if isinstance(e, str):
+            raise LogicError(f"expected a formula, got atom {e!r}")
+        if not e:
+            raise LogicError("empty expression")
+        head, args = e[0], e[1:]
+        if not isinstance(head, str):
+            raise LogicError(f"bad formula head {head!r}")
+        kind = _HEADS.get(head)
+        if kind is None:
+            raise LogicError(f"unknown formula head {head!r}")
+        if kind.arity is not None and len(args) != kind.arity:
+            raise LogicError(f"({head} ...) takes {kind.arity} arguments, got {len(args)}")
+        names = args[: kind.n_names]
+        for x in names:
+            if not isinstance(x, str):
+                raise LogicError(f"expected a name inside ({head} ...), got {sexpr.render(x)}")
+        return (kind, [str(x) for x in names]), args[kind.n_names :], None
 
-    def arity(k: int) -> None:
-        if len(args) != k:
-            raise LogicError(f"({head} ...) takes {k} arguments, got {len(args)}")
-
-    def atom(x) -> str:
-        if not isinstance(x, str):
-            raise LogicError(f"expected a name inside ({head} ...), got {sexpr.render(x)}")
-        return str(x)
-
-    if head == "letter":
-        arity(2)
-        return Letter(atom(args[0]), atom(args[1]))
-    if head == "leq":
-        arity(2)
-        return Leq(atom(args[0]), atom(args[1]))
-    if head == "eq":
-        arity(2)
-        return Eq(atom(args[0]), atom(args[1]))
-    if head == "not":
-        arity(1)
-        return Not(from_sexpr(args[0]))
-    if head == "and":
-        return And(tuple(from_sexpr(a) for a in args))
-    if head == "or":
-        return Or(tuple(from_sexpr(a) for a in args))
-    if head == "implies":
-        arity(2)
-        return Implies(from_sexpr(args[0]), from_sexpr(args[1]))
-    if head == "forall":
-        arity(2)
-        return Forall(atom(args[0]), from_sexpr(args[1]))
-    if head == "exists":
-        arity(2)
-        return Exists(atom(args[0]), from_sexpr(args[1]))
-    if head == "max":
-        arity(1)
-        return Max(atom(args[0]))
-    if head == "min":
-        arity(1)
-        return Min(atom(args[0]))
-    raise LogicError(f"unknown formula head {head!r}")
+    return _fold(expr, lambda item, _, kids: item[0].build(item[1], kids), enter)
 
 
 def parse_formula(text: str) -> Formula:
@@ -588,7 +574,16 @@ def _conjuncts(f: Formula) -> list[Formula]:
 
 class _Codegen:
     """Generates the sources of one plan's units, callees first, so the
-    root comes last, and the lines of its ``bind``."""
+    root comes last, and the lines of its ``bind``.
+
+    Generating is one fold over jobs, each a method and its arguments:
+    ``expr`` writes the expression of a subformula in a unit, and ``plain``
+    opens a unit of its own for one.  Reaching a job, the fold calls its
+    method, which returns the job's item, its child jobs and no scope; an
+    item is a method and arguments, called with the children's texts when
+    the fold leaves the job, or for an atom its text.  So units, tables and
+    slots are numbered as a recursive walk would number them, and no
+    formula level costs a Python frame."""
 
     def __init__(self, frees: dict[int, frozenset[str]], slots: dict[str, int]):
         self.frees, self.slots = frees, slots
@@ -598,14 +593,16 @@ class _Codegen:
         self.nodes = 0
         self.masked = False
 
-    def finish(self, u: _Unit, args: list[int], setup: str, body: str) -> int:
+    def finish(self, u: _Unit, args: list[int], setup: str, body: str, caller: _Unit, neg: bool):
+        """Add unit ``u``; the text of a call to it from the unit ``caller``."""
         space, outer, consts, calls = u
         k = len(self.sources)
         params = "".join(f", c{c}" for c in consts) + "".join(f", q{q}" for q in calls)
         self.sources.append(_MAKE.format(params=params, setup=setup, args=_vars(args), body=body))
         refs = "".join(f", t{space}[{c}]" for c in consts) + "".join(f", q{q}" for q in calls)
         self.binds.append(f"    q{k} = M[{k}](A{space}, A{outer}, R{refs})\n")
-        return k
+        caller[3][k] = None
+        return _negated(f"q{k}({_vars(args)})", neg)
 
     def const(self, u: _Unit, spec: tuple) -> str:
         specs = self.specs[u[0]]
@@ -613,75 +610,92 @@ class _Codegen:
         u[2][k] = None
         return f"c{k}"
 
-    def call(self, u: _Unit, unit: int, slots: list[int]) -> str:
-        u[3][unit] = None
-        return f"q{unit}({_vars(slots)})"
-
-    def plain(self, f: Formula, index: dict[str, int], space: int, args: list[int]) -> int:
+    def plain(self, f: Formula, index: dict[str, int], space: int, args: list[int], caller, neg):
+        """Job: a unit of its own for ``f``, whose result is the text of a
+        call to it from the unit ``caller``."""
         u: _Unit = (space, space, {}, {})
-        return self.finish(u, args, "", f"        return {self.expr(f, u, index, 0)}\n")
+        return (self.plain_done, u, args, caller, neg), [(self.expr, f, u, index, 0)], None
 
-    def quantifier(self, f: Forall | Exists, index: dict[str, int], space: int):
-        """The unit of a quantifier in a space whose row variables ``index``
-        maps to their components, and the slots it is called with."""
-        fv = self.frees[id(f)]
-        key = sorted(self.slots[v] for v in fv if v not in index)
-        exists = isinstance(f, Exists)
-        if fv.isdisjoint(index):
-            # Masked: the body answers every position of f.var at once.
-            self.masked = True
-            u: _Unit = (1, space, {}, {})
-            test = self.expr(f.body, u, {f.var: 0}, 0) + ("" if exists else " == A")
-            inner = f"            hit = cache[key] = B if {test} else 0\n"
-        else:
-            # The guard: the conjuncts of the body (of its negation, for
-            # forall) free of row variables; the loop evaluates the rest.
-            slot = self.slots.setdefault(f.var, len(self.slots))
-            u = (space, space, {}, {})
-            guard, rest = [], []
-            for part in _conjuncts(f.body if exists else Not(f.body)):
-                (guard if self.frees[id(_strip(part)[0])].isdisjoint(index) else rest).append(part)
-            todo = "R"
-            if guard:
-                self.masked, g = True, conj(*guard)
-                args = sorted(self.slots[v] for v in free_vars(g) - {f.var})
-                todo = self.call(u, self.plain(g, {f.var: 0}, 1, args), args)
-            body = self.expr(conj(*rest) if exists else Not(conj(*rest)), u, index, 0)
-            start, op, stop = (0, "|", "hit == A") if exists else ("A", "&", "not hit")
-            inner = _LOOP.format(start=start, guard=todo, slot=slot, op=op, body=body, stop=stop)
-        keyed = f"({_vars(key)})" if len(key) != 1 else f"v{key[0]}"
-        return self.finish(u, key, "    cache = {}\n", _MEMO.format(key=keyed, inner=inner)), key
+    def plain_done(self, texts: list[str], u: _Unit, args: list[int], caller, neg: bool):
+        return self.finish(u, args, "", f"        return {texts[0]}\n", caller, neg)
 
-    def expr(self, f: Formula, u: _Unit, index: dict[str, int], depth: int) -> str:
-        """Python expression for the mask of ``f`` in unit ``u``, at
-        ``depth`` connectives below the unit's root."""
+    def expr(self, f: Formula, u: _Unit, index: dict[str, int], depth: int):
+        """Job: the Python expression for the mask of ``f`` in unit ``u``,
+        at ``depth`` connectives below the unit's root."""
         f, neg = _strip(f)
         if isinstance(f, (Letter, Leq, Eq)):
             self.nodes += 1
-            return self.atom(f, neg, u, index)
+            return self.atom(f, neg, u, index), (), None
         # A subformula split off into a unit of its own is counted there.
         self.nodes += neg + (depth < _UNIT_DEPTH or isinstance(f, (Forall, Exists)))
-        m = f"m{depth}"
         if isinstance(f, (Forall, Exists)):
-            text = self.call(u, *self.quantifier(f, index, u[0]))
-        elif depth == _UNIT_DEPTH:
+            return self.quantifier(f, u, index, neg)
+        if depth == _UNIT_DEPTH:
             args = sorted(self.slots[v] for v in self.frees[id(f)] if v not in index)
-            text = self.call(u, self.plain(f, index, u[0], args), args)
-        elif isinstance(f, Implies):
-            left, right = (self.expr(g, u, index, depth + 1) for g in (f.left, f.right))
+            return self.plain(f, index, u[0], args, u, neg)
+        parts = (f.left, f.right) if isinstance(f, Implies) else _flat(f)  # type: ignore[arg-type]
+        jobs = [(self.expr, g, u, index, depth + 1) for g in parts]
+        return (self.connective, f, depth, neg), jobs, None
+
+    def connective(self, texts: list[str], f: Formula, depth: int, neg: bool) -> str:
+        m = f"m{depth}"
+        if isinstance(f, Implies):
+            left, right = texts
             text = f"((A ^ {m}) | {right} if ({m} := {left}) else A)"
         else:
-            *init, last = (self.expr(g, u, index, depth + 1) for g in _flat(f))
-            if not init:
-                text = last
-            elif isinstance(f, And):
+            *init, text = texts
+            if init and isinstance(f, And):
                 steps = [f"({m} := {init[0]})"] + [f"({m} := {m} & {p})" for p in init[1:]]
-                text = f"({' and '.join(steps)} and {m} & {last})"
-            else:
+                text = f"({' and '.join(steps)} and {m} & {text})"
+            elif init:
                 steps = [f"({m} := {init[0]}) == A"]
                 steps += [f"({m} := {m} | {p}) == A" for p in init[1:]]
-                text = f"(A if {' or '.join(steps)} else {m} | {last})"
-        return f"(A ^ {text})" if neg else text
+                text = f"(A if {' or '.join(steps)} else {m} | {text})"
+        return _negated(text, neg)
+
+    def quantifier(self, f: Forall | Exists, u: _Unit, index: dict[str, int], neg: bool):
+        """The unit of a quantifier in unit ``u``, whose row variables
+        ``index`` maps to their components."""
+        fv = self.frees[id(f)]
+        key = sorted(self.slots[v] for v in fv if v not in index)
+        exists = isinstance(f, Exists)
+        item = (self.quantifier_done, exists, u, key, neg)
+        if fv.isdisjoint(index):
+            # Masked: the body answers every position of f.var at once.
+            self.masked = True
+            q: _Unit = (1, u[0], {}, {})
+            return (*item, q, None), [(self.expr, f.body, q, {f.var: 0}, 0)], None
+        # The guard: the conjuncts of the body (of its negation, for
+        # forall) free of row variables; the loop evaluates the rest.
+        slot = self.slots.setdefault(f.var, len(self.slots))
+        q = (u[0], u[0], {}, {})
+        guard, rest, reads = [], [], set()
+        for part in _conjuncts(f.body if exists else Not(f.body)):
+            part_fv = self.frees[id(_strip(part)[0])]
+            if part_fv.isdisjoint(index):
+                guard.append(part)
+                reads |= part_fv
+            else:
+                rest.append(part)
+        jobs: list = []
+        if guard:
+            self.masked = True
+            args = sorted(self.slots[v] for v in reads - {f.var})
+            jobs.append((self.plain, conj(*guard), {f.var: 0}, 1, args, q, False))
+        jobs.append((self.expr, conj(*rest) if exists else Not(conj(*rest)), q, index, 0))
+        return (*item, q, slot), jobs, None
+
+    def quantifier_done(self, texts, exists, u: _Unit, key: list[int], neg: bool, q: _Unit, slot):
+        if slot is None:
+            test = texts[0] + ("" if exists else " == A")
+            inner = f"            hit = cache[key] = B if {test} else 0\n"
+        else:
+            start, op, stop = (0, "|", "hit == A") if exists else ("A", "&", "not hit")
+            todo = texts[0] if len(texts) == 2 else "R"
+            body = texts[-1]
+            inner = _LOOP.format(start=start, guard=todo, slot=slot, op=op, body=body, stop=stop)
+        keyed = f"({_vars(key)})" if len(key) != 1 else f"v{key[0]}"
+        return self.finish(q, key, "    cache = {}\n", _MEMO.format(key=keyed, inner=inner), u, neg)
 
     def atom(self, f: Letter | Leq | Eq, neg: bool, u: _Unit, index: dict[str, int]) -> str:
         slots = self.slots
@@ -703,12 +717,24 @@ class _Codegen:
         return f"{self.const(u, ('slot', 0 if is_eq else 1, a, neg))}[v{slots[f.right]}]"
 
 
+def _negated(text: str, neg: bool) -> str:
+    return f"(A ^ {text})" if neg else text
+
+
 def _generate(core: Formula, frees: dict, free: tuple[str, ...], row_vars: tuple[str, ...]):
     """The generator run over ``core``, whose nodes' free variables are in
     ``frees``: its sources are the units, the root last, then ``bind``."""
     gen = _Codegen(frees, {v: i for i, v in enumerate(free)})
-    root = gen.plain(core, {v: a for a, v in enumerate(row_vars)}, 0, list(range(len(free))))
-    binds = "".join(gen.binds)
+    index = {v: a for a, v in enumerate(row_vars)}
+    # The root unit is made last and called by bind, so the text of a call
+    # to it from its stand-in caller is dropped.
+    _fold(
+        (gen.plain, core, index, 0, list(range(len(free))), (0, 0, {}, {}), False),
+        # An atom's item is its text, written when the atom is reached.
+        lambda item, _, texts: item[0](texts, *item[1:]) if texts else item,
+        lambda job, _: job[0](*job[1:]),
+    )
+    binds, root = "".join(gen.binds), len(gen.sources) - 1
     gen.sources.append(f"def bind(M, R, A0, A1, t0, t1):\n{binds}    return q{root}\n")
     return gen
 
@@ -764,8 +790,8 @@ class FormulaPlan:
         *units, binder = gen.sources
         self._specs = tuple(map(tuple, gen.specs))
         self._masked = gen.masked
-        # Compiled one unit at a time, after generating, at a shallow stack
-        # and with the generator's tables freed, since compiling peaks higher.
+        # Compiled one unit at a time, after generating and with the
+        # generator's tables freed, since compiling peaks higher.
         del gen, frees
         self._makes = tuple(_compiled(src, f"<plan unit {k}>") for k, src in enumerate(units))
         self._bind = _compiled(binder, "<plan bind>")
@@ -793,18 +819,18 @@ class FormulaPlan:
 
 def _collect_frees(f: Formula, frees: dict[int, frozenset[str]]) -> frozenset[str]:
     """The free variables of ``f``; records those of every node in ``frees``."""
-    if isinstance(f, (Letter, Max, Min)):
-        fv = frozenset((f.var,))
-    elif isinstance(f, (Leq, Eq)):
-        fv = frozenset((f.left, f.right))
-    elif isinstance(f, (Forall, Exists)):
-        fv = _collect_frees(f.body, frees) - {f.var}
-    else:
-        fv = frozenset()
-        for sub in children(f):
-            fv |= _collect_frees(sub, frees)
-    frees[id(f)] = fv
-    return fv
+
+    def leave(g: Formula, _, parts: Sequence[frozenset[str]]) -> frozenset[str]:
+        if not parts:
+            fv = frozenset(_KINDS[type(g)].occurs(g))
+        elif len(parts) > 1:
+            fv = parts[0].union(*parts[1:])
+        else:
+            fv = parts[0] - {g.var} if isinstance(g, (Forall, Exists)) else parts[0]
+        frees[id(g)] = fv
+        return fv
+
+    return _fold(f, leave)
 
 
 class FormulaEvaluator:
@@ -891,22 +917,14 @@ def relativize(formula: Formula, guard: str) -> Formula:
     if guard in letters_used(core):
         raise LogicError(f"formula already talks about the guard letter {guard!r}")
 
-    def walk(g: Formula) -> Formula:
+    def leave(g: Formula, _, kids: Sequence[Formula]) -> Formula:
         if isinstance(g, Forall):
-            return Forall(g.var, Implies(Not(Letter(guard, g.var)), walk(g.body)))
+            return Forall(g.var, Implies(Not(Letter(guard, g.var)), kids[0]))
         if isinstance(g, Exists):
-            return Exists(g.var, And((Not(Letter(guard, g.var)), walk(g.body))))
-        if isinstance(g, Not):
-            return Not(walk(g.body))
-        if isinstance(g, And):
-            return And(tuple(walk(p) for p in g.parts))
-        if isinstance(g, Or):
-            return Or(tuple(walk(p) for p in g.parts))
-        if isinstance(g, Implies):
-            return Implies(walk(g.left), walk(g.right))
-        return g
+            return Exists(g.var, And((Not(Letter(guard, g.var)), kids[0])))
+        return _rebuilt(g, {}, kids)
 
-    return walk(core)
+    return _fold(core, leave)
 
 
 # -- sort analysis -------------------------------------------------------
@@ -969,12 +987,7 @@ _ANCHOR2 = ("sort-anchor", 2)
 
 
 def _comparison_atoms(f: Formula) -> list[Formula]:
-    if isinstance(f, (Leq, Eq)):
-        return [f]
-    out: list[Formula] = []
-    for sub in children(f):
-        out.extend(_comparison_atoms(sub))
-    return out
+    return [g for g in _nodes(f) if isinstance(g, (Leq, Eq))]
 
 
 def _sort_one(key: str, formula: Formula, seeds: Mapping[str, int]):

@@ -31,9 +31,14 @@ class PolyFun:
     input_alphabet = None
 
 
+# A head read from a file keeps ``ref``, the reference it was read by, and
+# renders as that; a head built in code renders as its machine's name.
+
+
 @record(eq=False)
 class Reg(PolyFun):
     fn: RegularFn
+    ref: str | None = None
 
     @property
     def input_alphabet(self) -> Alphabet:
@@ -60,6 +65,7 @@ class Pebble0(PolyFun):
 class Pebble(PolyFun):
     head: RegularFn
     branches: Mapping[str, PolyFun]
+    ref: str | None = None
 
     def __post_init__(self) -> None:
         _check_branches(self.head, self.branches, marked=True)
@@ -73,6 +79,7 @@ class Pebble(PolyFun):
 class Blind(PolyFun):
     head: RegularFn
     branches: Mapping[str, PolyFun]
+    ref: str | None = None
 
     def __post_init__(self) -> None:
         _check_branches(self.head, self.branches, marked=False)
@@ -229,14 +236,14 @@ builtin_polyfun = polyfuns.builtin
 
 def to_sexpr(p: PolyFun):
     if isinstance(p, Reg):
-        return ["reg", p.fn.name]
+        return ["reg", p.ref or p.fn.name]
     if isinstance(p, Pebble0):
         cases = [[sexpr.QuotedAtom(pattern)] + list(out.tokens) for pattern, out in p.cases]
         return ["piecewise", cases, list(p.default.tokens)]
     if isinstance(p, (Pebble, Blind)):
         tag = "pebble" if isinstance(p, Pebble) else "blind"
         branches = [[letter, to_sexpr(p.branches[letter])] for letter in sorted(p.branches)]
-        return [tag, p.head.name, branches]
+        return [tag, p.ref or p.head.name, branches]
     raise PebbleError(f"unknown combinator node {p!r}")
 
 
@@ -261,7 +268,7 @@ def from_sexpr(expr, base_dir: str = ".") -> PolyFun:
     if head == "reg":
         if len(args) != 1 or not isinstance(args[0], str):
             raise PebbleError("(reg <name-or-file>) malformed")
-        return Reg(_head(str(args[0]), base_dir))
+        return Reg(_head(str(args[0]), base_dir), str(args[0]))
     if head == "const":
         for tok in args:
             if not isinstance(tok, str):
@@ -287,7 +294,7 @@ def from_sexpr(expr, base_dir: str = ".") -> PolyFun:
                 raise PebbleError(f"bad branch {sexpr.render(item)}")
             branches[str(item[0])] = from_sexpr(item[1], base_dir)
         cls = Pebble if head == "pebble" else Blind
-        return cls(fn, branches)
+        return cls(fn, branches, str(args[0]))
     raise PebbleError(f"unknown combinator head {head!r}")
 
 

@@ -12,7 +12,7 @@ separator blocks in the output.
 from __future__ import annotations
 
 import itertools
-from typing import Iterator, Sequence
+from typing import Iterator
 
 from .interp import Interpretation, eval_interp
 from .logic import (
@@ -162,36 +162,13 @@ def psi(interp: Interpretation, scheme: MarkerScheme | None = None) -> Interpret
     letter_formulas: dict[str, Formula] = {}
     for c in interp.output_alphabet:
         letter_formulas[c] = And((plain("x1"), plain("x2"), rel[c]))
-    letter_formulas[scheme.box] = And(
-        (
-            Letter(club, "x1"),
-            plain("x2"),
-            Exists(
-                "xh1",
-                And(
-                    (
-                        _last_plain_at_most(club, "xh1", "x1", "z5"),
-                        substitute(in_domain, {"x1": "xh1"}),
-                    )
-                ),
-            ),
-        )
-    )
-    letter_formulas[scheme.diamond] = And(
-        (
-            plain("x1"),
-            Letter(club, "x2"),
-            Exists(
-                "xh2",
-                And(
-                    (
-                        _last_plain_at_most(club, "xh2", "x2", "z6"),
-                        substitute(in_domain, {"x2": "xh2"}),
-                    )
-                ),
-            ),
-        )
-    )
+    # A box at a club of x1's block, a diamond at a club of x2's: xh is the
+    # position the block follows, and (xh1, x2) or (x1, xh2) is in the domain.
+    for token, var, z in ((scheme.box, "x1", "z5"), (scheme.diamond, "x2", "z6")):
+        hat = var.replace("x", "xh")
+        marks = tuple(Letter(club, v) if v == var else plain(v) for v in ("x1", "x2"))
+        found = And((_last_plain_at_most(club, hat, var, z), substitute(in_domain, {var: hat})))
+        letter_formulas[token] = And((*marks, Exists(hat, found)))
 
     rel_order = substitute(
         relativize(interp.order_formula, club),
@@ -207,41 +184,10 @@ def psi(interp: Interpretation, scheme: MarkerScheme | None = None) -> Interpret
             And((same_hats, group_tiebreak)),
         )
     )
-    order = Exists(
-        "xh1",
-        And(
-            (
-                _last_plain_at_most(club, "xh1", "x1", "z1"),
-                Exists(
-                    "xh2",
-                    And(
-                        (
-                            _last_plain_at_most(club, "xh2", "x2", "z2"),
-                            Exists(
-                                "yh1",
-                                And(
-                                    (
-                                        _last_plain_at_most(club, "yh1", "y1", "z3"),
-                                        Exists(
-                                            "yh2",
-                                            And(
-                                                (
-                                                    _last_plain_at_most(
-                                                        club, "yh2", "y2", "z4"
-                                                    ),
-                                                    core,
-                                                )
-                                            ),
-                                        ),
-                                    )
-                                ),
-                            ),
-                        )
-                    ),
-                ),
-            )
-        ),
-    )
+    order = core
+    hats = (("yh2", "y2", "z4"), ("yh1", "y1", "z3"), ("xh2", "x2", "z2"), ("xh1", "x1", "z1"))
+    for hat, var, z in hats:
+        order = Exists(hat, And((_last_plain_at_most(club, hat, var, z), order)))
 
     return Interpretation(
         dim=2,

@@ -3,13 +3,15 @@
 Expressions are nested lists of atoms.  Atoms are plain strings; a
 double-quoted atom reads as a ``QuotedAtom`` so formats can tell ``"a*"``
 (a regex literal) apart from the symbol ``a*``.  Comment lines start
-with ``;``.  Lists nest at most ``MAX_DEPTH`` deep, well inside Python's
-recursion limit: deeper input is refused with a ``SexprError`` instead of
-overflowing the stack.
+with ``;``.  Lists nest at most ``MAX_DEPTH`` deep: deeper input is
+refused with a ``SexprError``.  Reading and writing keep their own stacks,
+as do the formula walkers in ``logic``, so ``MAX_DEPTH`` is the only depth
+limit on a formula file, whatever Python's recursion limit.
 """
 
 from __future__ import annotations
 
+import re
 
 MAX_DEPTH = 700
 
@@ -22,60 +24,22 @@ class QuotedAtom(str):
     """An atom that was written in double quotes."""
 
 
+# Whitespace, a comment, a paren, a quoted atom (its closing quote, if any,
+# in group 3) or a plain atom: every character starts one of them.
+_TOKEN = re.compile(r'\s+|;[^\n]*|([()])|"((?:\\.|[^"\\])*)("?)|([^\s();"]+)', re.S)
+
+
 def tokenize(text: str) -> list[str]:
     tokens: list[str] = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch == ";":
-            while i < len(text) and text[i] != "\n":
-                i += 1
-        elif ch.isspace():
-            i += 1
-        elif ch in "()":
-            tokens.append(ch)
-            i += 1
-        elif ch == '"':
-            j = i + 1
-            buf = []
-            while j < len(text) and text[j] != '"':
-                if text[j] == "\\" and j + 1 < len(text):
-                    j += 1
-                buf.append(text[j])
-                j += 1
-            if j >= len(text):
+    for match in _TOKEN.finditer(text):
+        paren, quoted, closed, atom = match.groups()
+        if quoted is not None:
+            if not closed:
                 raise SexprError("unterminated string literal")
-            tokens.append('"' + "".join(buf))
-            i = j + 1
-        else:
-            j = i
-            while j < len(text) and not text[j].isspace() and text[j] not in '();"':
-                j += 1
-            tokens.append(text[i:j])
-            i = j
+            tokens.append('"' + re.sub(r"\\(.)", r"\1", quoted, flags=re.S))
+        elif paren or atom:
+            tokens.append(paren or atom)
     return tokens
-
-
-def _read(tokens: list[str], pos: int, depth: int = 0):
-    if pos >= len(tokens):
-        raise SexprError("unexpected end of input")
-    tok = tokens[pos]
-    if tok == "(":
-        if depth == MAX_DEPTH:
-            raise SexprError(f"expression nests deeper than {MAX_DEPTH} levels")
-        items = []
-        pos += 1
-        while pos < len(tokens) and tokens[pos] != ")":
-            item, pos = _read(tokens, pos, depth + 1)
-            items.append(item)
-        if pos >= len(tokens):
-            raise SexprError("missing closing parenthesis")
-        return items, pos + 1
-    if tok == ")":
-        raise SexprError("unexpected closing parenthesis")
-    if tok.startswith('"'):
-        return QuotedAtom(tok[1:]), pos + 1
-    return tok, pos + 1
 
 
 def parse_one(text: str):
@@ -86,19 +50,41 @@ def parse_one(text: str):
 
 
 def parse_all(text: str) -> list:
-    tokens = tokenize(text)
-    exprs = []
-    pos = 0
-    while pos < len(tokens):
-        expr, pos = _read(tokens, pos)
-        exprs.append(expr)
+    exprs: list = []
+    open_lists: list[list] = []  # the lists begun and not yet closed, outermost first
+    for tok in tokenize(text):
+        if tok == "(":
+            if len(open_lists) == MAX_DEPTH:
+                raise SexprError(f"expression nests deeper than {MAX_DEPTH} levels")
+            open_lists.append([])
+            continue
+        if tok == ")":
+            if not open_lists:
+                raise SexprError("unexpected closing parenthesis")
+            item = open_lists.pop()
+        else:
+            item = QuotedAtom(tok[1:]) if tok.startswith('"') else tok
+        (open_lists[-1] if open_lists else exprs).append(item)
+    if open_lists:
+        raise SexprError("missing closing parenthesis")
     return exprs
 
 
 def render(expr) -> str:
-    if isinstance(expr, QuotedAtom):
-        escaped = str(expr).replace("\\", "\\\\").replace('"', '\\"')
-        return f'"{escaped}"'
-    if isinstance(expr, str):
-        return expr
-    return "(" + " ".join(render(item) for item in expr) + ")"
+    out: list[str] = []
+    todo = [expr]  # expressions to write, and plain strings to write as they are
+    while todo:
+        item = todo.pop()
+        if isinstance(item, QuotedAtom):
+            escaped = str(item).replace("\\", "\\\\").replace('"', '\\"')
+            out.append(f'"{escaped}"')
+        elif isinstance(item, str):
+            out.append(item)
+        else:
+            out.append("(")
+            todo.append(")")
+            for k in range(len(item) - 1, -1, -1):
+                todo.append(item[k])
+                if k:
+                    todo.append(" ")
+    return "".join(out)

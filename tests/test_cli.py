@@ -295,7 +295,7 @@ def _nested_interp(tmp_path, depth, wrap="(not {})"):
 
 
 def test_deep_nesting_is_eval_error(capsys, tmp_path):
-    deep = [_nested_interp(tmp_path, 3000), _nested_interp(tmp_path, 600, "(and (max x1) {})")]
+    deep = [_nested_interp(tmp_path, 3000)]
     for path in deep:
         rc, out, err = run(capsys, ["eval-interp", path, "aa"])
         assert rc == 3
@@ -304,6 +304,71 @@ def test_deep_nesting_is_eval_error(capsys, tmp_path):
     rc, out, _ = run(capsys, ["eval-interp", _nested_interp(tmp_path, 600), "aa"])
     assert rc == 0
     assert out == "oo\n"
+    rc, out, _ = run(capsys, ["eval-interp", _nested_interp(tmp_path, 600, "(and (max x1) {})"), "aa"])
+    assert rc == 0
+    assert out == "o\n"
+
+
+def _nesting(text):
+    depth = deepest = 0
+    for ch in text:
+        depth += (ch == "(") - (ch == ")")
+        deepest = max(deepest, depth)
+    return deepest
+
+
+# Chains of wrappers, taken in turn, around (letter a x1); each wrapper
+# nests its hole {} as deep as the others, and {k} is its level.
+_DEEP_CHAINS = {
+    "not": ["(not {})"],
+    "and": ["(and (leq x1 x1) {})"],
+    "or": ["(or (letter c x1) {})"],
+    "implies": ["(implies (leq x1 x1) {})"],
+    "and-or": ["(and (leq x1 x1) {})", "(or {} (letter c x1))"],
+    "quantifiers": ["(exists z{k} {})", "(forall z{k} {})"],
+    "exists-and": ["(exists z (and (leq z x1) {}))"],
+}
+
+
+@pytest.mark.parametrize("chain", sorted(_DEEP_CHAINS))
+def test_eval_interp_reads_formulas_max_depth_deep(capsys, tmp_path, chain):
+    """Under Python's default recursion limit, a formula file whose deepest
+    list is exactly MAX_DEPTH deep evaluates, and one level more is refused."""
+    from polyreglab.sexpr import MAX_DEPTH
+
+    wraps = _DEEP_CHAINS[chain]
+    before = wraps[0].split("{}")[0]
+    hole = before.count("(") - before.count(")")  # how deep each wrapper nests its hole
+    levels = (MAX_DEPTH - 2) // hole  # inside (letter o ...), around (letter a x1)
+    for extra, code, out in [(0, 0, "o\n"), (1, 3, "")]:
+        body = "(letter a x1)"
+        for k in reversed(range(levels + extra)):
+            body = wraps[k % len(wraps)].format(body, k=k)
+        text = f"dim 1\ninput-alphabet a b c\noutput-alphabet o\n(letter o {body})\n(order (leq x1 y1))\n"
+        assert _nesting(text) == MAX_DEPTH + extra * hole
+        path = tmp_path / f"{chain}{extra}.interp"
+        path.write_text(text, encoding="utf-8")
+        rc, got, err = run(capsys, ["eval-interp", str(path), "ab"])
+        assert (rc, got) == (code, out), err
+        if code:
+            assert err == f"error: expression nests deeper than {MAX_DEPTH} levels\n"
+
+
+def test_psi_lifts_a_600_deep_formula(capsys, tmp_path):
+    """psi writes the lift of a formula 600 nots deep, and eval-interp reads
+    it back; the nots cancel, so it is the lift of squaring-family."""
+    from polyreglab.interp import builtin_interp, render_interp
+
+    text = render_interp(builtin_interp("squaring-family"))
+    inner = "(and (not (max x1)) (not (max x2)))"
+    text = text.replace(f"(letter a {inner})", f"(letter a {'(not ' * 600}{inner}{')' * 600})")
+    source, lifted = tmp_path / "deep.interp", tmp_path / "lifted.interp"
+    source.write_text(text, encoding="utf-8")
+    rc, _, err = run(capsys, ["psi", str(source), "-o", str(lifted)])
+    assert rc == 0, err
+    rc, out, _ = run(capsys, ["eval-interp", str(lifted), "♣♣a♣♣♣a♣a♣♣"])
+    assert rc == 0
+    assert out == "a□□□◊◊◊a□□□◊b□□□◊◊a□◊◊◊a□◊b□◊◊\n"
 
 
 def test_word_outside_alphabet_is_eval_error(capsys):

@@ -36,6 +36,7 @@ from polyreglab.logic import (
     Not,
     Or,
     RowSpace,
+    all_vars,
     check_sortable,
     children,
     conj,
@@ -43,6 +44,7 @@ from polyreglab.logic import (
     eval_formula,
     expand_macros,
     free_vars,
+    letters_used,
     parse_formula,
     quantifier_count,
     relativize,
@@ -50,6 +52,7 @@ from polyreglab.logic import (
     substitute,
     to_sexpr,
     _collect_frees,
+    _comparison_atoms,
     _generate,
 )
 from polyreglab.words import Alphabet, Word
@@ -523,9 +526,9 @@ def test_hostile_names_reach_generated_code_only_as_tables():
 
 @contextlib.contextmanager
 def _deep_stack():
-    """The formula walkers and the reference evaluators recurse two frames
-    per and/or level, so chains several hundred deep need a larger limit
-    than Python's default; the generated code itself does not."""
+    """Only the naive reference evaluators here recurse, two frames per
+    and/or level, so chains several hundred deep need a larger limit than
+    Python's default; the library's walkers and generated code do not."""
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(max(limit, 8000))
     try:
@@ -663,6 +666,68 @@ def _check_deep(f):
                 env = dict(zip(var_order, values))
                 want = _mask(reference({**env, **dict(zip(row_vars, r))}) for r in rows)
                 assert at(values) == want, (w.render(), row_vars, values)
+
+
+def _stack_depth():
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    return depth
+
+
+def _long_chain(levels):
+    """A chain of ``levels`` nodes, each kind of node in turn, with macros,
+    binders that shadow each other and atoms beside it."""
+    wraps = [
+        lambda g: And((Max("x"), g)),
+        lambda g: Or((g, Leq("x", "z"))),
+        lambda g: Exists("z", g),
+        lambda g: Not(g),
+        lambda g: Implies(Letter("b", "z"), g),
+        lambda g: Forall("z", g),
+        lambda g: Or((Min("z"), Eq("z", "x"), g)),
+    ]
+    f = Letter("a", "x")
+    for k in range(levels):
+        f = wraps[k % len(wraps)](f)
+    return f
+
+
+def test_walkers_take_no_stack_per_level():
+    """Every formula walker, ``sexpr`` and the code generator handle a
+    690-level chain with the recursion limit 50 frames above the test's own
+    depth.  Results are compared as text, since ``==`` on formulas recurses."""
+    f = _long_chain(690)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(_stack_depth() + 50)
+    try:
+        text = sexpr.render(to_sexpr(f))
+        parsed = parse_formula(text)
+        expanded = expand_macros(f)
+        core = rename_bound(expanded)
+        frees = {}
+        got = {
+            "round trip": sexpr.render(to_sexpr(parsed)) == text,
+            "free": (free_vars(f), _collect_frees(core, frees), free_vars(substitute(f, {"x": "z"}))),
+            "all": (all_vars(f), len(all_vars(core))),
+            "letters": letters_used(relativize(f, "#")),
+            "quantifiers": (quantifier_count(f), quantifier_count(relativize(f, "#"))),
+            "comparisons": len(_comparison_atoms(core)),
+            "units": len(_generate(core, frees, ("x", "z"), ()).sources),
+            "plan": FormulaPlan(f, ("x", "z")).free,
+        }
+    finally:
+        sys.setrecursionlimit(limit)
+    assert got == {
+        "round trip": True,
+        "free": ({"x"}, {"x"}, {"z"}),
+        "all": ({"x", "z"}, 395),
+        "letters": {"a", "b", "#"},
+        "quantifiers": (394, 394),
+        "comparisons": 394,
+        "units": 394 + 1 + 1,
+        "plan": ("x", "z"),
+    }
 
 
 def test_evaluators_share_a_row_space_of_their_word():

@@ -197,3 +197,26 @@ def test_parse_rejects_unknown_heads():
 def test_parse_rejects_unknown_regfn():
     with pytest.raises(PebbleError, match="neither a builtin"):
         parse_polyfun("(reg no-such-fn)")
+
+
+def test_file_heads_render_as_the_reference_they_were_read_by(tmp_path):
+    """A head read from a file whose ``name`` line names a builtin renders
+    as the file, not as the builtin, so the tree re-parsed beside it is the
+    same function."""
+    from polyreglab.pebble import polyfuns
+    from polyreglab.twoway import render_transducer
+
+    table = render_transducer(builtin_regular_fn("reverse-blocks-ab").transducer)
+    renamed = table.replace("name reverse-blocks-ab", "name hash-counter")
+    (tmp_path / "m.2dft").write_text(renamed, encoding="utf-8")
+    (tmp_path / "t.pfn").write_text("(reg m.2dft)\n", encoding="utf-8")
+    branches = "((# (const #)) (a (reg m.2dft)) (b (const b)))"
+    (tmp_path / "p.pfn").write_text(f"(blind m.2dft {branches})\n", encoding="utf-8")
+    w = Word.parse("aa#a")
+    for name in ("t.pfn", "p.pfn"):
+        tree = polyfuns.load(name, str(tmp_path))
+        back = parse_polyfun(render_polyfun(tree), str(tmp_path))
+        assert apply(back, w) == apply(tree, w)
+    assert render_polyfun(polyfuns.load("t.pfn", str(tmp_path))) == "(reg m.2dft)\n"
+    assert apply(polyfuns.load("t.pfn", str(tmp_path)), w) == Word.parse("ab#aabb")
+    assert render_polyfun(builtin_polyfun("innsq-pebble")).startswith("(pebble block-marker ")
