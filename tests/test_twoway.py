@@ -1,4 +1,5 @@
 import itertools
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -24,6 +25,8 @@ from polyreglab.twoway import (
     run,
 )
 from polyreglab.words import Alphabet, Word, WordError
+
+DATA = Path(__file__).parent / "data"
 
 
 def _words_upto(alphabet, max_len):
@@ -408,6 +411,42 @@ def test_erasing_fn():
 def test_erasing_everything_rejected():
     with pytest.raises(TransducerError):
         erasing_fn(Alphabet.of("a"), Alphabet.of("a"))
+
+
+def test_builder_machines_render_as_their_goldens():
+    """Every machine a builder makes, pinned by its rendering (states,
+    initial and accepting states, alphabets, transitions) and by its
+    initial and accepting states, and the builders' own error messages."""
+    machines = {
+        "block-marker": builtin_regular_fn("block-marker").transducer,
+        "hash-counter": builtin_regular_fn("hash-counter").transducer,
+        "marked-block-copy": builtin_regular_fn("marked-block-copy").transducer,
+        "reverse-blocks-ab": builtin_regular_fn("reverse-blocks-ab").transducer,
+        "identity_ab": identity_fn(Alphabet.of("a", "b")).transducer,
+        "erase_hash": erasing_fn(Alphabet.of("a", "b", "#"), Alphabet.of("#")).transducer,
+        "bouncer": bouncing_machine(),
+    }
+    starts = {
+        "block-marker": "fresh",
+        "hash-counter": "count",
+        "marked-block-copy": "seek",
+        "reverse-blocks-ab": "scan",
+        "identity_ab": "copy",
+        "erase_hash": "copy",
+        "bouncer": "ping",
+    }
+    for key, machine in machines.items():
+        golden = (DATA / f"machine_{key}.2dft").read_bytes()
+        assert render_transducer(machine).encode("utf-8") == golden, key
+        assert machine.initial == starts[key], key
+        halting = frozenset() if key == "bouncer" else frozenset({"done"})
+        assert machine.accepting == halting, key
+    with pytest.raises(TransducerError) as caught:
+        identity_fn(Alphabet.of())
+    assert str(caught.value) == "identity needs a non-empty alphabet"
+    with pytest.raises(TransducerError) as caught:
+        erasing_fn(Alphabet.of("a", "b"), Alphabet.of("a", "b"))
+    assert str(caught.value) == "erasing everything leaves no output alphabet"
 
 
 def test_compose_origins_trace_to_original_input():
