@@ -11,7 +11,7 @@ finite-range base of both hierarchies.
 from __future__ import annotations
 
 import re
-from typing import Mapping
+from typing import Iterator, Mapping
 
 from . import sexpr
 from .records import record
@@ -119,17 +119,20 @@ def apply(p: PolyFun, w: Word) -> Word:
             if re.fullmatch(pattern, rendering):
                 return out
         return p.default
-    if isinstance(p, Pebble):
-        pieces = []
-        for letter, origin in p.head(w):
-            pieces.append(apply(p.branches[letter], _underlined(w, origin[0])))
-        return concat(pieces)
-    if isinstance(p, Blind):
-        pieces = []
-        for letter, _origin in p.head(w):
-            pieces.append(apply(p.branches[letter], w))
-        return concat(pieces)
+    if isinstance(p, (Pebble, Blind)):
+        return concat(piece for _letter, _origin, piece in _pieces(p, w))
     raise PebbleError(f"unknown combinator node {p!r}")
+
+
+def _pieces(p: Pebble | Blind, w: Word) -> Iterator[tuple[str, int, Word]]:
+    """For each letter the head of ``p`` outputs on ``w``: the letter, its
+    origin and its branch's output, on ``w`` with the origin underlined
+    for a Pebble, on ``w`` itself for a Blind.  Branches recurse through
+    the module's ``apply``, so a wrapper bound in its place sees them."""
+    marked = isinstance(p, Pebble)
+    for letter, origin in p.head(w):
+        i = origin[0]
+        yield letter, i, apply(p.branches[letter], _underlined(w, i) if marked else w)
 
 
 def _underlined(w: Word, i: int) -> Word:
@@ -145,14 +148,9 @@ def apply_trace(p: PolyFun, w: Word):
     the definitional decomposition of the output."""
     if not isinstance(p, (Pebble, Blind)):
         return apply(p, w), []
-    rows = []
-    pieces = []
-    for letter, origin in p.head(w):
-        arg = _underlined(w, origin[0]) if isinstance(p, Pebble) else w
-        piece = apply(p.branches[letter], arg)
-        rows.append((letter, origin[0], len(piece)))
-        pieces.append(piece)
-    return concat(pieces), rows
+    pieces = list(_pieces(p, w))
+    rows = [(letter, origin, len(piece)) for letter, origin, piece in pieces]
+    return concat(piece for _letter, _origin, piece in pieces), rows
 
 
 @record

@@ -9,7 +9,7 @@ position it was produced at.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Mapping
 
 from .records import field, record
 from .registry import Registry
@@ -296,8 +296,26 @@ def parse_transducer(text: str) -> TwoWayTransducer:
 PEBBLE_MARK = "•"
 
 
-def _table(rows: Iterable[tuple[str, str, str, str, tuple[str, ...]]]):
-    return {(state, symbol): (nxt, move, out) for state, symbol, nxt, move, out in rows}
+def _machine(
+    name: str, rows: list, input_alphabet: Alphabet, output_alphabet: Alphabet
+) -> TwoWayTransducer:
+    """The machine whose transitions are ``rows``, each a (state, symbol,
+    next state, move, output) tuple: its states are those the rows name,
+    it starts in the first row's state and halts in ``done`` (when the
+    rows name it)."""
+    transitions = {(state, symbol): (nxt, move, out) for state, symbol, nxt, move, out in rows}
+    states = frozenset(state for row in rows for state in (row[0], row[2]))
+    return TwoWayTransducer(
+        states, rows[0][0], states & {"done"}, input_alphabet, output_alphabet, transitions, name
+    )
+
+
+def _regular_fn(machine: TwoWayTransducer, growth_constant: int, reference: Callable) -> RegularFn:
+    """``machine`` as a function, named and typed as the machine is."""
+    return RegularFn(
+        machine.name, machine.input_alphabet, machine.output_alphabet, growth_constant,
+        transducer=machine, reference=reference,
+    )
 
 
 def _block_marker() -> RegularFn:
@@ -315,14 +333,8 @@ def _block_marker() -> RegularFn:
         ("inblock", "#", "fresh", "R", ("#",)),
         ("inblock", RIGHT_END, "done", "S", ()),
     ]
-    machine = TwoWayTransducer(
-        states=frozenset(("fresh", "inblock", "done")),
-        initial="fresh",
-        accepting=frozenset(("done",)),
-        input_alphabet=Alphabet.of("a", "b", "#"),
-        output_alphabet=Alphabet.of(PEBBLE_MARK, "#"),
-        transitions=_table(rows),
-        name="block-marker",
+    machine = _machine(
+        "block-marker", rows, Alphabet.of("a", "b", "#"), Alphabet.of(PEBBLE_MARK, "#")
     )
 
     def reference(w: Word) -> Word:
@@ -338,14 +350,7 @@ def _block_marker() -> RegularFn:
                 at_start = False
         return Word(tuple(out))
 
-    return RegularFn(
-        name="block-marker",
-        input_alphabet=machine.input_alphabet,
-        output_alphabet=machine.output_alphabet,
-        growth_constant=1,
-        transducer=machine,
-        reference=reference,
-    )
+    return _regular_fn(machine, 1, reference)
 
 
 def _hash_counter() -> RegularFn:
@@ -358,28 +363,13 @@ def _hash_counter() -> RegularFn:
     for tok in alphabet:
         out = (PEBBLE_MARK,) if tok in ("#", "_#") else ()
         rows.append(("count", tok, "count", "R", out))
-    machine = TwoWayTransducer(
-        states=frozenset(("count", "done")),
-        initial="count",
-        accepting=frozenset(("done",)),
-        input_alphabet=alphabet,
-        output_alphabet=Alphabet.of(PEBBLE_MARK),
-        transitions=_table(rows),
-        name="hash-counter",
-    )
+    machine = _machine("hash-counter", rows, alphabet, Alphabet.of(PEBBLE_MARK))
 
     def reference(w: Word) -> Word:
         k = w.count("#") + w.count("_#")
         return Word((PEBBLE_MARK,) * k)
 
-    return RegularFn(
-        name="hash-counter",
-        input_alphabet=alphabet,
-        output_alphabet=machine.output_alphabet,
-        growth_constant=1,
-        transducer=machine,
-        reference=reference,
-    )
+    return _regular_fn(machine, 1, reference)
 
 
 def _marked_block_copy() -> RegularFn:
@@ -405,15 +395,7 @@ def _marked_block_copy() -> RegularFn:
         ("emit", LEFT_END, "seek", "R", ()),
         ("emit", RIGHT_END, "done", "S", ()),
     ]
-    machine = TwoWayTransducer(
-        states=frozenset(("seek", "emit", "done")),
-        initial="seek",
-        accepting=frozenset(("done",)),
-        input_alphabet=alphabet,
-        output_alphabet=Alphabet.of("a", "b"),
-        transitions=_table(rows),
-        name="marked-block-copy",
-    )
+    machine = _machine("marked-block-copy", rows, alphabet, Alphabet.of("a", "b"))
 
     def reference(w: Word) -> Word:
         out: list[str] = []
@@ -431,14 +413,7 @@ def _marked_block_copy() -> RegularFn:
                 break
         return Word(tuple(out))
 
-    return RegularFn(
-        name="marked-block-copy",
-        input_alphabet=alphabet,
-        output_alphabet=machine.output_alphabet,
-        growth_constant=1,
-        transducer=machine,
-        reference=reference,
-    )
+    return _regular_fn(machine, 1, reference)
 
 
 def _reverse_blocks_ab() -> RegularFn:
@@ -471,55 +446,21 @@ def _reverse_blocks_ab() -> RegularFn:
         ("skip", LEFT_END, "done", "S", ()),
         ("skip", RIGHT_END, "skip", "L", ()),
     ]
-    machine = TwoWayTransducer(
-        states=frozenset(("scan", "find", "emit-a", "back", "emit-b", "skip", "done")),
-        initial="scan",
-        accepting=frozenset(("done",)),
-        input_alphabet=Alphabet.of("a", "#"),
-        output_alphabet=Alphabet.of("a", "b", "#"),
-        transitions=_table(rows),
-        name="reverse-blocks-ab",
-    )
+    machine = _machine("reverse-blocks-ab", rows, Alphabet.of("a", "#"), Alphabet.of("a", "b", "#"))
 
     def reference(w: Word) -> Word:
         blocks = w.render().split("#") if len(w) else [""]
         parts = ["a" * len(b) + "b" * len(b) for b in reversed(blocks)]
         return Word.parse("#".join(parts))
 
-    return RegularFn(
-        name="reverse-blocks-ab",
-        input_alphabet=machine.input_alphabet,
-        output_alphabet=machine.output_alphabet,
-        growth_constant=2,
-        transducer=machine,
-        reference=reference,
-    )
+    return _regular_fn(machine, 2, reference)
 
 
 def identity_fn(alphabet: Alphabet, name: str = "identity") -> RegularFn:
     """Copy the input, one sweep."""
     if not len(alphabet):
         raise TransducerError("identity needs a non-empty alphabet")
-    rows = [("copy", LEFT_END, "copy", "R", ()), ("copy", RIGHT_END, "done", "S", ())]
-    for tok in alphabet:
-        rows.append(("copy", tok, "copy", "R", (tok,)))
-    machine = TwoWayTransducer(
-        states=frozenset(("copy", "done")),
-        initial="copy",
-        accepting=frozenset(("done",)),
-        input_alphabet=alphabet,
-        output_alphabet=alphabet,
-        transitions=_table(rows),
-        name=name,
-    )
-    return RegularFn(
-        name=name,
-        input_alphabet=alphabet,
-        output_alphabet=alphabet,
-        growth_constant=1,
-        transducer=machine,
-        reference=lambda w: w,
-    )
+    return erasing_fn(alphabet, Alphabet.of(), name)
 
 
 def erasing_fn(alphabet: Alphabet, delta: Alphabet, name: str | None = None) -> RegularFn:
@@ -532,27 +473,12 @@ def erasing_fn(alphabet: Alphabet, delta: Alphabet, name: str | None = None) -> 
         out = () if tok in delta else (tok,)
         rows.append(("copy", tok, "copy", "R", out))
     fn_name = name or f"erase-{'-'.join(sorted(delta.letters))}"
-    machine = TwoWayTransducer(
-        states=frozenset(("copy", "done")),
-        initial="copy",
-        accepting=frozenset(("done",)),
-        input_alphabet=alphabet,
-        output_alphabet=kept,
-        transitions=_table(rows),
-        name=fn_name,
-    )
+    machine = _machine(fn_name, rows, alphabet, kept)
 
     def reference(w: Word) -> Word:
         return Word(tuple(tok for tok in w if tok not in delta))
 
-    return RegularFn(
-        name=fn_name,
-        input_alphabet=alphabet,
-        output_alphabet=kept,
-        growth_constant=1,
-        transducer=machine,
-        reference=reference,
-    )
+    return _regular_fn(machine, 1, reference)
 
 
 def bouncing_machine() -> TwoWayTransducer:
@@ -567,15 +493,7 @@ def bouncing_machine() -> TwoWayTransducer:
         ("pong", LEFT_END, "ping", "R", ()),
         ("pong", RIGHT_END, "ping", "L", ()),
     ]
-    return TwoWayTransducer(
-        states=frozenset(("ping", "pong")),
-        initial="ping",
-        accepting=frozenset(),
-        input_alphabet=Alphabet.of("a"),
-        output_alphabet=Alphabet.of("a"),
-        transitions=_table(rows),
-        name="bouncer",
-    )
+    return _machine("bouncer", rows, Alphabet.of("a"), Alphabet.of("a"))
 
 
 def _parse_regular_fn(text: str, name: str, _dir: str) -> RegularFn:
