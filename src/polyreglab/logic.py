@@ -53,7 +53,8 @@ class LogicError(ValueError):
 
 
 class Formula:
-    """Base class; subclasses are immutable and compared structurally."""
+    """Base class; subclasses are immutable and compared structurally, node
+    by node without a Python frame per level (see ``_shape``)."""
 
     __slots__ = ()
 
@@ -63,31 +64,41 @@ class Formula:
     def __str__(self) -> str:
         return self.render()
 
+    def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
+        if not isinstance(other, Formula):
+            return NotImplemented
+        return all(a == b for a, b in itertools.zip_longest(_shape(self), _shape(other)))
 
-@record(slots=True)
+    def __hash__(self) -> int:
+        return hash(tuple(_shape(self)))
+
+
+@record(slots=True, eq=False)
 class Letter(Formula):
     letter: str
     var: str
 
 
-@record(slots=True)
+@record(slots=True, eq=False)
 class Leq(Formula):
     left: str
     right: str
 
 
-@record(slots=True)
+@record(slots=True, eq=False)
 class Eq(Formula):
     left: str
     right: str
 
 
-@record(slots=True)
+@record(slots=True, eq=False)
 class Not(Formula):
     body: Formula
 
 
-@record(slots=True)
+@record(slots=True, eq=False)
 class And(Formula):
     parts: tuple[Formula, ...]
 
@@ -96,7 +107,7 @@ class And(Formula):
             raise LogicError("empty conjunction")
 
 
-@record(slots=True)
+@record(slots=True, eq=False)
 class Or(Formula):
     parts: tuple[Formula, ...]
 
@@ -105,32 +116,32 @@ class Or(Formula):
             raise LogicError("empty disjunction")
 
 
-@record(slots=True)
+@record(slots=True, eq=False)
 class Implies(Formula):
     left: Formula
     right: Formula
 
 
-@record(slots=True)
+@record(slots=True, eq=False)
 class Forall(Formula):
     var: str
     body: Formula
 
 
-@record(slots=True)
+@record(slots=True, eq=False)
 class Exists(Formula):
     var: str
     body: Formula
 
 
-@record(slots=True)
+@record(slots=True, eq=False)
 class Max(Formula):
     """Macro: max(x) iff every position is <= x."""
 
     var: str
 
 
-@record(slots=True)
+@record(slots=True, eq=False)
 class Min(Formula):
     """Macro: min(x) iff x is <= every position."""
 
@@ -241,6 +252,15 @@ def _nodes(f: Formula) -> Iterable[Formula]:
         g = todo.pop()
         yield g
         todo.extend(reversed(_KINDS[type(g)].kids(g)))
+
+
+def _shape(f: Formula) -> Iterable[tuple]:
+    """Each node under ``f`` in pre-order as its class, its letters and
+    variables, and its number of children: equal formulas, and only they,
+    give equal sequences."""
+    for g in _nodes(f):
+        kind = _KINDS[type(g)]
+        yield type(g), kind.letters(g) + kind.variables(g), len(kind.kids(g))
 
 
 def _rebuilt(g: Formula, env: Mapping[str, str], kids: Sequence[Formula]) -> Formula:

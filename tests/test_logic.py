@@ -696,7 +696,7 @@ def _long_chain(levels):
 def test_walkers_take_no_stack_per_level():
     """Every formula walker, ``sexpr`` and the code generator handle a
     690-level chain with the recursion limit 50 frames above the test's own
-    depth.  Results are compared as text, since ``==`` on formulas recurses."""
+    depth."""
     f = _long_chain(690)
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(_stack_depth() + 50)
@@ -728,6 +728,29 @@ def test_walkers_take_no_stack_per_level():
         "units": 394 + 1 + 1,
         "plan": ("x", "z"),
     }
+
+
+def test_deep_formulas_compare_and_hash_without_recursion():
+    """``==``, ``hash`` and ``FormulaPlan.serves`` on equal but distinct
+    600-level formulas, under the default recursion limit; ``==`` also
+    tells apart nodes that differ only in their number of children."""
+
+    def nots(letter):
+        f = Letter(letter, "x")
+        for _ in range(600):
+            f = Not(f)
+        return f
+
+    f, g = nots("a"), nots("a")
+    assert f is not g
+    assert f == g and hash(f) == hash(g)
+    assert FormulaPlan(f, ("x",)).serves(g, None, ())
+    assert f != nots("b")
+    assert _long_chain(600) == _long_chain(600)
+    assert hash(_long_chain(600)) == hash(_long_chain(600))
+    assert _long_chain(600) != _long_chain(601)
+    a, b, c = Letter("a", "x"), Letter("b", "x"), Letter("c", "x")
+    assert Or((And((a, b)), c)) != Or((And((a, b, c)),))
 
 
 def test_evaluators_share_a_row_space_of_their_word():
