@@ -110,7 +110,8 @@ def _delattr(self, name: str) -> None:
 
 def record(cls=None, /, *, eq: bool = True, slots: bool = False):
     """Make ``cls`` a frozen record class: ``@record``, or with
-    ``eq=False`` to keep identity equality and hash, or with ``slots=True``
+    ``eq=False`` to keep the equality and hash it inherits (identity,
+    unless a base class defines its own), or with ``slots=True``
     to store the fields in slots instead of an instance dict (the class is
     then rebuilt, as a class's slots are fixed when it is made)."""
     if cls is None:
