@@ -10,11 +10,11 @@ Evaluation has two halves.  A ``FormulaPlan`` does the work that depends
 only on the formula and on which of its variables are rows: it expands the
 macros, renames binders apart, resolves every variable to a row component
 or an argument and every quantifier to one of the two ways below, and
-compiles the result, once, into generated Python units.  A plan never
-changes once built, so one plan serves any number of words, also from
-several threads; an interpretation keeps one per formula.  A
+compiles the result, once, into one generated Python binder of units.  A
+plan never changes once built, so one plan serves any number of words, also
+from several threads; an interpretation keeps one per formula.  A
 ``FormulaEvaluator`` binds a plan to one word, building only the word's
-tables and one function per unit, and is used by one thread.
+tables and one function per distinct unit, and is used by one thread.
 
 The generated code computes an int mask over a row space: a list of row
 tuples that bind the space's row variables, where bit i says the formula
@@ -38,6 +38,7 @@ from __future__ import annotations
 import functools
 import itertools
 import operator
+import re
 from typing import Callable, Iterable, Mapping, Sequence
 
 from . import sexpr
@@ -53,8 +54,9 @@ class LogicError(ValueError):
 
 
 class Formula:
-    """Base class; subclasses are immutable and compared structurally, node
-    by node without a Python frame per level (see ``_shape``)."""
+    """Base class; subclasses are immutable, compared structurally and
+    shown by ``repr`` as ``Name(field=value, ...)``, node by node without a
+    Python frame per level (see ``_shape`` and ``_repr``)."""
 
     __slots__ = ()
 
@@ -74,31 +76,34 @@ class Formula:
     def __hash__(self) -> int:
         return hash(tuple(_shape(self)))
 
+    def __repr__(self) -> str:
+        return _fold(self, _repr)
 
-@record(slots=True, eq=False)
+
+@record(slots=True, eq=False, repr=False)
 class Letter(Formula):
     letter: str
     var: str
 
 
-@record(slots=True, eq=False)
+@record(slots=True, eq=False, repr=False)
 class Leq(Formula):
     left: str
     right: str
 
 
-@record(slots=True, eq=False)
+@record(slots=True, eq=False, repr=False)
 class Eq(Formula):
     left: str
     right: str
 
 
-@record(slots=True, eq=False)
+@record(slots=True, eq=False, repr=False)
 class Not(Formula):
     body: Formula
 
 
-@record(slots=True, eq=False)
+@record(slots=True, eq=False, repr=False)
 class And(Formula):
     parts: tuple[Formula, ...]
 
@@ -107,7 +112,7 @@ class And(Formula):
             raise LogicError("empty conjunction")
 
 
-@record(slots=True, eq=False)
+@record(slots=True, eq=False, repr=False)
 class Or(Formula):
     parts: tuple[Formula, ...]
 
@@ -116,32 +121,32 @@ class Or(Formula):
             raise LogicError("empty disjunction")
 
 
-@record(slots=True, eq=False)
+@record(slots=True, eq=False, repr=False)
 class Implies(Formula):
     left: Formula
     right: Formula
 
 
-@record(slots=True, eq=False)
+@record(slots=True, eq=False, repr=False)
 class Forall(Formula):
     var: str
     body: Formula
 
 
-@record(slots=True, eq=False)
+@record(slots=True, eq=False, repr=False)
 class Exists(Formula):
     var: str
     body: Formula
 
 
-@record(slots=True, eq=False)
+@record(slots=True, eq=False, repr=False)
 class Max(Formula):
     """Macro: max(x) iff every position is <= x."""
 
     var: str
 
 
-@record(slots=True, eq=False)
+@record(slots=True, eq=False, repr=False)
 class Min(Formula):
     """Macro: min(x) iff x is <= every position."""
 
@@ -172,10 +177,10 @@ class _Kind:
     a node's letters, its variable occurrences, those and its bound variable,
     and its children, each as a tuple."""
 
-    __slots__ = ("cls", "head", "arity", "n_names", "letters", "occurs", "variables", "kids")
+    __slots__ = ("cls", "head", "fields", "arity", "n_names", "letters", "occurs", "variables", "kids")
 
     def __init__(self, cls: type, head: str, roles: tuple[str, ...]):
-        fields = dict(zip(cls.__slots__, roles))
+        self.fields = fields = dict(zip(cls.__slots__, roles))
 
         def getter(*wanted: str) -> Callable[[Formula], tuple]:
             names = [f for f, role in fields.items() if role in wanted]
@@ -261,6 +266,23 @@ def _shape(f: Formula) -> Iterable[tuple]:
     for g in _nodes(f):
         kind = _KINDS[type(g)]
         yield type(g), kind.letters(g) + kind.variables(g), len(kind.kids(g))
+
+
+def _repr(g: Formula, _, kids: Sequence[str]) -> str:
+    """The ``repr`` of ``g`` from those of its children, as a record shows
+    its fields: the parts of a connective as the tuple (or list) they are."""
+    kind = _KINDS[type(g)]
+    if kind.arity is None:
+        tupled = isinstance(g.parts, tuple)  # type: ignore[attr-defined]
+        shown = ", ".join(kids) + ("," if tupled and len(kids) == 1 else "")
+        fields = [f"parts=({shown})" if tupled else f"parts=[{shown}]"]
+    else:
+        subs = iter(kids)
+        fields = [
+            f"{name}={next(subs) if role == 'sub' else repr(getattr(g, name))}"
+            for name, role in kind.fields.items()
+        ]
+    return f"{type(g).__qualname__}({', '.join(fields)})"
 
 
 def _rebuilt(g: Formula, env: Mapping[str, str], kids: Sequence[Formula]) -> Formula:
@@ -499,28 +521,35 @@ class RowSpace:
 
 # -- generated code --------------------------------------------------------
 #
-# A plan compiles into units, each a small Python function generated and
-# compiled once per plan: the root, one per quantifier, one per guard, and
-# one per subformula that would nest deeper than ``_UNIT_DEPTH`` connectives
-# in its unit, which keeps every unit far inside the parser's nesting
-# limits.  A unit's arguments are the positions of the scalar variables it
-# reads, ``v<slot>``.  Atoms read tables of the word, ``c<k>``, which
-# ``RowSpace.table`` computes from the plan's specs, so letters and
-# variable names never appear in the source: it holds only generated
-# names, integer literals and operators.  Connectives are inline bitwise
-# expressions that stop early (an and at 0, an or at A).  A quantifier
-# that loops visits, lowest first, the positions set in its guard's mask
-# over the positions space (all of them, ``R``, without a guard), stops
-# early too (exists at A, forall at 0) and memoizes on its arguments in a
-# dict made per word.  A unit's ``make`` takes ``A``, the mask of all rows
-# of the space its body answers over, ``B``, that of the space it answers
-# to, ``R``, then its tables and the units it calls, ``q<k>``.  A generated
-# ``bind`` calls every ``make`` once per word, callees first, with the
-# tables of the rows (``t0``) and of the positions (``t1``).
+# A plan compiles into units, each a small generated Python function: the
+# root, one per quantifier, one per guard, and one per subformula that would
+# nest deeper than ``_UNIT_DEPTH`` connectives in its unit, which keeps every
+# unit far inside the parser's nesting limits.  A unit's arguments are the
+# positions of the scalar variables it reads, ``v<slot>``.  Atoms read
+# tables of the word, ``c<k>``, which ``RowSpace.table`` computes from the
+# plan's specs, so letters and variable names never appear in the source:
+# it holds only generated names, integer literals and operators.
+# Connectives are inline bitwise expressions that stop early (an and at 0,
+# an or at A).  A quantifier that loops visits, lowest first, the positions
+# set in its guard's mask over the positions space (all of them, ``R``,
+# without a guard), stops early too (exists at A, forall at 0) and memoizes
+# on its arguments in ``cache``.  Units whose texts differ only in the names
+# of their slots, as the copies of one macro under renamed binders do, are
+# the same function, so the plan defines each distinct unit once, and its
+# callers share it and its memo cache.  The plan's source is one generated
+# ``bind(R, A0, A1, t0, t1)``, whose body defines each unit, callees first,
+# as ``def q<k>(v..., A=A<space>, B=A<outer>, R=R, c<j>=t<space>[<j>], ...,
+# q<i>=q<i>, cache={})`` and returns the root.  ``A`` is the mask of all
+# rows of the space the unit's body answers over, the evaluator's rows (0)
+# or its positions (1); ``B`` is that of the space it answers to; its tables
+# come from those of its space, ``t0`` or ``t1``; and a unit lists only the
+# defaults it reads.  Defaults are evaluated each time a ``def`` runs, so
+# every bind gives its units the word's tables and fresh memo caches, read
+# as fast locals.
 
 _UNIT_DEPTH = 32
 
-_MAKE = "def make(A, B, R{params}):\n{setup}    def f({args}):\n{body}    return f\n"
+_SLOT = re.compile(r"\bv\d+\b")
 
 _MEMO = """\
         key = {key}
@@ -593,8 +622,8 @@ def _conjuncts(f: Formula) -> list[Formula]:
 
 
 class _Codegen:
-    """Generates the sources of one plan's units, callees first, so the
-    root comes last, and the lines of its ``bind``.
+    """Generates the sources of one plan's distinct units, callees first,
+    so the root comes last, and of its ``bind``.
 
     Generating is one fold over jobs, each a method and its arguments:
     ``expr`` writes the expression of a subformula in a unit, and ``plain``
@@ -609,18 +638,28 @@ class _Codegen:
         self.frees, self.slots = frees, slots
         self.specs: tuple[dict[tuple, int], dict[tuple, int]] = ({}, {})
         self.sources: list[str] = []
-        self.binds: list[str] = []
+        # Each distinct unit's number, by its text with its slots renamed in
+        # order of first use.
+        self.units: dict[str, int] = {}
         self.nodes = 0
         self.masked = False
 
-    def finish(self, u: _Unit, args: list[int], setup: str, body: str, caller: _Unit, neg: bool):
-        """Add unit ``u``; the text of a call to it from the unit ``caller``."""
+    def finish(self, u: _Unit, args: list[int], body: str, caller: _Unit, neg: bool):
+        """Add unit ``u``, unless an earlier unit is the same function; the
+        text of a call to it from the unit ``caller``.  Its text names its
+        spaces, tables and callees, so only the names of slots may differ."""
         space, outer, consts, calls = u
-        k = len(self.sources)
-        params = "".join(f", c{c}" for c in consts) + "".join(f", q{q}" for q in calls)
-        self.sources.append(_MAKE.format(params=params, setup=setup, args=_vars(args), body=body))
-        refs = "".join(f", t{space}[{c}]" for c in consts) + "".join(f", q{q}" for q in calls)
-        self.binds.append(f"    q{k} = M[{k}](A{space}, A{outer}, R{refs})\n")
+        defaults = {"A": f"A{space}", "B": f"A{outer}", "R": "R", "cache": "{}"}
+        read = set(re.findall(r"\w+", body))
+        params = [f"v{s}" for s in args]
+        params += [f"{name}={value}" for name, value in defaults.items() if name in read]
+        params += [f"c{c}=t{space}[{c}]" for c in consts] + [f"q{q}=q{q}" for q in calls]
+        text = f"({', '.join(params)}):\n{body}"
+        slots: dict[str, str] = {}
+        canonical = _SLOT.sub(lambda m: slots.setdefault(m[0], f"v{len(slots)}"), text)
+        k = self.units.setdefault(canonical, len(self.units))
+        if k == len(self.sources):
+            self.sources.append(f"    def q{k}{text}")
         caller[3][k] = None
         return _negated(f"q{k}({_vars(args)})", neg)
 
@@ -637,7 +676,7 @@ class _Codegen:
         return (self.plain_done, u, args, caller, neg), [(self.expr, f, u, index, 0)], None
 
     def plain_done(self, texts: list[str], u: _Unit, args: list[int], caller, neg: bool):
-        return self.finish(u, args, "", f"        return {texts[0]}\n", caller, neg)
+        return self.finish(u, args, f"        return {texts[0]}\n", caller, neg)
 
     def expr(self, f: Formula, u: _Unit, index: dict[str, int], depth: int):
         """Job: the Python expression for the mask of ``f`` in unit ``u``,
@@ -715,7 +754,7 @@ class _Codegen:
             body = texts[-1]
             inner = _LOOP.format(start=start, guard=todo, slot=slot, op=op, body=body, stop=stop)
         keyed = f"({_vars(key)})" if len(key) != 1 else f"v{key[0]}"
-        return self.finish(q, key, "    cache = {}\n", _MEMO.format(key=keyed, inner=inner), u, neg)
+        return self.finish(q, key, _MEMO.format(key=keyed, inner=inner), u, neg)
 
     def atom(self, f: Letter | Leq | Eq, neg: bool, u: _Unit, index: dict[str, int]) -> str:
         slots = self.slots
@@ -743,29 +782,22 @@ def _negated(text: str, neg: bool) -> str:
 
 def _generate(core: Formula, frees: dict, free: tuple[str, ...], row_vars: tuple[str, ...]):
     """The generator run over ``core``, whose nodes' free variables are in
-    ``frees``: its sources are the units, the root last, then ``bind``."""
+    ``frees``: its sources are the distinct units, the root last, then
+    ``bind``, which defines them all."""
     gen = _Codegen(frees, {v: i for i, v in enumerate(free)})
     index = {v: a for a, v in enumerate(row_vars)}
-    # The root unit is made last and called by bind, so the text of a call
-    # to it from its stand-in caller is dropped.
+    # bind returns the root, the one unit that its stand-in caller calls.
+    caller: _Unit = (0, 0, {}, {})
     _fold(
-        (gen.plain, core, index, 0, list(range(len(free))), (0, 0, {}, {}), False),
+        (gen.plain, core, index, 0, list(range(len(free))), caller, False),
         # An atom's item is its text, written when the atom is reached.
         lambda item, _, texts: item[0](texts, *item[1:]) if texts else item,
         lambda job, _: job[0](*job[1:]),
     )
-    binds, root = "".join(gen.binds), len(gen.sources) - 1
-    gen.sources.append(f"def bind(M, R, A0, A1, t0, t1):\n{binds}    return q{root}\n")
+    (root,) = caller[3]
+    units = "".join(gen.sources)
+    gen.sources.append(f"def bind(R, A0, A1, t0, t1):\n{units}    return q{root}\n")
     return gen
-
-
-def _compiled(source: str, filename: str) -> Callable:
-    """The one function that generated ``source`` defines, run with no
-    builtins; a distinct ``filename`` per unit lets profiles tell units apart."""
-    namespace: dict[str, Callable] = {}
-    exec(compile(source, filename, "exec"), {"__builtins__": {}}, namespace)
-    (function,) = namespace.values()
-    return function
 
 
 class FormulaPlan:
@@ -776,7 +808,10 @@ class FormulaPlan:
     ``core`` is the formula with its macros expanded and its binders renamed
     apart from each other, from its free variables and from ``row_vars``.
     ``free`` lists the scalar variables in the order ``at`` binds them.
-    The plan keeps the core compiled as generated Python (see above).
+    The plan keeps the core compiled as generated Python (see above): one
+    binder, compiled once, that defines one function per distinct unit, so
+    alpha-equal copies of a subformula, such as the uses of one macro, are
+    one unit with one memo cache.
     Generating makes every choice that depends only on the variables: which
     are row components of a unit's space and which are arguments, which
     table answers each atom, and whether each quantifier is answered over
@@ -786,7 +821,7 @@ class FormulaPlan:
     atom reads the complemented table.
     """
 
-    __slots__ = ("formula", "row_vars", "free", "core", "_specs", "_masked", "_makes", "_bind")
+    __slots__ = ("formula", "row_vars", "free", "core", "_specs", "_masked", "_bind")
 
     def __init__(
         self,
@@ -807,14 +842,16 @@ class FormulaPlan:
             raise LogicError(f"var_order misses free variables {sorted(scalar - set(free))}")
         self.formula, self.row_vars, self.free, self.core = formula, row_vars, free, core
         gen = _generate(core, frees, free, row_vars)
-        *units, binder = gen.sources
+        binder = gen.sources[-1]
         self._specs = tuple(map(tuple, gen.specs))
         self._masked = gen.masked
-        # Compiled one unit at a time, after generating and with the
-        # generator's tables freed, since compiling peaks higher.
+        # Compiled once, with no builtins, after generating and with the
+        # generator's tables freed, since compiling peaks higher.  Profiles
+        # tell units apart by their names, q<k>.
         del gen, frees
-        self._makes = tuple(_compiled(src, f"<plan unit {k}>") for k, src in enumerate(units))
-        self._bind = _compiled(binder, "<plan bind>")
+        namespace: dict[str, Callable] = {}
+        exec(compile(binder, "<plan>", "exec"), {"__builtins__": {}}, namespace)
+        self._bind = namespace["bind"]
 
     def serves(
         self, formula: Formula, var_order: tuple[str, ...] | None, row_vars: tuple[str, ...]
@@ -834,7 +871,7 @@ class FormulaPlan:
         pos = space.positions if self._masked else space
         t0 = [space.table(spec) for spec in self._specs[0]]
         t1 = [pos.table(spec) for spec in self._specs[1]]
-        return self._bind(self._makes, (1 << space.n) - 1, space.all, pos.all, t0, t1)
+        return self._bind((1 << space.n) - 1, space.all, pos.all, t0, t1)
 
 
 def _collect_frees(f: Formula, frees: dict[int, frozenset[str]]) -> frozenset[str]:
@@ -868,10 +905,11 @@ class FormulaEvaluator:
     the same ``(formula, var_order, row_vars)`` as ``plan`` to share it
     across words, or let the evaluator build its own.  Binding a plan to the
     word builds only what depends on the word: the tables of the row space
-    and of the positions space over (1,) to (n,), and one function per unit
-    of the plan, with fresh memo caches.  A quantifier whose free variables
-    are all scalar asks its body, over the positions space, once per
-    binding of them; others loop over the positions their guard allows.
+    and of the positions space over (1,) to (n,), and, in one call of the
+    plan's binder, one function per distinct unit of the plan, with fresh
+    memo caches.  A quantifier whose free variables are all scalar asks its
+    body, over the positions space, once per binding of them; others loop
+    over the positions their guard allows.
 
     Build once per word, query many times.  A plan may be shared across
     words and threads; an evaluator may not (each instance owns its memo

@@ -4,7 +4,8 @@
 package uses: fields from the class annotations in order, defaults,
 ``field(init=False, repr=False)``, ``__post_init__``, ``==`` and hash by
 field values (unless ``eq=False``), no assignment after ``__init__``, and a
-``Name(field=value, ...)`` repr; ``slots=True`` keeps the fields in slots.
+``Name(field=value, ...)`` repr (unless ``repr=False``); ``slots=True``
+keeps the fields in slots.
 A record class's methods are closures over its field names.
 ``dataclass`` instead generates the source of six methods per class and
 compiles it at every import, which for the package's classes was most of
@@ -108,14 +109,15 @@ def _delattr(self, name: str) -> None:
     raise AttributeError(f"cannot delete field {name!r}")
 
 
-def record(cls=None, /, *, eq: bool = True, slots: bool = False):
+def record(cls=None, /, *, eq: bool = True, slots: bool = False, repr: bool = True):
     """Make ``cls`` a frozen record class: ``@record``, or with
     ``eq=False`` to keep the equality and hash it inherits (identity,
-    unless a base class defines its own), or with ``slots=True``
+    unless a base class defines its own), with ``repr=False`` to keep the
+    ``repr`` it inherits, or with ``slots=True``
     to store the fields in slots instead of an instance dict (the class is
     then rebuilt, as a class's slots are fixed when it is made)."""
     if cls is None:
-        return lambda c: record(c, eq=eq, slots=slots)
+        return lambda c: record(c, eq=eq, slots=slots, repr=repr)
     names = tuple(cls.__dict__.get("__annotations__", {}))
     fields: dict[str, _Field] = {}
     for name in names:
@@ -131,7 +133,8 @@ def record(cls=None, /, *, eq: bool = True, slots: bool = False):
     init = tuple(n for n in names if fields[n].init)
     defaults = {n: fields[n].default for n in init if fields[n].default is not _MISSING}
     cls.__init__ = _initializer(cls.__name__, init, defaults, hasattr(cls, "__post_init__"))
-    cls.__repr__ = _representer(tuple(n for n in names if fields[n].repr))
+    if repr:
+        cls.__repr__ = _representer(tuple(n for n in names if fields[n].repr))
     cls.__setattr__, cls.__delattr__ = _setattr, _delattr
     if eq:
         cls.__eq__, cls.__hash__ = _comparisons(names)

@@ -14,12 +14,12 @@ import sys
 import tokenize
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from polyreglab import sexpr
 from polyreglab.interp import Interpretation, builtin_interp
-from polyreglab.psi import psi
+from polyreglab.psi import family, psi
 from polyreglab.logic import (
     And,
     Eq,
@@ -696,7 +696,7 @@ def _long_chain(levels):
 def test_walkers_take_no_stack_per_level():
     """Every formula walker, ``sexpr`` and the code generator handle a
     690-level chain with the recursion limit 50 frames above the test's own
-    depth."""
+    depth.  The macros' quantifiers, alpha-equal copies, share a unit."""
     f = _long_chain(690)
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(_stack_depth() + 50)
@@ -725,7 +725,9 @@ def test_walkers_take_no_stack_per_level():
         "letters": {"a", "b", "#"},
         "quantifiers": (394, 394),
         "comparisons": 394,
-        "units": 394 + 1 + 1,
+        # One unit per exists and forall, one shared by every copy of max(x)
+        # and one by every copy of min(z), the root, and bind.
+        "units": 197 + 2 + 1 + 1,
         "plan": ("x", "z"),
     }
 
@@ -751,6 +753,25 @@ def test_deep_formulas_compare_and_hash_without_recursion():
     assert _long_chain(600) != _long_chain(601)
     a, b, c = Letter("a", "x"), Letter("b", "x"), Letter("c", "x")
     assert Or((And((a, b)), c)) != Or((And((a, b, c)),))
+
+
+def test_deep_formulas_repr_without_recursion():
+    """``repr`` of a formula shows its fields as a record does, node by
+    node: the text of shallow formulas is the records' own, and a
+    600-level chain is shown under the default recursion limit."""
+    a, le = Letter("a", "x"), Leq("x", "y")
+    assert repr(Not(a)) == "Not(body=Letter(letter='a', var='x'))"
+    assert repr(And((a,))) == "And(parts=(Letter(letter='a', var='x'),))"
+    assert repr(Or([le, Max("z")])) == "Or(parts=[Leq(left='x', right='y'), Max(var='z')])"
+    assert repr(Implies(Forall("x", Eq("x", "y")), Exists("y", Min("y")))) == (
+        "Implies(left=Forall(var='x', body=Eq(left='x', right='y')), "
+        "right=Exists(var='y', body=Min(var='y')))"
+    )
+    f = a
+    for _ in range(600):
+        f = Not(f)
+    assert repr(f) == "Not(body=" * 600 + repr(a) + ")" * 600
+    assert repr(_long_chain(600)).startswith("Implies(left=Letter(letter='b', var='z'), right=Not(body=")
 
 
 def test_evaluators_share_a_row_space_of_their_word():
@@ -788,6 +809,92 @@ def test_plans_normalize_connectives():
     plan = psi(builtin_interp("innsq-interp")).order_plan
     assert _size(plan.core) == 234
     assert _generated(plan).nodes <= 234 - 17 - 38
+
+
+def _canonical(unit):
+    """A unit's source without its name, its slots renamed in order of
+    first use."""
+    slots = {}
+    text = unit.split("(", 1)[1]
+    return re.sub(r"\bv\d+\b", lambda m: slots.setdefault(m[0], f"v{len(slots)}"), text)
+
+
+@pytest.mark.parametrize(
+    "name, units",
+    [("innsq-interp", 15), ("psi(innsq-interp)", 22), ("family(2)", 12)],
+)
+def test_plans_define_each_distinct_unit_once(name, units):
+    """The order plans of innsq, of its lift and of ``family(2)`` repeat
+    macros (innsq's block start, the lift's hat quantifiers): alpha-equal
+    copies are one unit, so the plans have 15, 22 and 12 units where one
+    unit per copy made 31, 45 and 17.  No two units have equal text up to
+    the names of their slots, and the binder defines each unit once."""
+    interp = {
+        "innsq-interp": lambda: builtin_interp("innsq-interp"),
+        "psi(innsq-interp)": lambda: psi(builtin_interp("innsq-interp")),
+        "family(2)": lambda: family(2),
+    }[name]()
+    *sources, binder = _generated(interp.order_plan).sources
+    assert len(sources) == units
+    assert len({_canonical(unit) for unit in sources}) == units
+    assert binder.count("\n    def q") == units and "".join(sources) in binder
+
+
+@st.composite
+def _repeated_subformulas(draw):
+    """A formula that uses one quantified subformula on q, drawn once with
+    the free variables p and r, two to four times, as innsq's block start
+    and the lift's hat quantifiers are used: each copy under its own binder
+    names, beside the other copies, with p and r each replaced by x, y or
+    the variable z of a quantifier around the copy; the last copy swaps
+    the first one's replacements."""
+    body = draw(_quantified_formulas(("p", "q", "r"), depth=2))
+    links = [draw(st.sampled_from((Leq("q", v), Leq(v, "q"), Not(Eq(v, "q"))))) for v in "pr"]
+    shared = draw(st.sampled_from((Forall, Exists)))("q", draw(st.sampled_from((And, Or)))((*links, body)))
+    names = st.sampled_from(("x", "y", "z"))
+    abouts = draw(st.lists(st.tuples(names, names), min_size=1, max_size=3))
+    copies = []
+    for about in [*abouts, abouts[0][::-1]]:
+        copy = substitute(shared, dict(zip("pr", about)))
+        if "z" in about:
+            guard = draw(st.sampled_from((Leq("z", "x"), Leq("y", "z"), Letter("a", "z"))))
+            copy = draw(st.sampled_from((Forall, Exists)))("z", draw(st.sampled_from((And, Or)))((guard, copy)))
+        copies.append(copy)
+    return draw(st.sampled_from((And, Or)))(tuple(copies))
+
+
+# With x and y as row variables, the units of these two copies differ only
+# in their space: one loops over the rows, the other over the positions,
+# inside the quantifier on z, which is answered there.
+_COPIES_IN_TWO_SPACES = parse_formula(
+    "(and (forall q (and (leq q x) (letter a x)))"
+    " (forall z (or (leq z x) (forall q (and (leq q z) (letter a z))))))"
+)
+
+
+@settings(deadline=None, max_examples=200)
+@example(_COPIES_IN_TWO_SPACES, [list("ba"), list("abba")])
+@given(_repeated_subformulas(), st.lists(st.lists(st.sampled_from("ab#"), max_size=4), min_size=1, max_size=3))
+def test_shared_units_agree_with_naive_reference(f, words):
+    """Copies of one quantified subformula share a unit and its memo
+    cache; masks equal the naive reference's in point mode, with x or y as
+    a row variable and with x and y as row variables, on words of length 0
+    to 4.  Each word is bound twice: one evaluator is queried in forward
+    order and then in reverse, the other in reverse and then forward, so
+    each shared memo is filled first from either call site."""
+    modes = [(("x", "y"), ()), (("y",), ("x",)), (("x",), ("y",)), ((), ("x", "y"))]
+    for var_order, row_vars in modes:
+        plan = FormulaPlan(f, var_order, row_vars)
+        for w in [Word(tuple(t)) for t in words]:
+            positions = range(1, len(w) + 1)
+            rows = list(itertools.product(positions, repeat=len(row_vars)))
+            queries = list(itertools.product(positions, repeat=len(var_order)))
+            for order in (queries, queries[::-1]):
+                at = FormulaEvaluator(w, f, var_order, rows, row_vars, plan=plan).at
+                for values in order + order[::-1]:
+                    env = dict(zip(var_order, values))
+                    want = _mask(naive_eval(w, f, {**env, **dict(zip(row_vars, r))}) for r in rows)
+                    assert at(values) == want, (f.render(), w.render(), row_vars, values)
 
 
 def test_sexpr_round_trip_exact():
