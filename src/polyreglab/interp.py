@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import operator
 from typing import Mapping, Sequence
 
 from . import sexpr
@@ -29,6 +30,7 @@ from .logic import (
     Not,
     Or,
     RowSpace,
+    bit_flags,
     free_vars,
     from_sexpr,
     letters_used,
@@ -87,10 +89,11 @@ class Interpretation:
         return _var_names("x", self.dim)
 
     @functools.cached_property
-    def letter_plans(self) -> dict[str, FormulaPlan]:
-        """One plan per letter formula, with the x variables as rows."""
-        xs = self.tuple_vars()
-        return {c: FormulaPlan(f, (), xs) for c, f in self.letter_formulas.items()}
+    def letters_plan(self) -> FormulaPlan:
+        """One plan of all letter formulas, in the order of
+        ``letter_formulas``, with the x variables as rows: a query answers
+        one mask per letter, and the letters share their common units."""
+        return FormulaPlan(tuple(self.letter_formulas.values()), (), self.tuple_vars())
 
     @functools.cached_property
     def order_plan(self) -> FormulaPlan:
@@ -103,36 +106,67 @@ class Interpretation:
 
 @record(slots=True)
 class InterpDomain:
-    """The selected tuples of one evaluation, with the letters that hold on
-    each tuple (normally exactly one)."""
+    """The selected tuples of one evaluation, as masks over ``space``, the
+    product space of all dim-tuples of the word's positions in increasing
+    order (see ``RowSpace.product``): ``masks`` maps each output letter to
+    the mask of the tuples on which its formula holds.  Normally no two
+    letters hold on one tuple; ``overlap`` finds the first that does."""
 
-    letters_at: Mapping[tuple[int, ...], frozenset[str]]
+    space: RowSpace
+    masks: Mapping[str, int]
+
+    def _selected(self) -> int:
+        return functools.reduce(operator.or_, self.masks.values(), 0)
 
     def tuples(self) -> list[tuple[int, ...]]:
-        return sorted(self.letters_at)
+        """The tuples on which some letter holds, in increasing order, read
+        off the set bits of the letters' masks."""
+        return self.space.rows_at(self._selected())
+
+    def overlap(self) -> tuple[tuple[int, ...], list[str]] | None:
+        """The first tuple on which several letters hold, and those letters
+        sorted, or None: the lowest bit set in some two letters' masks."""
+        both = 0
+        for x, y in itertools.combinations(self.masks.values(), 2):
+            both |= x & y
+        if not both:
+            return None
+        low = both & -both
+        (tup,) = self.space.rows_at(low)
+        return tup, sorted(c for c, mask in self.masks.items() if mask & low)
+
+    def letters(self) -> list[str]:
+        """The letter of each tuple that ``tuples`` lists, in that order,
+        when no two letters hold on one tuple.  Read as one byte per bit
+        and times its letter's number, each mask adds into one string of
+        bytes whose nonzero bytes number the letters in order; this takes
+        half the time of visiting each set bit, which more than 255
+        letters, too many to number in a byte, still do."""
+        names = list(self.masks)
+        size = self.space.all.bit_length()
+        if len(names) > 255:
+            by_bit: list = [0] * size
+            for c, mask in self.masks.items():
+                for i in _set_bits(mask):
+                    by_bit[i] = c
+            return list(filter(None, by_bit))
+        total = 0
+        for k, mask in enumerate(self.masks.values(), 1):
+            total += k * int.from_bytes(bit_flags(mask), "little")
+        return [names[k - 1] for k in total.to_bytes(size, "little").translate(None, b"\0")]
+
+    @property
+    def letters_at(self) -> dict[tuple[int, ...], frozenset[str]]:
+        """The selected tuples in increasing order, each with the letters
+        that hold on it."""
+        holding: dict[tuple[int, ...], set[str]] = {}
+        for c, mask in self.masks.items():
+            for tup in self.space.rows_at(mask):
+                holding.setdefault(tup, set()).add(c)
+        return {tup: frozenset(holding[tup]) for tup in self.tuples()}
 
     def __len__(self) -> int:
-        return len(self.letters_at)
-
-
-def compute_domain(interp: Interpretation, u: Word) -> InterpDomain:
-    """One query per letter formula, over all n^dim tuples as rows, each
-    from the interpretation's plan for that formula bound to ``u``.  The
-    evaluators share one row space, so each table is built once per word."""
-    u.alphabet_check(interp.input_alphabet)
-    n = len(u)
-    if n == 0:
-        return InterpDomain({})
-    space = RowSpace.product(u, interp.dim)
-    holding: dict[int, list[str]] = {}
-    plans = interp.letter_plans
-    for letter, formula in interp.letter_formulas.items():
-        ev = FormulaEvaluator(
-            u, formula, var_order=(), rows=space, row_vars=interp.tuple_vars(), plan=plans[letter]
-        )
-        for i in _set_bits(ev.at(())):
-            holding.setdefault(i, []).append(letter)
-    return InterpDomain({space.rows[i]: frozenset(holding[i]) for i in sorted(holding)})
+        return self._selected().bit_count()
 
 
 def _set_bits(mask: int) -> list[int]:
@@ -143,6 +177,22 @@ def _set_bits(mask: int) -> list[int]:
         out.append(low.bit_length() - 1)
         mask ^= low
     return out
+
+
+def compute_domain(interp: Interpretation, u: Word) -> InterpDomain:
+    """One query of the interpretation's letters plan bound to ``u``, over
+    the product space of all n^dim tuples as rows: it answers every letter's
+    mask at once, and the letter formulas share their tables and units."""
+    u.alphabet_check(interp.input_alphabet)
+    space = RowSpace.product(u, interp.dim)
+    letters = interp.letter_formulas
+    if not u:
+        return InterpDomain(space, dict.fromkeys(letters, 0))
+    plan = interp.letters_plan
+    ev = FormulaEvaluator(
+        u, plan.formula, var_order=(), rows=space, row_vars=interp.tuple_vars(), plan=plan
+    )
+    return InterpDomain(space, dict(zip(letters, ev.at(()))))
 
 
 @record(slots=True)
@@ -168,13 +218,16 @@ def check_linear_order(
     """Is the order formula a linear (reflexive, total) order on ``dom``?
 
     ``dom`` lists the domain in increasing order, as
-    ``InterpDomain.tuples`` does; that order decides only which violation a
-    failed check names.  One query per tuple t, with the x variables bound
+    ``InterpDomain.tuples`` does; within one first component, that order
+    decides only which violation a failed check names.  One query per tuple t, with the x variables bound
     to each tuple as a row, from the interpretation's order plan bound to
     ``u``: bit i of ``masks[j]`` says tuple i <= tuple j.  Ranked by
     predecessor count, the relation is the ranking's linear order exactly
     when each tuple's mask holds itself and the tuples ranked below it, and
-    nothing else.
+    nothing else.  The rows are ``dom`` itself, whose component 0 is one
+    run of rows per position, so its masks take no pass over the rows (see
+    ``RowSpace.increasing``); a ``dom`` whose first components decrease
+    somewhere is refused with a ``LogicError``.
     """
     m = len(dom)
     if m == 0:
@@ -183,7 +236,7 @@ def check_linear_order(
         u,
         interp.order_formula,
         var_order=_var_names("y", interp.dim),
-        rows=dom,
+        rows=RowSpace.increasing(u, dom),
         row_vars=interp.tuple_vars(),
         plan=interp.order_plan,
     ).at
@@ -251,16 +304,13 @@ class InterpResult:
 def eval_interp_details(interp: Interpretation, u: Word) -> InterpResult:
     domain = compute_domain(interp, u)
     tuples = domain.tuples()
-    for tup in tuples:
-        holds = domain.letters_at[tup]
-        if len(holds) > 1:
-            diag = InterpDiagnostic(
-                "letter-overlap",
-                f"letters {sorted(holds)} all hold on {tup}",
-                (tup,),
-                tuple(sorted(holds)),
-            )
-            return InterpResult(OriginWord(), diag)
+    overlap = domain.overlap()
+    if overlap is not None:
+        tup, holds = overlap
+        diag = InterpDiagnostic(
+            "letter-overlap", f"letters {holds} all hold on {tup}", (tup,), tuple(holds)
+        )
+        return InterpResult(OriginWord(), diag)
     check = check_linear_order(tuples, interp, u)
     if not check.ok:
         assert check.violation is not None
@@ -268,11 +318,9 @@ def eval_interp_details(interp: Interpretation, u: Word) -> InterpResult:
             "order-not-linear", check.violation.render(), check.violation.tuples
         )
         return InterpResult(OriginWord(), diag)
-    letters = []
-    for tup in check.sorted_tuples:
-        (letter,) = domain.letters_at[tup]
-        letters.append((letter, tup))
-    output = OriginWord(tuple(letters))
+    letter_at = dict(zip(tuples, domain.letters()))
+    ordered = check.sorted_tuples
+    output = OriginWord(tuple(zip(map(letter_at.__getitem__, ordered), ordered)))
     assert len(output) <= len(u) ** interp.dim
     return InterpResult(output)
 

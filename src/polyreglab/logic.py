@@ -12,9 +12,10 @@ macros, renames binders apart, resolves every variable to a row component
 or an argument and every quantifier to one of the two ways below, and
 compiles the result, once, into one generated Python binder of units.  A
 plan never changes once built, so one plan serves any number of words, also
-from several threads; an interpretation keeps one per formula.  A
-``FormulaEvaluator`` binds a plan to one word, building only the word's
-tables and one function per distinct unit, and is used by one thread.
+from several threads; a plan may also take several formulas at once, and an
+interpretation keeps one for its letter formulas and one for its order
+formula.  A ``FormulaEvaluator`` binds a plan to one word, building only the
+word's tables and one function per distinct unit, and is used by one thread.
 
 The generated code computes an int mask over a row space: a list of row
 tuples that bind the space's row variables, where bit i says the formula
@@ -28,17 +29,19 @@ one (bottom-up model checking, restricted to the one quantified variable).
 Any other quantifier loops over the positions that its guard allows: the
 conjuncts of its body (of its negation, for forall) free of row variables,
 answered over the positions space in the same way.  The rule applies again
-inside those bodies.  An interpretation thus evaluates a letter formula on
-all tuples in one query and its order formula one column at a time; a
+inside those bodies.  An interpretation thus evaluates its letter formulas
+on all tuples in one query and its order formula one column at a time; a
 point query is the case of a single empty row.
 """
 
 from __future__ import annotations
 
+import collections
 import functools
 import itertools
 import operator
 import re
+import sys
 from typing import Callable, Iterable, Mapping, Sequence
 
 from . import sexpr
@@ -427,6 +430,14 @@ def parse_formula(text: str) -> Formula:
 
 # -- evaluation ----------------------------------------------------------
 
+_BINARY_DIGITS = bytes.maketrans(b"01", b"\0\1")
+
+
+def bit_flags(mask: int) -> bytes:
+    """Byte i is 1 where bit i of ``mask`` is set and 0 where it is not, up
+    to its highest set bit."""
+    return bin(mask)[:1:-1].encode().translate(_BINARY_DIGITS)
+
 
 class RowSpace:
     """Rows of one word that a bound formula answers for: bit i of a mask
@@ -434,14 +445,16 @@ class RowSpace:
     row.  The tables that plans read (see ``table``) are built on first use
     and kept, so evaluators of several formulas that share a space build
     each table once.  ``positions`` is the space of the rows (1,) to (n,)
-    of the same word, built on first use."""
+    of the same word, built on first use.  ``dim`` is the dimension of a
+    product space (see ``product``), 0 for listed rows."""
 
-    __slots__ = ("word", "n", "rows", "all", "_letters", "_masks", "_tables", "_positions")
+    __slots__ = ("word", "n", "dim", "all", "_rows", "_letters", "_masks", "_tables", "_positions")
 
     def __init__(self, word: Word, rows: Sequence[tuple[int, ...]]):
         self.word = word
         self.n = len(word)
-        self.rows = rows
+        self.dim = 0
+        self._rows: Sequence[tuple[int, ...]] | None = rows
         self.all = (1 << len(rows)) - 1
         self._letters: dict[str, list[bool]] = {}
         self._masks: dict[int, tuple[list[int], list[int], list[int]]] = {}
@@ -451,16 +464,52 @@ class RowSpace:
     @classmethod
     def product(cls, word: Word, dim: int) -> RowSpace:
         """All ``dim``-tuples of positions of ``word``, in ``itertools.product``
-        order, with each component's masks in closed form, not row by row:
+        order, which is increasing order, without listing them (see ``rows``
+        and ``rows_at``), and with each component's masks in closed form:
         component a holds each of 1..n in turn for a run of s = n^(dim-1-a)
         rows, so it is == p on one pattern of runs shifted by (p-1)s."""
         n = len(word)
-        space = cls(word, list(itertools.product(range(1, n + 1), repeat=dim)))
+        space = cls(word, ())
+        space.dim, space._rows, space.all = dim, None, (1 << n**dim) - 1
         for a in range(dim):
             s = n ** (dim - 1 - a)
             run = (space.all // ((1 << n * s) - 1) if n else 0) * ((1 << s) - 1)
             space._fill(a, [0, *(run << p * s for p in range(n)), 0])
         return space
+
+    @classmethod
+    def increasing(cls, word: Word, rows: Sequence[tuple[int, ...]]) -> RowSpace:
+        """The space of ``rows``, tuples of positions of ``word`` listed in
+        increasing order of their first component, as a domain in increasing
+        order is: component 0 is then one run of rows per position, as long
+        as the position's count among the first components, so its == masks
+        are made from those counts without a pass over the rows in Python."""
+        firsts = list(map(operator.itemgetter(0), rows))
+        if firsts != sorted(firsts):
+            raise LogicError("rows are not listed in increasing order of their first component")
+        space = cls(word, rows)
+        counts = collections.Counter(firsts)
+        eq, start = [0], 0
+        for p in range(1, space.n + 1):
+            eq.append(((1 << counts[p]) - 1) << start)
+            start += counts[p]
+        space._fill(0, [*eq, 0])
+        return space
+
+    @property
+    def rows(self) -> Sequence[tuple[int, ...]]:
+        """The rows; a product space lists them on first use."""
+        if self._rows is None:
+            self._rows = self.rows_at(self.all)
+        return self._rows
+
+    def rows_at(self, mask: int) -> list[tuple[int, ...]]:
+        """The rows whose bits are set in ``mask``, lowest first; a product
+        space reads them off ``itertools.product`` without listing it."""
+        rows = self._rows
+        if rows is None:
+            rows = itertools.product(range(1, self.n + 1), repeat=self.dim)
+        return list(itertools.compress(rows, bit_flags(mask)))
 
     @property
     def positions(self) -> RowSpace:
@@ -471,12 +520,16 @@ class RowSpace:
 
     def masks(self, a: int) -> tuple[list[int], list[int], list[int]]:
         """Masks of the rows whose component ``a`` is ==, <= and >= each
-        position p, indexed by p (0 to n + 1)."""
+        position p, indexed by p (0 to n + 1); the == masks take one pass
+        over the rows, unless they are known in closed form (see
+        ``product`` and ``increasing``).  The pass ors one bit into an int
+        per row, which copies up to m/8 bytes for m rows; listed spaces
+        come from order checks, whose m queries return as many m-bit masks."""
         if a not in self._masks:
-            bufs = [bytearray((len(self.rows) + 7) >> 3) for _ in range(self.n + 2)]
+            eq = [0] * (self.n + 2)
             for i, row in enumerate(self.rows):
-                bufs[row[a]][i >> 3] |= 1 << (i & 7)
-            self._fill(a, [int.from_bytes(buf, "little") for buf in bufs])
+                eq[row[a]] |= 1 << i
+            self._fill(a, eq)
         return self._masks[a]
 
     def _fill(self, a: int, eq: list[int]) -> None:
@@ -533,13 +586,15 @@ class RowSpace:
 # an or at A).  A quantifier that loops visits, lowest first, the positions
 # set in its guard's mask over the positions space (all of them, ``R``,
 # without a guard), stops early too (exists at A, forall at 0) and memoizes
-# on its arguments in ``cache``.  Units whose texts differ only in the names
-# of their slots, as the copies of one macro under renamed binders do, are
-# the same function, so the plan defines each distinct unit once, and its
-# callers share it and its memo cache.  The plan's source is one generated
+# on its arguments in ``cache``.  Units for alpha-equal subformulas whose
+# free variables play the same roles, as the copies of one macro under
+# renamed binders do, are the same function: the plan generates each such
+# unit once, found by a key made before generating it, and its callers
+# share it and its memo cache.  The plan's source is one generated
 # ``bind(R, A0, A1, t0, t1)``, whose body defines each unit, callees first,
 # as ``def q<k>(v..., A=A<space>, B=A<outer>, R=R, c<j>=t<space>[<j>], ...,
-# q<i>=q<i>, cache={})`` and returns the root.  ``A`` is the mask of all
+# q<i>=q<i>, cache={})`` and returns the root (for a plan of several
+# formulas, ``roots``, which calls each one's root).  ``A`` is the mask of all
 # rows of the space the unit's body answers over, the evaluator's rows (0)
 # or its positions (1); ``B`` is that of the space it answers to; its tables
 # come from those of its space, ``t0`` or ``t1``; and a unit lists only the
@@ -548,8 +603,6 @@ class RowSpace:
 # as fast locals.
 
 _UNIT_DEPTH = 32
-
-_SLOT = re.compile(r"\bv\d+\b")
 
 _MEMO = """\
         key = {key}
@@ -623,45 +676,69 @@ def _conjuncts(f: Formula) -> list[Formula]:
 
 class _Codegen:
     """Generates the sources of one plan's distinct units, callees first,
-    so the root comes last, and of its ``bind``.
+    so each root comes after its callees, and of its ``bind``.
 
     Generating is one fold over jobs, each a method and its arguments:
     ``expr`` writes the expression of a subformula in a unit, and ``plain``
     opens a unit of its own for one.  Reaching a job, the fold calls its
     method, which returns the job's item, its child jobs and no scope; an
     item is a method and arguments, called with the children's texts when
-    the fold leaves the job, or for an atom its text.  So units, tables and
-    slots are numbered as a recursive walk would number them, and no
-    formula level costs a Python frame."""
+    the fold leaves the job, or for an atom or a call to an earlier unit
+    its text.  So units, tables and slots are numbered as a recursive walk
+    would number them, and no formula level costs a Python frame.
 
-    def __init__(self, frees: dict[int, frozenset[str]], slots: dict[str, int]):
+    Each unit is keyed, before it is generated, by its kind, its space,
+    the alpha classes of the nodes it answers (see ``_collect_frees``) and
+    the role of each of their free variables: a row component, or a place
+    among the unit's arguments.  Every choice the generator makes depends
+    only on these, so a unit keyed as an earlier one is that unit, and is
+    called without being generated again."""
+
+    def __init__(self, frees: dict, slots: dict[str, int]):
         self.frees, self.slots = frees, slots
         self.specs: tuple[dict[tuple, int], dict[tuple, int]] = ({}, {})
         self.sources: list[str] = []
-        # Each distinct unit's number, by its text with its slots renamed in
-        # order of first use.
-        self.units: dict[str, int] = {}
+        # Each unit's number by its key, and how many frames deep its calls
+        # nest; a query's calls nest ``depth`` deep.
+        self.keyed: dict[tuple, int] = {}
+        self.depths: list[int] = []
+        self.depth = 0
         self.nodes = 0
         self.masked = False
 
-    def finish(self, u: _Unit, args: list[int], body: str, caller: _Unit, neg: bool):
-        """Add unit ``u``, unless an earlier unit is the same function; the
-        text of a call to it from the unit ``caller``.  Its text names its
-        spaces, tables and callees, so only the names of slots may differ."""
+    def key(self, kind: str, parts: list[Formula], index: dict[str, int], space: int, args):
+        """The key of a unit of ``kind`` for the conjunction of ``parts``,
+        with these row variables and arguments, from ``space``: the alpha
+        class, negation and free variables of each part, and the role of
+        each of those variables."""
+        classes, fv = [], {}
+        for part in parts:
+            g, neg = _strip(part)
+            inner, code = self.frees[id(g)]
+            classes.append((code, neg, tuple(fv.setdefault(v, len(fv)) for v in inner)))
+        place = {s: i for i, s in enumerate(args)}
+        slots = self.slots
+        roles = tuple(index[v] if v in index else ~place[slots[v]] for v in fv)
+        return kind, space, len(args), tuple(classes), roles
+
+    def call(self, k: int, args: list[int], caller: _Unit, neg: bool) -> str:
+        """The text of a call to unit ``k`` from the unit ``caller``."""
+        caller[3][k] = None
+        return _negated(f"q{k}({_vars(args)})", neg)
+
+    def finish(self, u: _Unit, args: list[int], body: str, caller: _Unit, neg: bool, key):
+        """Add unit ``u``, with the ``key`` that it was generated for; the
+        text of a call to it from the unit ``caller``."""
         space, outer, consts, calls = u
         defaults = {"A": f"A{space}", "B": f"A{outer}", "R": "R", "cache": "{}"}
         read = set(re.findall(r"\w+", body))
         params = [f"v{s}" for s in args]
         params += [f"{name}={value}" for name, value in defaults.items() if name in read]
         params += [f"c{c}=t{space}[{c}]" for c in consts] + [f"q{q}=q{q}" for q in calls]
-        text = f"({', '.join(params)}):\n{body}"
-        slots: dict[str, str] = {}
-        canonical = _SLOT.sub(lambda m: slots.setdefault(m[0], f"v{len(slots)}"), text)
-        k = self.units.setdefault(canonical, len(self.units))
-        if k == len(self.sources):
-            self.sources.append(f"    def q{k}{text}")
-        caller[3][k] = None
-        return _negated(f"q{k}({_vars(args)})", neg)
+        k = self.keyed[key] = len(self.sources)
+        self.sources.append(f"    def q{k}({', '.join(params)}):\n{body}")
+        self.depths.append(1 + max((self.depths[q] for q in calls), default=0))
+        return self.call(k, args, caller, neg)
 
     def const(self, u: _Unit, spec: tuple) -> str:
         specs = self.specs[u[0]]
@@ -669,14 +746,18 @@ class _Codegen:
         u[2][k] = None
         return f"c{k}"
 
-    def plain(self, f: Formula, index: dict[str, int], space: int, args: list[int], caller, neg):
-        """Job: a unit of its own for ``f``, whose result is the text of a
-        call to it from the unit ``caller``."""
+    def plain(self, parts: list[Formula], index: dict[str, int], space: int, args, caller, neg):
+        """Job: a unit of its own for the conjunction of ``parts``, whose
+        result is the text of a call to it from the unit ``caller``."""
+        key = self.key("plain", parts, index, space, args)
+        if key in self.keyed:
+            return self.call(self.keyed[key], args, caller, neg), (), None
         u: _Unit = (space, space, {}, {})
-        return (self.plain_done, u, args, caller, neg), [(self.expr, f, u, index, 0)], None
+        job = (self.expr, conj(*parts), u, index, 0)
+        return (self.plain_done, u, args, caller, neg, key), [job], None
 
-    def plain_done(self, texts: list[str], u: _Unit, args: list[int], caller, neg: bool):
-        return self.finish(u, args, f"        return {texts[0]}\n", caller, neg)
+    def plain_done(self, texts: list[str], u: _Unit, args: list[int], caller, neg: bool, key):
+        return self.finish(u, args, f"        return {texts[0]}\n", caller, neg, key)
 
     def expr(self, f: Formula, u: _Unit, index: dict[str, int], depth: int):
         """Job: the Python expression for the mask of ``f`` in unit ``u``,
@@ -685,13 +766,13 @@ class _Codegen:
         if isinstance(f, (Letter, Leq, Eq)):
             self.nodes += 1
             return self.atom(f, neg, u, index), (), None
-        # A subformula split off into a unit of its own is counted there.
-        self.nodes += neg + (depth < _UNIT_DEPTH or isinstance(f, (Forall, Exists)))
         if isinstance(f, (Forall, Exists)):
             return self.quantifier(f, u, index, neg)
+        # A subformula split off into a unit of its own is counted there.
+        self.nodes += neg + (depth < _UNIT_DEPTH)
         if depth == _UNIT_DEPTH:
-            args = sorted(self.slots[v] for v in self.frees[id(f)] if v not in index)
-            return self.plain(f, index, u[0], args, u, neg)
+            args = sorted(self.slots[v] for v in self.frees[id(f)][0] if v not in index)
+            return self.plain([f], index, u[0], args, u, neg)
         parts = (f.left, f.right) if isinstance(f, Implies) else _flat(f)  # type: ignore[arg-type]
         jobs = [(self.expr, g, u, index, depth + 1) for g in parts]
         return (self.connective, f, depth, neg), jobs, None
@@ -715,11 +796,15 @@ class _Codegen:
     def quantifier(self, f: Forall | Exists, u: _Unit, index: dict[str, int], neg: bool):
         """The unit of a quantifier in unit ``u``, whose row variables
         ``index`` maps to their components."""
-        fv = self.frees[id(f)]
-        key = sorted(self.slots[v] for v in fv if v not in index)
+        fv = self.frees[id(f)][0]
+        args = sorted(self.slots[v] for v in fv if v not in index)
+        key = self.key("quantifier", [f], index, u[0], args)
+        if key in self.keyed:
+            return self.call(self.keyed[key], args, u, neg), (), None
+        self.nodes += 1 + neg
         exists = isinstance(f, Exists)
-        item = (self.quantifier_done, exists, u, key, neg)
-        if fv.isdisjoint(index):
+        item = (self.quantifier_done, exists, u, args, neg, key)
+        if index.keys().isdisjoint(fv):
             # Masked: the body answers every position of f.var at once.
             self.masked = True
             q: _Unit = (1, u[0], {}, {})
@@ -730,21 +815,23 @@ class _Codegen:
         q = (u[0], u[0], {}, {})
         guard, rest, reads = [], [], set()
         for part in _conjuncts(f.body if exists else Not(f.body)):
-            part_fv = self.frees[id(_strip(part)[0])]
-            if part_fv.isdisjoint(index):
+            part_fv = self.frees[id(_strip(part)[0])][0]
+            if index.keys().isdisjoint(part_fv):
                 guard.append(part)
-                reads |= part_fv
+                reads.update(part_fv)
             else:
                 rest.append(part)
         jobs: list = []
         if guard:
             self.masked = True
-            args = sorted(self.slots[v] for v in reads - {f.var})
-            jobs.append((self.plain, conj(*guard), {f.var: 0}, 1, args, q, False))
+            guard_args = sorted(self.slots[v] for v in reads - {f.var})
+            jobs.append((self.plain, guard, {f.var: 0}, 1, guard_args, q, False))
         jobs.append((self.expr, conj(*rest) if exists else Not(conj(*rest)), q, index, 0))
         return (*item, q, slot), jobs, None
 
-    def quantifier_done(self, texts, exists, u: _Unit, key: list[int], neg: bool, q: _Unit, slot):
+    def quantifier_done(
+        self, texts, exists, u: _Unit, args: list[int], neg: bool, key, q: _Unit, slot
+    ):
         if slot is None:
             test = texts[0] + ("" if exists else " == A")
             inner = f"            hit = cache[key] = B if {test} else 0\n"
@@ -753,8 +840,8 @@ class _Codegen:
             todo = texts[0] if len(texts) == 2 else "R"
             body = texts[-1]
             inner = _LOOP.format(start=start, guard=todo, slot=slot, op=op, body=body, stop=stop)
-        keyed = f"({_vars(key)})" if len(key) != 1 else f"v{key[0]}"
-        return self.finish(q, key, _MEMO.format(key=keyed, inner=inner), u, neg)
+        keyed = f"({_vars(args)})" if len(args) != 1 else f"v{args[0]}"
+        return self.finish(q, args, _MEMO.format(key=keyed, inner=inner), u, neg, key)
 
     def atom(self, f: Letter | Leq | Eq, neg: bool, u: _Unit, index: dict[str, int]) -> str:
         slots = self.slots
@@ -780,23 +867,37 @@ def _negated(text: str, neg: bool) -> str:
     return f"(A ^ {text})" if neg else text
 
 
-def _generate(core: Formula, frees: dict, free: tuple[str, ...], row_vars: tuple[str, ...]):
-    """The generator run over ``core``, whose nodes' free variables are in
-    ``frees``: its sources are the distinct units, the root last, then
-    ``bind``, which defines them all."""
+def _generate(core, frees: dict, free: tuple[str, ...], row_vars: tuple[str, ...]):
+    """The generator run over ``core``, a formula or a tuple of formulas,
+    whose nodes are recorded in ``frees`` (see ``_collect_frees``): its
+    sources are the distinct units, each root after its callees, then
+    ``bind``, which defines them all and returns the root, or for a tuple
+    a function of the same arguments that returns each formula's mask.
+    ``depth`` is how many frames deep a query's calls nest."""
     gen = _Codegen(frees, {v: i for i, v in enumerate(free)})
     index = {v: a for a, v in enumerate(row_vars)}
-    # bind returns the root, the one unit that its stand-in caller calls.
-    caller: _Unit = (0, 0, {}, {})
-    _fold(
-        (gen.plain, core, index, 0, list(range(len(free))), caller, False),
-        # An atom's item is its text, written when the atom is reached.
-        lambda item, _, texts: item[0](texts, *item[1:]) if texts else item,
-        lambda job, _: job[0](*job[1:]),
-    )
-    (root,) = caller[3]
+    args = list(range(len(free)))
+    roots = []
+    for f in core if isinstance(core, tuple) else (core,):
+        # The root is the one unit that its stand-in caller calls.
+        caller: _Unit = (0, 0, {}, {})
+        _fold(
+            (gen.plain, [f], index, 0, args, caller, False),
+            # An atom's item is its text, written when the atom is reached.
+            lambda item, _, texts: item[0](texts, *item[1:]) if texts else item,
+            lambda job, _: job[0](*job[1:]),
+        )
+        (root,) = caller[3]
+        roots.append(root)
     units = "".join(gen.sources)
-    gen.sources.append(f"def bind(R, A0, A1, t0, t1):\n{units}    return q{root}\n")
+    gen.depth = max(gen.depths[k] for k in roots)
+    if isinstance(core, tuple):
+        calls = "".join(f"q{k}({_vars(args)}), " for k in roots)
+        units += f"    def roots({_vars(args)}):\n        return ({calls})\n"
+        result, gen.depth = "roots", gen.depth + 1
+    else:
+        result = f"q{root}"
+    gen.sources.append(f"def bind(R, A0, A1, t0, t1):\n{units}    return {result}\n")
     return gen
 
 
@@ -804,14 +905,19 @@ class FormulaPlan:
     """The word-independent half of evaluating one formula, built once from
     ``(formula, var_order, row_vars)`` and read, never changed, by the
     evaluators of any number of words, also from several threads.
+    ``formula`` may also be a tuple of formulas, planned together: then a
+    query answers a tuple of masks, one per formula, from one binder whose
+    formulas share the units that they have in common.
 
     ``core`` is the formula with its macros expanded and its binders renamed
-    apart from each other, from its free variables and from ``row_vars``.
+    apart from each other, from its free variables and from ``row_vars``
+    (a tuple of those, for a tuple).
     ``free`` lists the scalar variables in the order ``at`` binds them.
     The plan keeps the core compiled as generated Python (see above): one
     binder, compiled once, that defines one function per distinct unit, so
     alpha-equal copies of a subformula, such as the uses of one macro, are
-    one unit with one memo cache.
+    one unit with one memo cache.  ``depth`` is how many frames deep a
+    query's calls of units nest.
     Generating makes every choice that depends only on the variables: which
     are row components of a unit's space and which are arguments, which
     table answers each atom, and whether each quantifier is answered over
@@ -821,18 +927,20 @@ class FormulaPlan:
     atom reads the complemented table.
     """
 
-    __slots__ = ("formula", "row_vars", "free", "core", "_specs", "_masked", "_bind")
+    __slots__ = ("formula", "row_vars", "free", "core", "depth", "_specs", "_masked", "_bind")
 
     def __init__(
         self,
-        formula: Formula,
+        formula: Formula | tuple[Formula, ...],
         var_order: tuple[str, ...] | None = None,
         row_vars: tuple[str, ...] = (),
     ):
         row_vars = tuple(row_vars)
-        core = rename_bound(expand_macros(formula), reserved=row_vars)
-        frees: dict[int, frozenset[str]] = {}
-        scalar = _collect_frees(core, frees) - set(row_vars)
+        several = isinstance(formula, tuple)
+        formulas = formula if several else (formula,)
+        cores = tuple(rename_bound(expand_macros(f), reserved=row_vars) for f in formulas)
+        frees: dict = {}
+        scalar = frozenset().union(*(_collect_frees(f, frees) for f in cores)) - set(row_vars)
         free = tuple(var_order) if var_order is not None else tuple(sorted(scalar))
         if len(set(free)) != len(free):
             raise LogicError(f"var_order {list(free)} repeats a name")
@@ -840,11 +948,12 @@ class FormulaPlan:
             raise LogicError(f"var_order names row variables {sorted(set(free) & set(row_vars))}")
         if not scalar <= set(free):
             raise LogicError(f"var_order misses free variables {sorted(scalar - set(free))}")
+        core = cores if several else cores[0]
         self.formula, self.row_vars, self.free, self.core = formula, row_vars, free, core
         gen = _generate(core, frees, free, row_vars)
         binder = gen.sources[-1]
         self._specs = tuple(map(tuple, gen.specs))
-        self._masked = gen.masked
+        self._masked, self.depth = gen.masked, gen.depth
         # Compiled once, with no builtins, after generating and with the
         # generator's tables freed, since compiling peaks higher.  Profiles
         # tell units apart by their names, q<k>.
@@ -854,7 +963,10 @@ class FormulaPlan:
         self._bind = namespace["bind"]
 
     def serves(
-        self, formula: Formula, var_order: tuple[str, ...] | None, row_vars: tuple[str, ...]
+        self,
+        formula: Formula | tuple[Formula, ...],
+        var_order: tuple[str, ...] | None,
+        row_vars: tuple[str, ...],
     ) -> bool:
         """Was this plan built for these arguments (``var_order`` None
         standing for the plan's own order)?"""
@@ -864,30 +976,46 @@ class FormulaPlan:
             and (var_order is None or self.free == tuple(var_order))
         )
 
-    def bind(self, space: RowSpace) -> Callable[..., int]:
+    def bind(self, space: RowSpace) -> Callable:
         """The root unit made for the word of ``space``: it maps the
         positions of the ``free`` variables to the mask of the rows of
-        ``space`` on which the formula holds."""
+        ``space`` on which the formula holds (to a tuple of those, for a
+        tuple of formulas)."""
         pos = space.positions if self._masked else space
         t0 = [space.table(spec) for spec in self._specs[0]]
         t1 = [pos.table(spec) for spec in self._specs[1]]
         return self._bind((1 << space.n) - 1, space.all, pos.all, t0, t1)
 
 
-def _collect_frees(f: Formula, frees: dict[int, frozenset[str]]) -> frozenset[str]:
-    """The free variables of ``f``; records those of every node in ``frees``."""
+def _collect_frees(f: Formula, frees: dict) -> frozenset[str]:
+    """The free variables of ``f``.  Records in ``frees``, by the id of
+    every node, its free variables in order of first occurrence and its
+    alpha class: a number that two nodes recorded in one ``frees`` share
+    exactly when they are equal up to renaming their bound variables, and
+    their free variables one for one in that order (hash-consing, with
+    each class's number kept in ``frees`` by its key)."""
 
-    def leave(g: Formula, _, parts: Sequence[frozenset[str]]) -> frozenset[str]:
+    def leave(g: Formula, _, parts: Sequence[tuple[tuple[str, ...], int]]):
         if not parts:
-            fv = frozenset(_KINDS[type(g)].occurs(g))
-        elif len(parts) > 1:
-            fv = parts[0].union(*parts[1:])
+            occurs = _KINDS[type(g)].occurs(g)
+            fv = tuple(dict.fromkeys(occurs))
+            key: tuple = (type(g), _KINDS[type(g)].letters(g), tuple(map(fv.index, occurs)))
+        elif isinstance(g, (Forall, Exists)):
+            ((inner, code),) = parts
+            at = inner.index(g.var) if g.var in inner else -1
+            fv = inner[:at] + inner[at + 1 :] if at >= 0 else inner
+            key = (type(g), code, at)
+        elif len(parts) == 1:
+            fv, code = parts[0]
+            key = (type(g), code)
         else:
-            fv = parts[0] - {g.var} if isinstance(g, (Forall, Exists)) else parts[0]
-        frees[id(g)] = fv
-        return fv
+            fv = tuple(dict.fromkeys(v for inner, _ in parts for v in inner))
+            where = {v: i for i, v in enumerate(fv)}
+            key = (type(g), *((code, tuple(map(where.get, inner))) for inner, code in parts))
+        frees[id(g)] = entry = (fv, frees.setdefault(key, len(frees)))
+        return entry
 
-    return _fold(f, leave)
+    return frozenset(_fold(f, leave)[0])
 
 
 class FormulaEvaluator:
@@ -900,6 +1028,8 @@ class FormulaEvaluator:
     bound to ``rows[i]``.  By default there is one empty row, and ``at`` is
     a point query answering 0 or 1.  ``rows`` may also be a ``RowSpace`` of
     the word, to share its tables with the evaluators of other formulas.
+    ``formula`` may be a tuple of formulas, planned together (see
+    ``FormulaPlan``); ``at`` then answers a tuple of masks.
 
     The word-independent work lives in a ``FormulaPlan``: pass one built for
     the same ``(formula, var_order, row_vars)`` as ``plan`` to share it
@@ -919,7 +1049,7 @@ class FormulaEvaluator:
     def __init__(
         self,
         word: Word,
-        formula: Formula,
+        formula: Formula | tuple[Formula, ...],
         var_order: tuple[str, ...] | None = None,
         rows: Sequence[tuple[int, ...]] | RowSpace = ((),),
         row_vars: tuple[str, ...] = (),
@@ -934,17 +1064,31 @@ class FormulaEvaluator:
         if space.word != word:
             raise LogicError("row space was built for another word")
         self.word, self.formula, self.free, self._n = word, formula, plan.free, len(word)
+        self._depth = plan.depth
         self._root = plan.bind(space)
 
     def at(self, values: tuple[int, ...]) -> int:
         """The mask of the rows on which the formula holds, with the scalar
         variables bound positionally (see ``free``).  No range validation;
-        callers supply positions of the word."""
-        return self._root(*values)
+        callers supply positions of the word.  Raises ``LogicError`` when
+        the query's calls nest deeper than the recursion limit allows from
+        here; the evaluator can be queried again from a shallower frame."""
+        try:
+            return self._root(*values)
+        except RecursionError:
+            frame, used, limit = sys._getframe(), 0, sys.getrecursionlimit()
+            while frame is not None:
+                frame, used = frame.f_back, used + 1
+            raise LogicError(
+                f"the formula's plan nests {self._depth} units deep, and {limit - used} "
+                f"of the recursion limit's {limit} frames are left here"
+            ) from None
 
     def evaluate(self, env: Mapping[str, int]) -> bool:
         """Point query with the scalar variables bound by name: does the
         formula hold on some row (on the one empty row by default)?"""
+        if isinstance(self.formula, tuple):
+            raise LogicError("a point query asks one formula, not a tuple")
         missing = [v for v in self.free if v not in env]
         if missing:
             raise LogicError(f"unbound free variables {missing}")

@@ -354,6 +354,46 @@ def test_eval_interp_reads_formulas_max_depth_deep(capsys, tmp_path, chain):
             assert err == f"error: expression nests deeper than {MAX_DEPTH} levels\n"
 
 
+def _called_from(depth, fn):
+    """``fn()`` called ``depth`` frames deeper than the caller."""
+    return fn() if depth == 0 else _called_from(depth - 1, fn)
+
+
+def test_deep_chain_from_a_deep_stack_is_refused(capsys, tmp_path):
+    """The MAX_DEPTH-deep quantifier chain, a plan 700 units deep, evaluates
+    from 0 and 200 frames deep under the default recursion limit; from 300
+    frames deep its query raises LogicError, naming the plan's depth and
+    the frames left, instead of RecursionError, the same evaluator answers
+    again from a shallow frame, and the CLI reports the error with exit
+    code 3."""
+    from polyreglab.interp import eval_interp, parse_interp
+    from polyreglab.logic import FormulaEvaluator, LogicError, RowSpace
+    from polyreglab.sexpr import MAX_DEPTH
+    from polyreglab.words import Word
+
+    body = "(letter a x1)"
+    for k in reversed(range(MAX_DEPTH - 2)):
+        body = _DEEP_CHAINS["quantifiers"][k % 2].format(body, k=k)
+    text = f"dim 1\ninput-alphabet a b c\noutput-alphabet o\n(letter o {body})\n(order (leq x1 y1))\n"
+    interp, u = parse_interp(text), Word.parse("ab")
+    plan = interp.letters_plan
+    assert plan.depth == 700
+    for depth in (0, 200):
+        assert _called_from(depth, lambda: eval_interp(interp, u).word().render()) == "o"
+    too_deep = r"plan nests 700 units deep, and \d+ of the recursion limit's \d+ frames are left"
+    with pytest.raises(LogicError, match=too_deep):
+        _called_from(300, lambda: eval_interp(interp, u))
+    ev = FormulaEvaluator(u, plan.formula, (), RowSpace.product(u, 1), ("x1",), plan=plan)
+    with pytest.raises(LogicError, match=too_deep):
+        _called_from(300, lambda: ev.at(()))
+    assert ev.at(()) == (0b01,)  # a stands at position 1 only
+    path = tmp_path / "chain.interp"
+    path.write_text(text, encoding="utf-8")
+    rc, out, err = _called_from(300, lambda: run(capsys, ["eval-interp", str(path), "ab"]))
+    assert (rc, out) == (3, "")
+    assert err.startswith("error: the formula's plan nests 700 units deep") and "Traceback" not in err
+
+
 def test_psi_lifts_a_600_deep_formula(capsys, tmp_path):
     """psi writes the lift of a formula 600 nots deep, and eval-interp reads
     it back; the nots cancel, so it is the lift of squaring-family."""

@@ -36,6 +36,7 @@ from polyreglab.logic import (
 from polyreglab.pebble import innsq_direct
 from polyreglab.psi import family, psi
 from polyreglab.words import Alphabet, Word
+from test_logic import _mask, _random_formula, naive_eval
 
 
 def _lex_order():
@@ -306,6 +307,122 @@ def test_domain_agrees_with_point_queries(interp):
         assert dict(compute_domain(interp, u).letters_at) == expected, u.render()
 
 
+_LETTERS_CASES = {
+    "squaring-family": lambda: builtin_interp("squaring-family"),
+    "innsq-interp": lambda: builtin_interp("innsq-interp"),
+    "cross-sort-demo": lambda: builtin_interp("cross-sort-demo"),
+    "family-2": lambda: family(2),
+    "partly-overlapping": lambda: _PARTLY_OVERLAPPING,
+}
+
+
+@pytest.mark.parametrize("name", sorted(_LETTERS_CASES))
+def test_letters_plan_agrees_with_each_letter_alone(name):
+    """On every word up to length 4, the empty word included, the masks of
+    the one letters plan equal those of a plan of each letter formula alone,
+    bound to the tuples listed as rows, and the naive reference's."""
+    interp = _LETTERS_CASES[name]()
+    xs = interp.tuple_vars()
+    alone = {c: FormulaPlan(f, (), xs) for c, f in interp.letter_formulas.items()}
+    for u in words_upto(interp.input_alphabet, 4):
+        rows = list(itertools.product(range(1, len(u) + 1), repeat=interp.dim))
+        domain = compute_domain(interp, u)
+        assert list(domain.masks) == list(interp.letter_formulas)
+        for c, f in interp.letter_formulas.items():
+            want = _mask(naive_eval(u, f, dict(zip(xs, row))) for row in rows)
+            if rows:
+                assert FormulaEvaluator(u, f, (), rows, xs, plan=alone[c]).at(()) == want
+            assert domain.masks[c] == want, (name, u.render(), c)
+
+
+def test_letters_plan_binds_words_of_one_length_in_any_order():
+    """The letters plans of the lifted innsq and of ``family(2)`` bound to
+    every word of length 3 before any is queried, then queried in an
+    interleaved order, answer what a fresh evaluator answers for each."""
+    for interp in (psi(builtin_interp("innsq-interp")), family(2)):
+        plan, xs = interp.letters_plan, interp.tuple_vars()
+        words = [w for w in words_upto(interp.input_alphabet, 3) if len(w) == 3]
+        bound = [
+            (w, FormulaEvaluator(w, plan.formula, (), RowSpace.product(w, 2), xs, plan=plan))
+            for w in words
+        ]
+        for w, ev in bound[::2] + bound[1::2][::-1]:
+            fresh = FormulaEvaluator(w, plan.formula, (), RowSpace.product(w, 2), xs)
+            assert ev.at(()) == fresh.at(()), w.render()
+
+
+@pytest.mark.parametrize("letters", [1, 3, 300])
+def test_domain_letters_follow_its_tuples(letters):
+    """``InterpDomain.letters`` names the letter of each tuple that
+    ``tuples`` lists, as ``letters_at`` does, for disjoint random masks of
+    one, three and 300 letters over product spaces of dimension 1 to 3."""
+    rng = random.Random(letters)
+    for dim, n in [(1, 0), (1, 5), (2, 4), (3, 3)]:
+        space = RowSpace.product(Word(("a",) * n), dim)
+        masks = dict.fromkeys((f"c{k}" for k in range(letters)), 0)
+        for i in range(n**dim):
+            if rng.random() < 0.7:
+                masks[rng.choice(list(masks))] |= 1 << i
+        domain = interp_module.InterpDomain(space, masks)
+        assert domain.overlap() is None and len(domain) == len(domain.letters_at)
+        assert domain.letters() == [c for c, in domain.letters_at.values()]
+        assert domain.tuples() == list(domain.letters_at)
+
+
+def _reference_details(interp, u):
+    """The output letters with origins and the diagnostic's JSON, computed
+    the old way from the naive reference: the letters holding on each
+    tuple, the first tuple in order where several do, then one relation
+    mask per tuple."""
+    xs, ys = interp.tuple_vars(), tuple(f"y{k}" for k in range(1, interp.dim + 1))
+    holding = {}
+    for tup in itertools.product(range(1, len(u) + 1), repeat=interp.dim):
+        env = dict(zip(xs, tup))
+        holds = sorted(c for c, f in interp.letter_formulas.items() if naive_eval(u, f, env))
+        if holds:
+            holding[tup] = holds
+    dom = sorted(holding)
+    for tup in dom:
+        if len(holding[tup]) > 1:
+            detail = f"letters {holding[tup]} all hold on {tup}"
+            diagnostic = {"kind": "letter-overlap", "detail": detail, "tuples": [list(tup)]}
+            return [], {**diagnostic, "letters": holding[tup]}
+    order = interp.order_formula
+    masks = [
+        _mask(naive_eval(u, order, {**dict(zip(xs, s)), **dict(zip(ys, t))}) for s in dom) for t in dom
+    ]
+    ranked = sorted(range(len(dom)), key=lambda j: masks[j].bit_count())
+    below = [_mask(i in ranked[: r + 1] for i in range(len(dom))) for r in range(len(dom))]
+    if any(masks[j] != below[r] for r, j in enumerate(ranked)):
+        violation = interp_module._order_violation(dom, masks)
+        tuples = [list(t) for t in violation.tuples]
+        detail = violation.render()
+        return [], {"kind": "order-not-linear", "detail": detail, "tuples": tuples, "letters": []}
+    return [(holding[dom[j]][0], dom[j]) for j in ranked], None
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.integers(0, 2**32 - 1))
+def test_diagnostics_match_the_per_letter_reference(seed):
+    """Random interpretations of dimension 1 and 2 with one to three letter
+    formulas, which often overlap, and random order formulas, which often
+    fail to be linear: on every word up to length 3, the outputs with their
+    origins and the letter-overlap and order-not-linear diagnostics (kind,
+    detail text, tuples and letters) equal the reference's exactly."""
+    rng = random.Random(seed)
+    dim = rng.choice([1, 2])
+    xs = [f"x{i}" for i in range(1, dim + 1)]
+    ys = [f"y{i}" for i in range(1, dim + 1)]
+    pad = lambda f, vs: And((f, *(Eq(v, v) for v in vs)))  # noqa: E731
+    letters = {c: pad(_random_formula(rng, xs, 3, 2), xs) for c in "pqr"[: rng.randint(1, 3)]}
+    order = pad(_random_formula(rng, xs + ys, 3, 1), xs + ys)
+    interp = Interpretation(dim, Alphabet.of("a", "b", "#"), Alphabet.of(*letters), letters, order)
+    for u in words_upto(interp.input_alphabet, 3):
+        result = eval_interp_details(interp, u)
+        diagnostic = result.diagnostic and result.diagnostic.to_json()
+        assert (list(result.output.letters), diagnostic) == _reference_details(interp, u), u.render()
+
+
 def test_set_bits_decodes_every_set_bit():
     """``_set_bits`` lists the same indices as reading the binary digits
     one by one, on 0 and on seeded random masks of up to 1,000 bits, sparse
@@ -344,7 +461,9 @@ def test_eval_interp_sorts_the_domain_once(monkeypatch):
 
 def test_eval_interp_queries_through_module_evaluator(monkeypatch):
     """Evaluators are built through ``interp.FormulaEvaluator`` and queried
-    through ``at``, the two bindings a tracer wraps to count queries."""
+    through ``at``, the two bindings a tracer wraps to count queries: one
+    evaluator and one query for all letter formulas, then one evaluator
+    for the order formula and one query per output letter."""
     built, queries = [], []
 
     class Counting(FormulaEvaluator):
@@ -360,52 +479,61 @@ def test_eval_interp_queries_through_module_evaluator(monkeypatch):
     innsq = builtin_interp("innsq-interp")
     out = eval_interp(innsq, Word.parse("aba#baa#bb"))
     assert out.word().render() == "abaaba#baabaa#bbbb"
-    assert built == [*innsq.letter_formulas.values(), innsq.order_formula]
-    assert len(queries) == len(innsq.letter_formulas) + len(out)
+    assert built == [tuple(innsq.letter_formulas.values()), innsq.order_formula]
+    assert len(queries) == 1 + len(out)
 
 
 def test_eval_interp_builds_each_table_once_per_word(monkeypatch):
     """One ``eval_interp`` of the lifted innsq interpretation on a word of
-    length 6 builds one row space over the 36 tuples, shared by all five
-    letter formulas, one over the 9 output tuples for the order check and a
-    positions space beside each.  Each space builds the position masks of
-    each row component once; of the 52 tables the evaluators ask for, 35
-    are built and the rest come from the shared space."""
-    spaces, masks, tables = [], [], []
-    init, build_masks, build_table = RowSpace.__init__, RowSpace.masks, RowSpace.table
+    length 6 makes four row spaces: the product space of the 36 tuples, for
+    the letters plan, the space of the 9 selected tuples, for the order
+    check, and a positions space for each.  Each space fills the position
+    masks of each row component once, and only component 1 of the selected
+    tuples takes a pass over rows; each of the 35 tables the two evaluators
+    ask for is built once."""
+    spaces, fills, passes, tables = [], [], [], []
+    init, fill, build_masks = RowSpace.__init__, RowSpace._fill, RowSpace.masks
+    build_table = RowSpace.table
 
-    def counting_init(self, word, rows, *args):
-        spaces.append(len(rows))
-        init(self, word, rows, *args)
+    def counting_init(self, *args):
+        spaces.append(self)
+        init(self, *args)
+
+    def counting_fill(self, a, eq):
+        fills.append((self, a))
+        fill(self, a, eq)
 
     def counting_masks(self, a):
-        result = build_masks(self, a)
-        masks.append((self, a, result))
-        return result
+        if a not in self._masks:
+            passes.append((self, a))
+        return build_masks(self, a)
 
     def counting_table(self, spec):
         tables.append((self, spec))
         return build_table(self, spec)
 
     monkeypatch.setattr(RowSpace, "__init__", counting_init)
+    monkeypatch.setattr(RowSpace, "_fill", counting_fill)
     monkeypatch.setattr(RowSpace, "masks", counting_masks)
     monkeypatch.setattr(RowSpace, "table", counting_table)
     lifted = psi(builtin_interp("innsq-interp"))
-    lifted.letter_plans, lifted.order_plan  # planned before counting
+    lifted.letters_plan, lifted.order_plan  # planned before counting
     spaces.clear()
     out = eval_interp(lifted, Word.parse("a♣b#♣a"))
     assert len(out) == 9
-    assert sorted(spaces) == [6, 6, 9, 36]
-    built = {id(result) for _, _, result in masks}  # the results are kept alive in masks
-    assert len(built) == len({(id(space), a) for space, a, _ in masks}) == 6
-    assert (len(tables), len({(id(space), spec) for space, spec in tables})) == (52, 35)
+    assert sorted(space.all.bit_length() for space in spaces) == [6, 6, 9, 36]
+    assert sorted((space.all.bit_length(), a) for space, a in fills) == [
+        (6, 0), (6, 0), (9, 0), (9, 1), (36, 0), (36, 1)
+    ]
+    assert [(space.all.bit_length(), a) for space, a in passes] == [(9, 1)]
+    assert (len(tables), len({(id(space), spec) for space, spec in tables})) == (35, 35)
 
 
 def test_image_sweep_plans_each_formula_once(monkeypatch):
     """Enumerating the image of ``psi:innsq-interp`` up to length 3 plans
-    each formula of the lifted interpretation once for the whole sweep, and
-    binds each letter formula once per non-empty word and the order formula
-    at most once per word."""
+    the letter formulas of the lifted interpretation together and its order
+    formula, each once for the whole sweep, and binds the letters plan once
+    per non-empty word and the order formula at most once per word."""
     planned, built = [], []
     plan_init = FormulaPlan.__init__
 
@@ -423,14 +551,13 @@ def test_image_sweep_plans_each_formula_once(monkeypatch):
     lifted = resolve_function("psi:innsq-interp")
     enumerate_image(lifted.fn, lifted.input_alphabet, 3)
     expected = psi(builtin_interp("innsq-interp"))
-    assert planned == [*expected.letter_formulas.values(), expected.order_formula]
-    *letters, order = planned
+    assert planned == [tuple(expected.letter_formulas.values()), expected.order_formula]
+    letters, order = planned
     words = [w for w in words_upto(lifted.input_alphabet, 3) if len(w)]
-    for f in letters:
-        assert [w for w, g in built if g is f] == words
+    assert [w for w, g in built if g is letters] == words
     ordered = [w for w, g in built if g is order]
     assert 0 < len(ordered) == len(set(ordered)) <= len(words)
-    assert len(built) == len(letters) * len(words) + len(ordered)
+    assert len(built) == len(words) + len(ordered)
 
 
 # -- totalization diagnostics ---------------------------------------------------

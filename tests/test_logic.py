@@ -358,6 +358,48 @@ def test_product_space_masks_match_the_row_by_row_build(dim):
             assert space.masks(a) == generic.masks(a), (n, a)
 
 
+def _masks_row_by_row(n, rows, a):
+    """The ==, <= and >= masks of component ``a``, built one row at a time
+    as ``RowSpace.masks`` once built them for every space."""
+    bufs = [bytearray((len(rows) + 7) >> 3) for _ in range(n + 2)]
+    for i, row in enumerate(rows):
+        bufs[row[a]][i >> 3] |= 1 << (i & 7)
+    eq = [int.from_bytes(buf, "little") for buf in bufs]
+    le = list(itertools.accumulate(eq, lambda x, y: x | y))
+    everything = (1 << len(rows)) - 1
+    return eq, le, [everything ^ below for below in [0, *le[:-1]]]
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.integers(1, 3), st.integers(0, 5), st.sampled_from([0, 0.1, 0.5, 0.9, 1]), st.randoms())
+def test_order_space_masks_match_the_row_by_row_build(dim, n, density, rng):
+    """The space of a domain in increasing order, as the order check binds
+    it, has the masks of the row-by-row build, and so do the same rows
+    reordered within each first component and a space listing them
+    shuffled; ``RowSpace.increasing`` refuses the shuffled rows when their
+    first components decrease somewhere.  A product space lists the rows of
+    a mask in order.  Domains are drawn from every density, the empty one
+    included, in dimensions 1 to 3 on words of length 0 to 5."""
+    w = Word(tuple("ab#"[k % 3] for k in range(n)))
+    product = RowSpace.product(w, dim)
+    mask = sum(1 << i for i in range(n**dim) if rng.random() < density)
+    rows = [row for i, row in enumerate(itertools.product(range(1, n + 1), repeat=dim)) if mask >> i & 1]
+    assert product.rows_at(mask) == rows
+    by_first = sorted(rows, key=lambda row: (row[0], rng.random()))
+    shuffled = rows[:]
+    rng.shuffle(shuffled)
+    spaces = [RowSpace.increasing(w, rows), RowSpace.increasing(w, by_first), RowSpace(w, shuffled)]
+    firsts = [row[0] for row in shuffled]
+    if firsts == sorted(firsts):
+        spaces.append(RowSpace.increasing(w, shuffled))
+    else:
+        with pytest.raises(LogicError, match="not listed in increasing order"):
+            RowSpace.increasing(w, shuffled)
+    for space in spaces:
+        for a in range(dim):
+            assert space.masks(a) == _masks_row_by_row(n, space.rows, a), (mask, a)
+
+
 @st.composite
 def _word_sequences(draw):
     """One to three random words of length 0 to 6, and the empty word at a
@@ -403,6 +445,59 @@ def test_one_plan_serves_a_sequence_of_words(f, words, closure):
                 assert ev.at(values) == fresh.at(values) == want, (w.render(), row_vars, values)
     with pytest.raises(LogicError, match="plan"):
         FormulaEvaluator(words[0], f, (), [], ("y", "x"), plan=plans[2])
+
+
+def _units(plan):
+    """How many units the generator defines for the formulas of ``plan``."""
+    frees = {}
+    for core in plan.core:
+        _collect_frees(core, frees)
+    return len(_generate(plan.core, frees, plan.free, plan.row_vars).sources) - 1
+
+
+_WORDS_UP_TO_4 = st.lists(st.sampled_from("ab#"), max_size=4).map(lambda t: Word(tuple(t)))
+
+# Two quantifiers whose bodies are alike up to renaming but bind the first
+# and the second variable of their body: y is the last and the first
+# position, two different units.
+_SAME_BODY_OTHER_BINDER = parse_formula("(and (forall u (leq u y)) (forall u (leq y u)))")
+
+# With x as a row variable, the guards of these two quantifiers are a(z)
+# and not a(z): the same node under a negation or not, two different units.
+_GUARDS_OF_OPPOSITE_SIGN = parse_formula(
+    "(and (exists z (and (letter a z) (leq x z))) (exists z (and (not (letter a z)) (leq x z))))"
+)
+
+
+@settings(deadline=None, max_examples=60)
+@example(_SAME_BODY_OTHER_BINDER, Leq("x", "u"), [Word.parse("ab")])
+@example(_GUARDS_OF_OPPOSITE_SIGN, Leq("x", "u"), [Word.parse("ab"), Word.parse("ba")])
+@given(_quantified_formulas(), _quantified_formulas(("x", "u")), st.lists(_WORDS_UP_TO_4, min_size=1, max_size=2))
+def test_plans_of_several_formulas_agree_with_one_plan_each(f, g, words):
+    """A plan of the formulas f, g and f again answers, on each word, the
+    masks that a plan of each formula alone and the naive reference answer:
+    in point mode, with x as a row variable and with x and y as row
+    variables.  g's free u is a binder of f as often as not; f's second
+    copy adds no unit, and a tuple asks no point query."""
+    modes = [(("x", "y", "u"), ()), (("y", "u"), ("x",)), (("u",), ("x", "y"))]
+    for var_order, row_vars in modes:
+        together = FormulaPlan((f, g, f), var_order, row_vars)
+        pair = FormulaPlan((f, g), var_order, row_vars)
+        assert _units(together) == _units(pair)
+        alone = [FormulaPlan(h, var_order, row_vars) for h in (f, g, f)]
+        for w in words:
+            positions = range(1, len(w) + 1)
+            rows = list(itertools.product(positions, repeat=len(row_vars)))
+            at = FormulaEvaluator(w, together.formula, var_order, rows, row_vars, plan=together).at
+            singles = [FormulaEvaluator(w, p.formula, var_order, rows, row_vars, plan=p).at for p in alone]
+            for values in itertools.product(positions, repeat=len(var_order)):
+                env = dict(zip(var_order, values))
+                want = tuple(
+                    _mask(naive_eval(w, h, {**env, **dict(zip(row_vars, r))}) for r in rows) for h in (f, g, f)
+                )
+                assert at(values) == tuple(one(values) for one in singles) == want, (w.render(), values)
+    with pytest.raises(LogicError, match="one formula"):
+        FormulaEvaluator(Word.parse("ab"), (f, g), ("x", "y", "u")).evaluate({"x": 1, "y": 1, "u": 1})
 
 
 def test_var_order_is_checked_when_the_plan_is_built():
