@@ -30,7 +30,6 @@ from .logic import (
     Not,
     Or,
     RowSpace,
-    bit_flags,
     free_vars,
     from_sexpr,
     letters_used,
@@ -137,23 +136,14 @@ class InterpDomain:
 
     def letters(self) -> list[str]:
         """The letter of each tuple that ``tuples`` lists, in that order,
-        when no two letters hold on one tuple.  Read as one byte per bit
-        and times its letter's number, each mask adds into one string of
-        bytes whose nonzero bytes number the letters in order; this takes
-        half the time of visiting each set bit, which more than 255
-        letters, too many to number in a byte, still do."""
-        names = list(self.masks)
-        size = self.space.all.bit_length()
-        if len(names) > 255:
-            by_bit: list = [0] * size
-            for c, mask in self.masks.items():
-                for i in _set_bits(mask):
-                    by_bit[i] = c
-            return list(filter(None, by_bit))
-        total = 0
-        for k, mask in enumerate(self.masks.values(), 1):
-            total += k * int.from_bytes(bit_flags(mask), "little")
-        return [names[k - 1] for k in total.to_bytes(size, "little").translate(None, b"\0")]
+        when no two letters hold on one tuple: each mask's set bits name
+        their tuple's letter, and the bits no letter holds on stay 0 (a
+        letter is never empty, so never false)."""
+        by_bit: list = [0] * self.space.all.bit_length()
+        for c, mask in self.masks.items():
+            for i in _set_bits(mask):
+                by_bit[i] = c
+        return list(filter(None, by_bit))
 
     @property
     def letters_at(self) -> dict[tuple[int, ...], frozenset[str]]:

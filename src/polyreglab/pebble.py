@@ -114,6 +114,8 @@ def apply(p: PolyFun, w: Word) -> Word:
     if isinstance(p, Reg):
         return p.fn(w).word()
     if isinstance(p, Pebble0):
+        if not p.cases:
+            return p.default
         rendering = w.render()
         for pattern, out in p.cases:
             if re.fullmatch(pattern, rendering):
@@ -127,12 +129,21 @@ def apply(p: PolyFun, w: Word) -> Word:
 def _pieces(p: Pebble | Blind, w: Word) -> Iterator[tuple[str, int, Word]]:
     """For each letter the head of ``p`` outputs on ``w``: the letter, its
     origin and its branch's output, on ``w`` with the origin underlined
-    for a Pebble, on ``w`` itself for a Blind.  Branches recurse through
-    the module's ``apply``, so a wrapper bound in its place sees them."""
-    marked = isinstance(p, Pebble)
+    for a Pebble, on ``w`` itself for a Blind.  A Blind branch never sees
+    the origin, so its piece depends on the letter alone: it is computed
+    at the letter's first occurrence and yielded again at the others.
+    Branches recurse through the module's ``apply``, so a wrapper bound in
+    its place sees them."""
+    if isinstance(p, Pebble):
+        for letter, origin in p.head(w):
+            i = origin[0]
+            yield letter, i, apply(p.branches[letter], _underlined(w, i))
+        return
+    pieces: dict[str, Word] = {}
     for letter, origin in p.head(w):
-        i = origin[0]
-        yield letter, i, apply(p.branches[letter], _underlined(w, i) if marked else w)
+        if letter not in pieces:
+            pieces[letter] = apply(p.branches[letter], w)
+        yield letter, origin[0], pieces[letter]
 
 
 def _underlined(w: Word, i: int) -> Word:

@@ -453,6 +453,32 @@ def test_relative_head_resolves_from_the_tree_file(capsys, tmp_path, monkeypatch
             assert got == expected, argv
 
 
+# A machine over {# a b} that sweeps right, then on the right endmarker
+# bounces back forever (loop) or emits an a and stops (endmark).
+_FAULTY_BRANCHES = {
+    "loop": ("accept ", "go > -> go L"),
+    "endmark": ("accept done", "go > -> done S a"),
+}
+
+
+@pytest.mark.parametrize("machine", sorted(_FAULTY_BRANCHES))
+def test_blind_branch_errors_read_as_the_branch_run(capsys, tmp_path, machine):
+    """A blind branch that never halts, or emits on an endmarker, fails
+    eval-pebble with the message run-2dft gives for that machine and word."""
+    accept, last_row = _FAULTY_BRANCHES[machine]
+    rows = ["go < -> go R", "go # -> go R", "go a -> go R", "go b -> go R", last_row]
+    head = [f"name {machine}", "states go done", "init go", accept, "input # a b", "output a"]
+    table = "\n".join(head + rows) + "\n"
+    (tmp_path / f"{machine}.2dft").write_text(table, encoding="utf-8")
+    tree = f"(blind block-marker ((• (reg {machine}.2dft)) (# (const #))))\n"
+    (tmp_path / "t.pfn").write_text(tree, encoding="utf-8")
+    word = "ab#b#a"
+    rc, out, err = run(capsys, ["eval-pebble", str(tmp_path / "t.pfn"), word])
+    want = run(capsys, ["run-2dft", str(tmp_path / f"{machine}.2dft"), word])
+    assert want[0] == 3 and want[2].startswith("error: ")
+    assert (rc, out, err) == want
+
+
 # Each definition file, under the name it is saved as, and the builtin it
 # renders, with every verb that takes one of its kind; {} stands for either.
 _SAME_FILE_VERBS = {

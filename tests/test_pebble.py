@@ -1,7 +1,11 @@
 import itertools
+import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from polyreglab import pebble
 from polyreglab.pebble import (
     Blind,
     Pebble,
@@ -19,8 +23,8 @@ from polyreglab.pebble import (
     parse_polyfun,
     render_polyfun,
 )
-from polyreglab.twoway import builtin_regular_fn, identity_fn
-from polyreglab.words import Alphabet, Word
+from polyreglab.twoway import builtin_regular_fn, erasing_fn, identity_fn
+from polyreglab.words import Alphabet, Word, concat, mark_token
 
 INNSQ_CASES = {
     "aba#baa#bb": "abaaba#baabaa#bbbb",
@@ -106,6 +110,76 @@ def test_growth_bound():
             assert len(apply(p, w)) <= (c * (len(w) + 1)) ** k
 
 
+def _definitional(p, w):
+    """The output of ``p`` on ``w`` and its root's trace rows, straight
+    from the definition: every head letter runs its branch, blind or not."""
+    if isinstance(p, Reg):
+        return p.fn(w).word(), []
+    if isinstance(p, Pebble0):
+        for pattern, out in p.cases:
+            if re.fullmatch(pattern, w.render()):
+                return out, []
+        return p.default, []
+    rows, pieces = [], []
+    for letter, (i,) in p.head(w):
+        arg = w
+        if isinstance(p, Pebble):
+            arg = Word(w.tokens[: i - 1] + (mark_token(w.tokens[i - 1]),) + w.tokens[i:])
+        piece, _ = _definitional(p.branches[letter], arg)
+        rows.append((letter, i, len(piece)))
+        pieces.append(piece)
+    return concat(pieces), rows
+
+
+def _block_marker_blind():
+    """A blind tree whose head repeats two letters: • per a or b, # per #."""
+    classify = Pebble0(
+        cases=(("a.*", Word.parse("x")), (".*#.*#.*", Word.parse("yy")), ("b*", Word())),
+        default=Word.parse("z"),
+    )
+    drop_hashes = Reg(erasing_fn(Alphabet.of("a", "b", "#"), Alphabet.of("#")))
+    return Blind(builtin_regular_fn("block-marker"), {"•": classify, "#": drop_hashes})
+
+
+@settings(deadline=None, max_examples=300)
+@given(
+    st.sampled_from(["innsq-pebble", "block-marker blind"]),
+    st.lists(st.sampled_from("ab#"), max_size=12),
+)
+def test_apply_and_trace_agree_with_the_definition(tree, toks):
+    """Sharing a blind node's pieces per head letter gives the output and
+    the trace rows of running its branch at every head letter."""
+    p = builtin_polyfun(tree) if tree == "innsq-pebble" else _block_marker_blind()
+    w = Word(tuple(toks))
+    want, want_rows = _definitional(p, w)
+    assert apply(p, w) == want
+    assert apply_trace(p, w) == (want, want_rows)
+
+
+def test_blind_runs_its_branch_once_per_distinct_head_letter(monkeypatch):
+    """In innsq-pebble the outer head calls the blind node once per
+    non-empty block, and the blind head outputs one • per #, so with k #s
+    its branch would run k times per call; it runs once."""
+    p = builtin_polyfun("innsq-pebble")
+    copier = p.branches["•"]
+    copy = copier.branches["•"]
+    calls = {copier: 0, copy: 0}
+    inner = pebble.apply
+
+    def counting(q, w):
+        if q in calls:
+            calls[q] += 1
+        return inner(q, w)
+
+    monkeypatch.setattr(pebble, "apply", counting)
+    for k in range(1, 5):
+        w = Word.parse("#".join(["ab", "b", "aab", "", "a"][: k + 1]))
+        calls.update(dict.fromkeys(calls, 0))
+        assert pebble.apply(p, w) == innsq_direct(w)
+        assert calls[copier] == sum(1 for block in w.render().split("#") if block)
+        assert calls[copy] == calls[copier]
+
+
 # -- leaves -------------------------------------------------------------------
 
 
@@ -122,6 +196,13 @@ def test_pebble0_first_match_wins():
 def test_pebble0_matches_whole_rendering():
     p = Pebble0(cases=(("a", Word.parse("x")),), default=Word())
     assert apply(p, Word.parse("aa")) == Word()
+
+
+def test_constant_leaf_does_not_render_its_argument(monkeypatch):
+    rendered = []
+    monkeypatch.setattr(Word, "render", lambda w: rendered.append(w) or "")
+    assert apply(Pebble0(default=Word.parse("#")), Word.parse("ab#")) == Word.parse("#")
+    assert rendered == []
 
 
 def test_pebble0_rejects_bad_regex():
