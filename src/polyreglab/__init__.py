@@ -32,7 +32,9 @@ from .langlab import (
 )
 from .logic import (
     FormulaEvaluator,
+    FormulaPlan,
     LogicError,
+    RowSpace,
     SortReport,
     check_sortable,
     eval_formula,

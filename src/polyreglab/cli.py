@@ -15,7 +15,6 @@ import sys
 
 from .interp import (
     InterpError,
-    eval_interp,
     eval_interp_details,
     interpretations,
     render_interp,
@@ -24,6 +23,7 @@ from .langlab import (
     DEFAULT_BUDGET,
     BudgetError,
     LanguageSample,
+    ResolvedFn,
     check_dcomplete,
     enumerate_image,
     growth_degree,
@@ -32,7 +32,7 @@ from .langlab import (
     words_upto,
 )
 from .logic import LogicError, check_sortable
-from .pebble import PebbleError, apply, innsq_direct, polyfuns
+from .pebble import PebbleError, apply, polyfuns
 from .psi import PsiError, family, family_markers, psi
 from .twoway import (
     EmitOnEndmarkerError,
@@ -72,6 +72,18 @@ def _parse_alphabet(text: str) -> Alphabet:
     return Alphabet.of(*tokens)
 
 
+def _count(text: str) -> int:
+    """An int of at least 0, for the options that count; a usage error
+    (exit code 2) otherwise."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be at least 0, not {value}")
+    return value
+
+
 def _parse_lengths(text: str) -> list[int]:
     if ":" in text:
         parts = text.split(":")
@@ -83,6 +95,17 @@ def _parse_lengths(text: str) -> list[int]:
             raise ValueError(f"bad length range {text!r}")
         return list(range(lo, hi + 1, step))
     return [int(p) for p in text.split(",") if p]
+
+
+def _resolve_over_alphabet(args) -> tuple[ResolvedFn, Alphabet]:
+    """``args.function`` resolved, and the alphabet to run it over:
+    ``--alphabet`` if given, else the function's own."""
+    alphabet = _parse_alphabet(args.alphabet) if args.alphabet else None
+    resolved = resolve_function(args.function, alphabet)
+    alphabet = alphabet or resolved.input_alphabet
+    if alphabet is None:
+        raise ValueError(f"{args.function!r} has no intrinsic alphabet; pass --alphabet")
+    return resolved, alphabet
 
 
 def _emit(path: str | None, text: str) -> None:
@@ -179,11 +202,7 @@ def _cmd_family(args) -> int:
 
 
 def _cmd_image(args) -> int:
-    alphabet = _parse_alphabet(args.alphabet) if args.alphabet else None
-    resolved = resolve_function(args.function, alphabet)
-    alphabet = alphabet or resolved.input_alphabet
-    if alphabet is None:
-        raise ValueError(f"{args.function!r} has no intrinsic alphabet; pass --alphabet")
+    resolved, alphabet = _resolve_over_alphabet(args)
     sample = enumerate_image(
         resolved.fn,
         alphabet,
@@ -248,11 +267,7 @@ def _cmd_pump(args) -> int:
 
 
 def _cmd_growth(args) -> int:
-    alphabet = _parse_alphabet(args.alphabet) if args.alphabet else None
-    resolved = resolve_function(args.function, alphabet)
-    alphabet = alphabet or resolved.input_alphabet
-    if alphabet is None:
-        raise ValueError(f"{args.function!r} has no intrinsic alphabet; pass --alphabet")
+    resolved, alphabet = _resolve_over_alphabet(args)
     estimate = growth_degree(
         resolved.fn, alphabet, _parse_lengths(args.lengths), seed=args.seed
     )
@@ -286,16 +301,10 @@ def _cmd_sort_check(args) -> int:
 def _cmd_agree(args) -> int:
     if args.suite != "innsq":
         raise ValueError(f"unknown agreement suite {args.suite!r}")
-    alphabet = Alphabet.of("a", "b", "#")
-    tree = polyfuns.builtin("innsq-pebble")
-    interp = interpretations.builtin("innsq-interp")
-
-    def via_pebble(w: Word) -> Word:
-        return apply(tree, w)
-
-    def via_interp(w: Word) -> Word:
-        return eval_interp(interp, w).word()
-
+    direct = resolve_function("innsq")
+    via_pebble = resolve_function("pebble:innsq-pebble").fn
+    via_interp = resolve_function("interp:innsq-interp").fn
+    alphabet = direct.input_alphabet
     letters = sorted(alphabet.letters)
     rng = random.Random(args.seed)
     mismatches = 0
@@ -308,7 +317,7 @@ def _cmd_agree(args) -> int:
     stages.append(("random", iter(randoms)))
     for stage, stream in stages:
         for w in stream:
-            expected = innsq_direct(w)
+            expected = direct.fn(w)
             for label, fn in (("pebble", via_pebble), ("interp", via_interp)):
                 got = fn(w)
                 if got != expected:
@@ -374,7 +383,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("psi", parents=[common])
     p.add_argument("interp")
-    p.add_argument("--iterate", type=int, default=1, metavar="K")
+    p.add_argument("--iterate", type=_count, default=1, metavar="K")
     p.add_argument("-o", "--output")
     p.set_defaults(run=_cmd_psi)
 
@@ -386,7 +395,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("image", parents=[common])
     p.add_argument("function")
     p.add_argument("--alphabet")
-    p.add_argument("--max-len", type=int, required=True)
+    p.add_argument("--max-len", type=_count, required=True)
     p.add_argument("-o", "--output")
     p.set_defaults(run=_cmd_image)
 
@@ -416,9 +425,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("agree", parents=[common])
     p.add_argument("suite")
-    p.add_argument("--max-len", type=int, default=5)
-    p.add_argument("--random", type=int, default=100)
-    p.add_argument("--random-max-len", type=int, default=40)
+    p.add_argument("--max-len", type=_count, default=5)
+    p.add_argument("--random", type=_count, default=100)
+    p.add_argument("--random-max-len", type=_count, default=40)
     p.set_defaults(run=_cmd_agree)
 
     return parser

@@ -178,11 +178,8 @@ def compute_domain(interp: Interpretation, u: Word) -> InterpDomain:
     letters = interp.letter_formulas
     if not u:
         return InterpDomain(space, dict.fromkeys(letters, 0))
-    plan = interp.letters_plan
-    ev = FormulaEvaluator(
-        u, plan.formula, var_order=(), rows=space, row_vars=interp.tuple_vars(), plan=plan
-    )
-    return InterpDomain(space, dict(zip(letters, ev.at(()))))
+    masks = FormulaEvaluator(interp.letters_plan, space).at(())
+    return InterpDomain(space, dict(zip(letters, masks)))
 
 
 @record(slots=True)
@@ -222,14 +219,7 @@ def check_linear_order(
     m = len(dom)
     if m == 0:
         return OrderCheck(True, ())
-    at = FormulaEvaluator(
-        u,
-        interp.order_formula,
-        var_order=_var_names("y", interp.dim),
-        rows=RowSpace.increasing(u, dom),
-        row_vars=interp.tuple_vars(),
-        plan=interp.order_plan,
-    ).at
+    at = FormulaEvaluator(interp.order_plan, RowSpace.increasing(u, dom)).at
     masks = [at(t) for t in dom]
     ranked = sorted(range(m), key=lambda j: masks[j].bit_count())
     below = 0

@@ -14,8 +14,9 @@ compiles the result, once, into one generated Python binder of units.  A
 plan never changes once built, so one plan serves any number of words, also
 from several threads; a plan may also take several formulas at once, and an
 interpretation keeps one for its letter formulas and one for its order
-formula.  A ``FormulaEvaluator`` binds a plan to one word, building only the
-word's tables and one function per distinct unit, and is used by one thread.
+formula.  ``FormulaEvaluator(plan, space)`` binds a plan to a ``RowSpace``,
+rows of one word, building only the word's tables and one function per
+distinct unit, and is used by one thread.
 
 The generated code computes an int mask over a row space: a list of row
 tuples that bind the space's row variables, where bit i says the formula
@@ -912,7 +913,8 @@ class FormulaPlan:
     ``core`` is the formula with its macros expanded and its binders renamed
     apart from each other, from its free variables and from ``row_vars``
     (a tuple of those, for a tuple).
-    ``free`` lists the scalar variables in the order ``at`` binds them.
+    ``free`` lists the scalar variables in the order that
+    ``FormulaEvaluator.at`` binds them: ``var_order``, or by name if None.
     The plan keeps the core compiled as generated Python (see above): one
     binder, compiled once, that defines one function per distinct unit, so
     alpha-equal copies of a subformula, such as the uses of one macro, are
@@ -962,20 +964,6 @@ class FormulaPlan:
         exec(compile(binder, "<plan>", "exec"), {"__builtins__": {}}, namespace)
         self._bind = namespace["bind"]
 
-    def serves(
-        self,
-        formula: Formula | tuple[Formula, ...],
-        var_order: tuple[str, ...] | None,
-        row_vars: tuple[str, ...],
-    ) -> bool:
-        """Was this plan built for these arguments (``var_order`` None
-        standing for the plan's own order)?"""
-        return (
-            (self.formula is formula or self.formula == formula)
-            and self.row_vars == tuple(row_vars)
-            and (var_order is None or self.free == tuple(var_order))
-        )
-
     def bind(self, space: RowSpace) -> Callable:
         """The root unit made for the word of ``space``: it maps the
         positions of the ``free`` variables to the mask of the rows of
@@ -1019,57 +1007,36 @@ def _collect_frees(f: Formula, frees: dict) -> frozenset[str]:
 
 
 class FormulaEvaluator:
-    """One formula bound to one fixed word.
+    """A formula plan bound to the word of one row space.
 
-    Free variables are either row variables or scalar variables.  Each of
-    ``rows`` binds the row variables, component by component; ``at(values)``
-    binds the scalar variables positionally (see ``free``) and returns an
-    int mask whose bit i says the formula holds with the row variables
-    bound to ``rows[i]``.  By default there is one empty row, and ``at`` is
-    a point query answering 0 or 1.  ``rows`` may also be a ``RowSpace`` of
-    the word, to share its tables with the evaluators of other formulas.
-    ``formula`` may be a tuple of formulas, planned together (see
-    ``FormulaPlan``); ``at`` then answers a tuple of masks.
+    The plan's free variables are either row variables or scalar variables.
+    Each row of ``space`` binds the row variables, component by component;
+    ``at(values)`` binds the scalar variables positionally, in the order of
+    ``plan.free``, and returns an int mask whose bit i says the formula
+    holds with the row variables bound to row i.  Over ``RowSpace(word,
+    ((),))``, the one empty row, ``at`` is a point query answering 0 or 1.
+    For a plan of a tuple of formulas, ``at`` answers a tuple of masks.
 
-    The word-independent work lives in a ``FormulaPlan``: pass one built for
-    the same ``(formula, var_order, row_vars)`` as ``plan`` to share it
-    across words, or let the evaluator build its own.  Binding a plan to the
-    word builds only what depends on the word: the tables of the row space
-    and of the positions space over (1,) to (n,), and, in one call of the
-    plan's binder, one function per distinct unit of the plan, with fresh
-    memo caches.  A quantifier whose free variables are all scalar asks its
-    body, over the positions space, once per binding of them; others loop
-    over the positions their guard allows.
+    Binding builds only what depends on the word: the tables of ``space``
+    and of its positions space over (1,) to (n,), shared with every other
+    evaluator over them, and, in one call of the plan's binder, one
+    function per distinct unit of the plan, with fresh memo caches.  A
+    quantifier whose free variables are all scalar asks its body, over the
+    positions space, once per binding of them; others loop over the
+    positions their guard allows.
 
     Build once per word, query many times.  A plan may be shared across
     words and threads; an evaluator may not (each instance owns its memo
     caches).
     """
 
-    def __init__(
-        self,
-        word: Word,
-        formula: Formula | tuple[Formula, ...],
-        var_order: tuple[str, ...] | None = None,
-        rows: Sequence[tuple[int, ...]] | RowSpace = ((),),
-        row_vars: tuple[str, ...] = (),
-        *,
-        plan: FormulaPlan | None = None,
-    ):
-        if plan is None:
-            plan = FormulaPlan(formula, var_order, row_vars)
-        elif not plan.serves(formula, var_order, row_vars):
-            raise LogicError("plan was built for another formula, var_order or row_vars")
-        space = rows if isinstance(rows, RowSpace) else RowSpace(word, rows)
-        if space.word != word:
-            raise LogicError("row space was built for another word")
-        self.word, self.formula, self.free, self._n = word, formula, plan.free, len(word)
-        self._depth = plan.depth
+    def __init__(self, plan: FormulaPlan, space: RowSpace):
+        self.plan, self.space = plan, space
         self._root = plan.bind(space)
 
     def at(self, values: tuple[int, ...]) -> int:
         """The mask of the rows on which the formula holds, with the scalar
-        variables bound positionally (see ``free``).  No range validation;
+        variables bound positionally (see ``plan.free``).  No range validation;
         callers supply positions of the word.  Raises ``LogicError`` when
         the query's calls nest deeper than the recursion limit allows from
         here; the evaluator can be queried again from a shallower frame."""
@@ -1080,30 +1047,31 @@ class FormulaEvaluator:
             while frame is not None:
                 frame, used = frame.f_back, used + 1
             raise LogicError(
-                f"the formula's plan nests {self._depth} units deep, and {limit - used} "
+                f"the formula's plan nests {self.plan.depth} units deep, and {limit - used} "
                 f"of the recursion limit's {limit} frames are left here"
             ) from None
 
     def evaluate(self, env: Mapping[str, int]) -> bool:
         """Point query with the scalar variables bound by name: does the
-        formula hold on some row (on the one empty row by default)?"""
-        if isinstance(self.formula, tuple):
+        formula hold on some row of the space?"""
+        if isinstance(self.plan.formula, tuple):
             raise LogicError("a point query asks one formula, not a tuple")
-        missing = [v for v in self.free if v not in env]
+        free, n = self.plan.free, self.space.n
+        missing = [v for v in free if v not in env]
         if missing:
             raise LogicError(f"unbound free variables {missing}")
         values = []
-        for v in self.free:
+        for v in free:
             pos = env[v]
-            if not isinstance(pos, int) or not 1 <= pos <= self._n:
-                raise LogicError(f"{v} = {pos!r} is not a position of a length-{self._n} word")
+            if not isinstance(pos, int) or not 1 <= pos <= n:
+                raise LogicError(f"{v} = {pos!r} is not a position of a length-{n} word")
             values.append(pos)
         return bool(self.at(tuple(values)))
 
 
 def eval_formula(word: Word, formula: Formula, env: Mapping[str, int] | None = None) -> bool:
     """Tarskian truth of ``formula`` on ``word`` under ``env``."""
-    return FormulaEvaluator(word, formula).evaluate(env or {})
+    return FormulaEvaluator(FormulaPlan(formula), RowSpace(word, ((),))).evaluate(env or {})
 
 
 # -- relativization ------------------------------------------------------

@@ -161,8 +161,8 @@ def _first_repeat(machine: TwoWayTransducer, tape: list[int]) -> NonTerminationE
 
 @record(eq=False)
 class RegularFn:
-    """A string-to-string function of linear growth, normally backed by a
-    two-way transducer.  ``growth_constant`` bounds |f(w)| <= C * |w|;
+    """A string-to-string function of linear growth, backed by a two-way
+    transducer.  ``growth_constant`` bounds |f(w)| <= C * |w|;
     ``reference`` is a directly-written description of the same function,
     kept for cross-checking."""
 
@@ -170,19 +170,11 @@ class RegularFn:
     input_alphabet: Alphabet
     output_alphabet: Alphabet
     growth_constant: int
-    transducer: TwoWayTransducer | None = None
-    func: Callable[[Word], OriginWord] | None = None
+    transducer: TwoWayTransducer
     reference: Callable[[Word], Word] | None = None
 
-    def __post_init__(self) -> None:
-        if (self.transducer is None) == (self.func is None):
-            raise TransducerError("back a RegularFn with a transducer or a callable, not both")
-
     def __call__(self, w: Word) -> OriginWord:
-        if self.transducer is not None:
-            return run(self.transducer, w)
-        assert self.func is not None
-        return self.func(w)
+        return run(self.transducer, w)
 
 
 @record(eq=False)

@@ -275,6 +275,30 @@ def test_missing_required_flag_is_usage_error(capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["psi", "squaring-family", "--iterate", "-2"],
+        ["image", "squaring-family", "--max-len", "-1"],
+        ["agree", "innsq", "--max-len", "-1"],
+        ["agree", "innsq", "--random", "-1"],
+        ["agree", "innsq", "--random-max-len", "-1"],
+    ],
+    ids=lambda argv: f"{argv[0]}{argv[2]}",
+)
+def test_negative_count_is_usage_error(capsys, tmp_path, argv):
+    """A count option below 0 is refused before any work is done: exit
+    code 2, a usage message naming the option, no output and no file."""
+    path = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ([] if argv[0] == "agree" else ["-o", str(path)]))
+    assert exc.value.code == 2
+    assert not path.exists()
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"argument {argv[2]}: must be at least 0, not {argv[3]}" in captured.err
+
+
 def test_missing_file_is_eval_error(capsys):
     rc, out, err = run(capsys, ["eval-interp", "no-such.interp", "aaa"])
     assert rc == 3
@@ -383,7 +407,7 @@ def test_deep_chain_from_a_deep_stack_is_refused(capsys, tmp_path):
     too_deep = r"plan nests 700 units deep, and \d+ of the recursion limit's \d+ frames are left"
     with pytest.raises(LogicError, match=too_deep):
         _called_from(300, lambda: eval_interp(interp, u))
-    ev = FormulaEvaluator(u, plan.formula, (), RowSpace.product(u, 1), ("x1",), plan=plan)
+    ev = FormulaEvaluator(plan, RowSpace.product(u, 1))
     with pytest.raises(LogicError, match=too_deep):
         _called_from(300, lambda: ev.at(()))
     assert ev.at(()) == (0b01,)  # a stands at position 1 only

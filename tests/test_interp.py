@@ -331,7 +331,7 @@ def test_letters_plan_agrees_with_each_letter_alone(name):
         for c, f in interp.letter_formulas.items():
             want = _mask(naive_eval(u, f, dict(zip(xs, row))) for row in rows)
             if rows:
-                assert FormulaEvaluator(u, f, (), rows, xs, plan=alone[c]).at(()) == want
+                assert FormulaEvaluator(alone[c], RowSpace(u, rows)).at(()) == want
             assert domain.masks[c] == want, (name, u.render(), c)
 
 
@@ -342,12 +342,9 @@ def test_letters_plan_binds_words_of_one_length_in_any_order():
     for interp in (psi(builtin_interp("innsq-interp")), family(2)):
         plan, xs = interp.letters_plan, interp.tuple_vars()
         words = [w for w in words_upto(interp.input_alphabet, 3) if len(w) == 3]
-        bound = [
-            (w, FormulaEvaluator(w, plan.formula, (), RowSpace.product(w, 2), xs, plan=plan))
-            for w in words
-        ]
+        bound = [(w, FormulaEvaluator(plan, RowSpace.product(w, 2))) for w in words]
         for w, ev in bound[::2] + bound[1::2][::-1]:
-            fresh = FormulaEvaluator(w, plan.formula, (), RowSpace.product(w, 2), xs)
+            fresh = FormulaEvaluator(FormulaPlan(plan.formula, (), xs), RowSpace.product(w, 2))
             assert ev.at(()) == fresh.at(()), w.render()
 
 
@@ -467,9 +464,9 @@ def test_eval_interp_queries_through_module_evaluator(monkeypatch):
     built, queries = [], []
 
     class Counting(FormulaEvaluator):
-        def __init__(self, *args, **kwargs):
-            built.append(args[1])
-            super().__init__(*args, **kwargs)
+        def __init__(self, plan, space):
+            built.append(plan.formula)
+            super().__init__(plan, space)
 
         def at(self, values):
             queries.append(values)
@@ -542,9 +539,9 @@ def test_image_sweep_plans_each_formula_once(monkeypatch):
         plan_init(self, formula, *args, **kwargs)
 
     class Counting(FormulaEvaluator):
-        def __init__(self, word, formula, *args, **kwargs):
-            built.append((word, formula))
-            super().__init__(word, formula, *args, **kwargs)
+        def __init__(self, plan, space):
+            built.append((space.word, plan.formula))
+            super().__init__(plan, space)
 
     monkeypatch.setattr(FormulaPlan, "__init__", counting_plan)
     monkeypatch.setattr(interp_module, "FormulaEvaluator", Counting)

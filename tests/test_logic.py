@@ -181,6 +181,11 @@ def _mask(holds):
     return sum(1 << i for i, h in enumerate(holds) if h)
 
 
+def _evaluator(w, f, var_order, rows, row_vars):
+    """A plan of its own for ``f``, bound to ``rows`` of ``w``."""
+    return FormulaEvaluator(FormulaPlan(f, var_order, row_vars), RowSpace(w, rows))
+
+
 def test_row_masks_agree_with_naive_reference():
     """Bit i of a row query is the naive truth value with the row variables
     bound to row i: x as a row variable over a random subset of positions
@@ -192,13 +197,13 @@ def test_row_masks_agree_with_naive_reference():
         w = Word(tuple(rng.choices("ab#", k=n)))
         positions = range(1, n + 1)
         rows = [(x,) for x in rng.sample(positions, rng.randint(0, n))]
-        at = FormulaEvaluator(w, f, var_order=("y",), rows=rows, row_vars=("x",)).at
+        at = _evaluator(w, f, ("y",), rows, ("x",)).at
         for y in positions:
             want = _mask(naive_eval(w, f, {"x": x, "y": y}) for (x,) in rows)
             assert at((y,)) == want, (sexpr.render(to_sexpr(f)), w.render(), rows, y)
         pairs = list(itertools.product(positions, repeat=2))
         rows = rng.sample(pairs, rng.randint(0, len(pairs)))
-        got = FormulaEvaluator(w, f, var_order=(), rows=rows, row_vars=("x", "y")).at(())
+        got = _evaluator(w, f, (), rows, ("x", "y")).at(())
         want = _mask(naive_eval(w, f, {"x": x, "y": y}) for x, y in rows)
         assert got == want, (sexpr.render(to_sexpr(f)), w.render(), rows)
 
@@ -264,14 +269,14 @@ def test_quantifiers_agree_with_naive_reference(case):
     sentence, on words of length 0 to 6."""
     f, w, xs, pairs, (outer, inner) = case
     positions = range(1, len(w) + 1)
-    at = FormulaEvaluator(w, f, var_order=("x", "y")).at
+    at = _evaluator(w, f, ("x", "y"), ((),), ()).at
     for x, y in itertools.product(positions, repeat=2):
         assert at((x, y)) == naive_eval(w, f, {"x": x, "y": y}), (x, y)
     rows = [(x,) for x in xs]
-    at = FormulaEvaluator(w, f, var_order=("y",), rows=rows, row_vars=("x",)).at
+    at = _evaluator(w, f, ("y",), rows, ("x",)).at
     for y in positions:
         assert at((y,)) == _mask(naive_eval(w, f, {"x": x, "y": y}) for x in xs), y
-    got = FormulaEvaluator(w, f, var_order=(), rows=pairs, row_vars=("x", "y")).at(())
+    got = _evaluator(w, f, (), pairs, ("x", "y")).at(())
     assert got == _mask(naive_eval(w, f, {"x": x, "y": y}) for x, y in pairs)
     sentence = outer("x", inner("y", f))
     assert eval_formula(w, sentence) == naive_eval(w, sentence, {})
@@ -337,7 +342,7 @@ def test_guarded_loops_agree_with_naive_reference(f):
         for w in _words_up_to(3):
             positions = range(1, len(w) + 1)
             rows = list(itertools.product(positions, repeat=len(row_vars)))
-            at = FormulaEvaluator(w, f, var_order, rows, row_vars, plan=plan).at
+            at = FormulaEvaluator(plan, RowSpace(w, rows)).at
             for values in itertools.product(positions, repeat=len(var_order)):
                 env = dict(zip(var_order, values))
                 want = _mask(naive_eval(w, f, {**env, **dict(zip(row_vars, r))}) for r in rows)
@@ -420,8 +425,7 @@ def test_one_plan_serves_a_sequence_of_words(f, words, closure):
     Binders reuse the row variables' names.  Every word is bound before any
     is queried, and the words are queried again in reverse, so word B
     queried after word A gives B's masks exactly: no memo cache or letter
-    table is kept in the plan.  An evaluator refuses a plan built for other
-    row variables."""
+    table is kept in the plan."""
     sentence = closure("x", closure("y", f))
     modes = [
         (f, ("x", "y"), ()),
@@ -435,16 +439,14 @@ def test_one_plan_serves_a_sequence_of_words(f, words, closure):
         for w in words:
             positions = range(1, len(w) + 1)
             rows = list(itertools.product(positions, repeat=len(row_vars)))
-            ev = FormulaEvaluator(w, g, var_order, rows, row_vars, plan=plan)
+            ev = FormulaEvaluator(plan, RowSpace(w, rows))
             bound.append((w, rows, ev))
         for w, rows, ev in bound + bound[::-1]:
-            fresh = FormulaEvaluator(w, g, var_order, rows, row_vars)
+            fresh = _evaluator(w, g, var_order, rows, row_vars)
             for values in itertools.product(range(1, len(w) + 1), repeat=len(var_order)):
                 env = dict(zip(var_order, values))
                 want = _mask(naive_eval(w, g, {**env, **dict(zip(row_vars, r))}) for r in rows)
                 assert ev.at(values) == fresh.at(values) == want, (w.render(), row_vars, values)
-    with pytest.raises(LogicError, match="plan"):
-        FormulaEvaluator(words[0], f, (), [], ("y", "x"), plan=plans[2])
 
 
 def _units(plan):
@@ -488,8 +490,8 @@ def test_plans_of_several_formulas_agree_with_one_plan_each(f, g, words):
         for w in words:
             positions = range(1, len(w) + 1)
             rows = list(itertools.product(positions, repeat=len(row_vars)))
-            at = FormulaEvaluator(w, together.formula, var_order, rows, row_vars, plan=together).at
-            singles = [FormulaEvaluator(w, p.formula, var_order, rows, row_vars, plan=p).at for p in alone]
+            at = FormulaEvaluator(together, RowSpace(w, rows)).at
+            singles = [FormulaEvaluator(p, RowSpace(w, rows)).at for p in alone]
             for values in itertools.product(positions, repeat=len(var_order)):
                 env = dict(zip(var_order, values))
                 want = tuple(
@@ -497,17 +499,17 @@ def test_plans_of_several_formulas_agree_with_one_plan_each(f, g, words):
                 )
                 assert at(values) == tuple(one(values) for one in singles) == want, (w.render(), values)
     with pytest.raises(LogicError, match="one formula"):
-        FormulaEvaluator(Word.parse("ab"), (f, g), ("x", "y", "u")).evaluate({"x": 1, "y": 1, "u": 1})
+        _evaluator(Word.parse("ab"), (f, g), ("x", "y", "u"), ((),), ()).evaluate({"x": 1, "y": 1, "u": 1})
 
 
 def test_var_order_is_checked_when_the_plan_is_built():
     """A var_order that repeats a name, or names a row variable, is refused
     before any query."""
-    w, f = Word(tuple("abc")), Leq("x", "y")
+    f = Leq("x", "y")
     with pytest.raises(LogicError, match="repeats a name"):
-        FormulaEvaluator(w, f, var_order=("x", "y", "x"))
+        FormulaPlan(f, ("x", "y", "x"))
     with pytest.raises(LogicError, match="names row variables"):
-        FormulaEvaluator(w, f, var_order=("x", "y"), rows=[(1,), (3,)], row_vars=("x",))
+        FormulaPlan(f, ("x", "y"), ("x",))
     with pytest.raises(LogicError, match="names row variables"):
         FormulaPlan(f, ("y", "x"), ("x",))
 
@@ -612,7 +614,7 @@ def test_hostile_names_reach_generated_code_only_as_tables():
             plan = FormulaPlan(f, var_order, row_vars)
             _assert_generated_text_only(plan)
             rows = list(itertools.product(positions, repeat=len(row_vars)))
-            ev = FormulaEvaluator(w, f, var_order, rows, row_vars, plan=plan)
+            ev = FormulaEvaluator(plan, RowSpace(w, rows))
             for values in itertools.product(positions, repeat=len(var_order)):
                 env = dict(zip(var_order, values))
                 want = _mask(naive_eval(w, f, {**env, **dict(zip(row_vars, r))}) for r in rows)
@@ -756,7 +758,7 @@ def _check_deep(f):
         reference = _memo_eval(w, f)
         for (var_order, row_vars), plan in zip(modes, plans):
             rows = list(itertools.product(positions, repeat=len(row_vars)))
-            at = FormulaEvaluator(w, f, var_order, rows, row_vars, plan=plan).at
+            at = FormulaEvaluator(plan, RowSpace(w, rows)).at
             for values in itertools.product(positions, repeat=len(var_order)):
                 env = dict(zip(var_order, values))
                 want = _mask(reference({**env, **dict(zip(row_vars, r))}) for r in rows)
@@ -828,9 +830,9 @@ def test_walkers_take_no_stack_per_level():
 
 
 def test_deep_formulas_compare_and_hash_without_recursion():
-    """``==``, ``hash`` and ``FormulaPlan.serves`` on equal but distinct
-    600-level formulas, under the default recursion limit; ``==`` also
-    tells apart nodes that differ only in their number of children."""
+    """``==`` and ``hash`` on equal but distinct 600-level formulas, under
+    the default recursion limit; ``==`` also tells apart nodes that differ
+    only in their number of children."""
 
     def nots(letter):
         f = Letter(letter, "x")
@@ -841,7 +843,6 @@ def test_deep_formulas_compare_and_hash_without_recursion():
     f, g = nots("a"), nots("a")
     assert f is not g
     assert f == g and hash(f) == hash(g)
-    assert FormulaPlan(f, ("x",)).serves(g, None, ())
     assert f != nots("b")
     assert _long_chain(600) == _long_chain(600)
     assert hash(_long_chain(600)) == hash(_long_chain(600))
@@ -871,17 +872,15 @@ def test_deep_formulas_repr_without_recursion():
 
 def test_evaluators_share_a_row_space_of_their_word():
     """Evaluators of several formulas over one ``RowSpace`` give the masks
-    of evaluators with their own rows; a space of another word is refused."""
+    of evaluators with their own rows."""
     rng = random.Random(23)
     w = Word(tuple("ab#ba"))
     rows = list(itertools.product(range(1, 6), repeat=2))
     space = RowSpace(w, rows)
     for trial in range(20):
         f = _random_formula(rng, ["x", "y"], depth=4, qdepth=3)
-        shared = FormulaEvaluator(w, f, (), space, ("x", "y")).at(())
-        assert shared == FormulaEvaluator(w, f, (), rows, ("x", "y")).at(())
-    with pytest.raises(LogicError, match="another word"):
-        FormulaEvaluator(Word(tuple("ab#bb")), f, (), space, ("x", "y"))
+        shared = FormulaEvaluator(FormulaPlan(f, (), ("x", "y")), space).at(())
+        assert shared == _evaluator(w, f, (), rows, ("x", "y")).at(())
 
 
 def _size(f):
@@ -985,7 +984,7 @@ def test_shared_units_agree_with_naive_reference(f, words):
             rows = list(itertools.product(positions, repeat=len(row_vars)))
             queries = list(itertools.product(positions, repeat=len(var_order)))
             for order in (queries, queries[::-1]):
-                at = FormulaEvaluator(w, f, var_order, rows, row_vars, plan=plan).at
+                at = FormulaEvaluator(plan, RowSpace(w, rows)).at
                 for values in order + order[::-1]:
                     env = dict(zip(var_order, values))
                     want = _mask(naive_eval(w, f, {**env, **dict(zip(row_vars, r))}) for r in rows)

@@ -11,7 +11,6 @@ from polyreglab.twoway import (
     RIGHT_END,
     EmitOnEndmarkerError,
     NonTerminationError,
-    RegularFn,
     TransducerError,
     TwoWayTransducer,
     bouncing_machine,
@@ -343,16 +342,6 @@ def test_output_must_be_in_output_alphabet():
             input_alphabet=Alphabet.of("a"),
             output_alphabet=Alphabet.of("a"),
             transitions=rows,
-        )
-
-
-def test_regular_fn_needs_exactly_one_backing():
-    with pytest.raises(TransducerError, match="transducer or a callable"):
-        RegularFn(
-            name="none",
-            input_alphabet=Alphabet.of("a"),
-            output_alphabet=Alphabet.of("a"),
-            growth_constant=1,
         )
 
 
