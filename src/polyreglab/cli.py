@@ -355,7 +355,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--format", choices=("text", "json"), default=argparse.SUPPRESS
     )
     common.add_argument("--seed", type=int, default=argparse.SUPPRESS)
-    common.add_argument("--budget", type=int, default=argparse.SUPPRESS)
+    common.add_argument("--budget", type=_count, default=argparse.SUPPRESS)
 
     parser = argparse.ArgumentParser(
         prog="polyreglab",

@@ -30,6 +30,7 @@ from .logic import (
     Not,
     Or,
     RowSpace,
+    bit_flags,
     free_vars,
     from_sexpr,
     letters_used,
@@ -141,7 +142,7 @@ class InterpDomain:
         letter is never empty, so never false)."""
         by_bit: list = [0] * self.space.all.bit_length()
         for c, mask in self.masks.items():
-            for i in _set_bits(mask):
+            for i in itertools.compress(itertools.count(), bit_flags(mask)):
                 by_bit[i] = c
         return list(filter(None, by_bit))
 
@@ -157,16 +158,6 @@ class InterpDomain:
 
     def __len__(self) -> int:
         return self._selected().bit_count()
-
-
-def _set_bits(mask: int) -> list[int]:
-    """The indices of the bits set in ``mask``, in increasing order."""
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out
 
 
 def compute_domain(interp: Interpretation, u: Word) -> InterpDomain:

@@ -30,9 +30,12 @@ one (bottom-up model checking, restricted to the one quantified variable).
 Any other quantifier loops over the positions that its guard allows: the
 conjuncts of its body (of its negation, for forall) free of row variables,
 answered over the positions space in the same way.  The rule applies again
-inside those bodies.  An interpretation thus evaluates its letter formulas
-on all tuples in one query and its order formula one column at a time; a
-point query is the case of a single empty row.
+inside those bodies.  A quantifier that names a unique witness, the greatest
+(or least) position <= x (>= x) where some letter literals hold, is read off
+a per-word table of that position instead (see ``_unique_witness``).  An
+interpretation thus evaluates its letter formulas on all tuples in one query
+and its order formula one column at a time; a point query is the case of a
+single empty row.
 """
 
 from __future__ import annotations
@@ -546,11 +549,27 @@ class RowSpace:
         ``("rows", is_eq, a, b, neg)``, the rows whose component a is ==
         (or <=) component b; ``("slot", which, a, neg)``, a list by
         position p of the rows whose component a is == p (0), <= p (1) or
-        >= p (2)."""
+        >= p (2); ``("witness", literals, a, greatest, neg)``, for a None a
+        list f by position p of the greatest position <= p (least >= p, if
+        not ``greatest``) where every ``(letter, holds)`` of ``literals``
+        holds, 0 where there is none, built in one pass over the word, and
+        otherwise a list by position v of the rows whose component a has
+        f == v."""
         value = self._tables.get(spec)
         if value is None:
             kind, x, a, *b, neg = spec
-            if kind == "letter":
+            if kind == "witness":
+                f, last = [0] * (self.n + 2), 0
+                for p in range(1, self.n + 1) if b[0] else range(self.n, 0, -1):
+                    if all((self.word.tokens[p - 1] == c) == holds for c, holds in x):
+                        last = p
+                    f[p] = last
+                value = f
+                if a is not None:
+                    value = [0] * (self.n + 2)
+                    for p, eq in enumerate(self.masks(a)[0]):
+                        value[f[p]] |= eq
+            elif kind == "letter":
                 holds = self._letters.get(x)
                 if holds is None:
                     holds = self._letters[x] = [False, *(t == x for t in self.word.tokens)]
@@ -587,11 +606,17 @@ class RowSpace:
 # an or at A).  A quantifier that loops visits, lowest first, the positions
 # set in its guard's mask over the positions space (all of them, ``R``,
 # without a guard), stops early too (exists at A, forall at 0) and memoizes
-# on its arguments in ``cache``.  Units for alpha-equal subformulas whose
-# free variables play the same roles, as the copies of one macro under
-# renamed binders do, are the same function: the plan generates each such
-# unit once, found by a key made before generating it, and its callers
-# share it and its memo cache.  The plan's source is one generated
+# on its arguments in ``cache``.  A quantifier whose conjuncts name a unique
+# witness, the greatest (least) position v <= x (>= x) where letter
+# literals Q hold (see ``_unique_witness``), reads the word's witness table
+# f of Q instead: for a scalar x it is no unit but inline in its caller,
+# ``(<body> if (v<slot> := c<k>[v<x>]) else 0)``, A for forall; for a row
+# variable x it loops over Q's positions and first looks up ``c<k>[v]``,
+# the rows whose x has v as its witness.  Units for alpha-equal
+# subformulas whose free variables play the same roles, as the copies of one
+# macro under renamed binders do, are the same function: the plan generates
+# each such unit once, found by a key made before generating it, and its
+# callers share it and its memo cache.  The plan's source is one generated
 # ``bind(R, A0, A1, t0, t1)``, whose body defines each unit, callees first,
 # as ``def q<k>(v..., A=A<space>, B=A<outer>, R=R, c<j>=t<space>[<j>], ...,
 # q<i>=q<i>, cache={})`` and returns the root (for a plan of several
@@ -673,6 +698,76 @@ def _conjuncts(f: Formula) -> list[Formula]:
         else:
             out.append(Not(g) if neg else g)
     return out
+
+
+def _literal(part: Formula, v: str) -> tuple[str, bool] | None:
+    """``(letter, holds)`` when ``part`` is a letter atom on v or its
+    negation, else None."""
+    g, neg = _strip(part)
+    return (g.letter, not neg) if isinstance(g, Letter) and g.var == v else None
+
+
+def _unique_witness(v: str, parts: list[Formula]):
+    """A match of conjuncts ``parts`` about v that name one position: v <= x,
+    Q(v) as the letter literals on v among them, and a forall whose body
+    is (v < z and z <= x) -> not Q(z), so that v is the greatest position
+    <= x where Q holds; or the mirror, x <= v and (x <= z and z < v) ->
+    not Q(z), for the least >= x.  ``(x, Q's literals, greatest, the <=
+    part, the forall)`` or None."""
+    literals = tuple(sorted({lit for part in parts if (lit := _literal(part, v))}))
+    for bound in parts:
+        if isinstance(bound, Leq) and bound.left != bound.right and v in (bound.left, bound.right):
+            greatest = bound.left == v
+            x = bound.right if greatest else bound.left
+            for part in parts:
+                if isinstance(part, Forall) and _excludes(part, v, x, literals, greatest):
+                    return x, literals, greatest, bound, part
+    return None
+
+
+# The orders of z against lo <= hi, as positions (lo, hi, z): lo < hi with
+# z below, at, between, at and above them, then lo == hi with z below, at
+# and above.
+_ORDERS = [(2, 4, z) for z in range(1, 6)] + [(2, 2, z) for z in range(1, 4)]
+
+
+def _excludes(fa: Forall, v: str, x: str, literals, greatest: bool) -> bool:
+    """Whether the body of ``fa`` equals (v < z and z <= x) -> not Q(z),
+    for ``greatest``, or else (x <= z and z < v) -> not Q(z), on each of
+    the 8 orders of z against v and x allowed by v <= x (x <= v), with z
+    carrying each letter the body or Q names, or another: a truth table
+    with one bit per case, bit 8j + k for the j-th letter and the k-th
+    order, and each atom one mask over the cases."""
+    z, lo, hi = fa.var, *((v, x) if greatest else (x, v))
+    at = {lo: 0, hi: 1, z: 2}
+    letters = [*sorted({c for c, _ in literals} | letters_used(fa.body)), None]
+    every_letter = sum(1 << 8 * j for j in range(len(letters)))
+    full = 255 * every_letter
+
+    def orders(test: Callable) -> int:
+        return every_letter * sum(1 << k for k, order in enumerate(_ORDERS) if test(order))
+
+    def leave(g: Formula, _, kids: Sequence) -> int | None:
+        if None in kids:
+            return None
+        if isinstance(g, Letter):
+            return 255 << 8 * letters.index(g.letter) if g.var == z else None
+        if isinstance(g, (Leq, Eq)):
+            if g.left not in at or g.right not in at:
+                return None
+            i, j, cmp = at[g.left], at[g.right], operator.le if isinstance(g, Leq) else operator.eq
+            return orders(lambda order: cmp(order[i], order[j]))
+        if isinstance(g, Not):
+            return full ^ kids[0]
+        if isinstance(g, Implies):
+            return (full ^ kids[0]) | kids[1]
+        if isinstance(g, (And, Or)):
+            return functools.reduce(operator.and_ if isinstance(g, And) else operator.or_, kids)
+        return None
+
+    inside = orders(lambda o: o[0] < o[2] <= o[1] if greatest else o[0] <= o[2] < o[1])
+    q = sum(255 << 8 * j for j, c in enumerate(letters) if all((c == l) == h for l, h in literals))
+    return _fold(fa.body, leave) == full ^ (inside & q)
 
 
 class _Codegen:
@@ -768,7 +863,7 @@ class _Codegen:
             self.nodes += 1
             return self.atom(f, neg, u, index), (), None
         if isinstance(f, (Forall, Exists)):
-            return self.quantifier(f, u, index, neg)
+            return self.quantifier(f, u, index, neg, depth)
         # A subformula split off into a unit of its own is counted there.
         self.nodes += neg + (depth < _UNIT_DEPTH)
         if depth == _UNIT_DEPTH:
@@ -794,28 +889,56 @@ class _Codegen:
                 text = f"(A if {' or '.join(steps)} else {m} | {text})"
         return _negated(text, neg)
 
-    def quantifier(self, f: Forall | Exists, u: _Unit, index: dict[str, int], neg: bool):
+    def quantifier(
+        self, f: Forall | Exists, u: _Unit, index: dict[str, int], neg: bool, depth: int
+    ):
         """The unit of a quantifier in unit ``u``, whose row variables
-        ``index`` maps to their components."""
+        ``index`` maps to their components, at ``depth`` connectives below
+        the unit's root; for the unique witness of a scalar, the quantifier
+        inline in ``u``."""
         fv = self.frees[id(f)][0]
         args = sorted(self.slots[v] for v in fv if v not in index)
         key = self.key("quantifier", [f], index, u[0], args)
         if key in self.keyed:
             return self.call(self.keyed[key], args, u, neg), (), None
-        self.nodes += 1 + neg
         exists = isinstance(f, Exists)
+        parts = _conjuncts(f.body if exists else Not(f.body))
+        found = _unique_witness(f.var, parts)
+        if found is not None:
+            x, literals, greatest, *matched = found
+            parts = [part for part in parts if all(part is not m for m in matched)]
+            if x not in index:
+                if depth >= _UNIT_DEPTH - 1:
+                    # Inline, its body would nest a level deeper: a unit of its own.
+                    return self.plain([f], index, u[0], args, u, neg)
+                # v is f(x) in the word's witness table f, if f(x) is not 0.
+                self.nodes += 1 + neg
+                slot = self.slots.setdefault(f.var, len(self.slots))
+                c = self.const(u, ("witness", literals, None, greatest, False))
+                test = f"(v{slot} := {c}[v{self.slots[x]}])"
+                rest = [part for part in parts if _literal(part, f.var) is None]
+                if not rest:
+                    return self.witness_done(["A" if exists else "0"], exists, neg, test), (), None
+                body = conj(*rest) if exists else Not(conj(*rest))
+                job = (self.expr, body, u, index, depth + 1)
+                return (self.witness_done, exists, neg, test), [job], None
+        self.nodes += 1 + neg
         item = (self.quantifier_done, exists, u, args, neg, key)
         if index.keys().isdisjoint(fv):
             # Masked: the body answers every position of f.var at once.
             self.masked = True
             q: _Unit = (1, u[0], {}, {})
-            return (*item, q, None), [(self.expr, f.body, q, {f.var: 0}, 0)], None
+            return (*item, q, None, False, None), [(self.expr, f.body, q, {f.var: 0}, 0)], None
         # The guard: the conjuncts of the body (of its negation, for
-        # forall) free of row variables; the loop evaluates the rest.
+        # forall) free of row variables; the loop evaluates the rest, after
+        # the rows whose component x has v as its witness, for a witness.
         slot = self.slots.setdefault(f.var, len(self.slots))
         q = (u[0], u[0], {}, {})
+        lookup = None
+        if found is not None:
+            lookup = f"{self.const(q, ('witness', literals, index[x], greatest, False))}[v{slot}]"
         guard, rest, reads = [], [], set()
-        for part in _conjuncts(f.body if exists else Not(f.body)):
+        for part in parts:
             part_fv = self.frees[id(_strip(part)[0])][0]
             if index.keys().isdisjoint(part_fv):
                 guard.append(part)
@@ -827,19 +950,34 @@ class _Codegen:
             self.masked = True
             guard_args = sorted(self.slots[v] for v in reads - {f.var})
             jobs.append((self.plain, guard, {f.var: 0}, 1, guard_args, q, False))
-        jobs.append((self.expr, conj(*rest) if exists else Not(conj(*rest)), q, index, 0))
-        return (*item, q, slot), jobs, None
+        if rest:
+            body = conj(*rest) if exists else Not(conj(*rest))
+            jobs.append((self.expr, body, q, index, 0 if lookup is None else 1))
+        return (*item, q, slot, bool(guard), lookup), jobs, None
+
+    def witness_done(self, texts: list[str], exists: bool, neg: bool, test: str) -> str:
+        return _negated(f"({texts[0]} if {test} else {0 if exists else 'A'})", neg)
 
     def quantifier_done(
-        self, texts, exists, u: _Unit, args: list[int], neg: bool, key, q: _Unit, slot
+        self, texts, exists, u: _Unit, args: list[int], neg: bool, key, q: _Unit, slot, guarded,
+        lookup: str | None,
     ):
         if slot is None:
             test = texts[0] + ("" if exists else " == A")
             inner = f"            hit = cache[key] = B if {test} else 0\n"
         else:
             start, op, stop = (0, "|", "hit == A") if exists else ("A", "&", "not hit")
-            todo = texts[0] if len(texts) == 2 else "R"
-            body = texts[-1]
+            todo = texts[0] if guarded else "R"
+            body = texts[-1] if len(texts) > guarded else None
+            if lookup is not None:
+                # The rows that have v as their witness, and of those the
+                # ones where the rest holds (for forall, fails).
+                if body is None:
+                    body = _negated(lookup, not exists)
+                elif exists:
+                    body = f"((m0 := {lookup}) and m0 & {body})"
+                else:
+                    body = f"((A ^ m0) | {body} if (m0 := {lookup}) else A)"
             inner = _LOOP.format(start=start, guard=todo, slot=slot, op=op, body=body, stop=stop)
         keyed = f"({_vars(args)})" if len(args) != 1 else f"v{args[0]}"
         return self.finish(q, args, _MEMO.format(key=keyed, inner=inner), u, neg, key)
@@ -924,9 +1062,13 @@ class FormulaPlan:
     are row components of a unit's space and which are arguments, which
     table answers each atom, and whether each quantifier is answered over
     the positions space or loops under which guard, memoized on which
-    arguments.  It also normalizes: an and directly under an and (an or
-    under an or) is spliced into it, two nots cancel, and a not over an
-    atom reads the complemented table.
+    arguments, or names a unique witness (the greatest position <= x, or
+    the least >= x, where letter literals hold, as the lift's hats do) and
+    is answered from a witness table of the word: inline at f(x) for a
+    scalar x, and for a row variable x in a loop that first looks up the
+    rows with witness v.  It also normalizes: an and directly under an and
+    (an or under an or) is spliced into it, two nots cancel, and a not over
+    an atom reads the complemented table.
     """
 
     __slots__ = ("formula", "row_vars", "free", "core", "depth", "_specs", "_masked", "_bind")

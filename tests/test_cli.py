@@ -283,6 +283,7 @@ def test_missing_required_flag_is_usage_error(capsys):
         ["agree", "innsq", "--max-len", "-1"],
         ["agree", "innsq", "--random", "-1"],
         ["agree", "innsq", "--random-max-len", "-1"],
+        ["image", "innsq", "--budget", "-1", "--max-len", "1"],
     ],
     ids=lambda argv: f"{argv[0]}{argv[2]}",
 )

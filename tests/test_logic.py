@@ -349,6 +349,106 @@ def test_guarded_loops_agree_with_naive_reference(f):
                 assert at(values) == want, (f.render(), w.render(), row_vars, values)
 
 
+@st.composite
+def _witness_quantifiers(draw):
+    """A quantifier on v whose conjuncts (of its negation, for forall) say
+    that v is the greatest position <= x where Q holds, or the least >= x:
+    v <= x (x <= v), Q's letter literals on v, a forall on z whose body
+    says that no position strictly between them (z in (v, x], or [x, v))
+    satisfies Q, and a random rest.  x is x or y.  The kind is a
+    ``match``; a ``near`` miss, whose forall excludes a Q' that differs
+    from Q on one letter, d, maybe without naming d, or also excludes z
+    when z, v and x are one position; or the ``family`` shape that
+    ``relativize`` gives the lift's hats one level up: Q also says not c,
+    and the forall's body sits under not c(z).  The quantifier may sit at
+    the bottom of a chain of 30 or 31 ands and ors."""
+    x = draw(st.sampled_from("xy"))
+    greatest, kind = draw(st.booleans()), draw(st.sampled_from(["match", "near", "family"]))
+    literal = st.tuples(st.sampled_from("ab"), st.booleans())
+    literals = draw(st.lists(literal, min_size=1, max_size=2, unique_by=lambda t: t[0]))
+
+    def q(var):
+        return [Letter(c, var) if holds else Not(Letter(c, var)) for c, holds in literals]
+
+    excluded = conj(*q("z"))
+    # Excluding z == v == x as well changes nothing when Q holds nowhere.
+    satisfiable = sum(holds for _, holds in literals) < 2
+    near_order = kind == "near" and satisfiable and draw(st.booleans())
+    if kind == "near" and not near_order:
+        d = draw(st.sampled_from("abc"))
+        # On words over a, b, c, d(z) also reads "neither of the others",
+        # which leaves d to the truth table's case of an unnamed letter.
+        others = And(tuple(Not(Letter(e, "z")) for e in "abc" if e != d))
+        at_d = draw(st.sampled_from([Letter(d, "z"), others]))
+        if all((d == c) == holds for c, holds in literals):
+            excluded = And((*q("z"), Not(at_d)))
+        else:
+            excluded = Or((excluded, at_d))
+    if greatest:  # z in (v, x]
+        shapes = [(Not(Leq("z", "v")), Leq("z", x)), (Leq("v", "z"), Not(Eq("v", "z")), Leq("z", x))]
+    else:  # z in [x, v)
+        shapes = [(Leq(x, "z"), Not(Leq("v", "z"))), (Leq(x, "z"), Leq("z", "v"), Not(Eq("z", "v")))]
+    between = And(draw(st.sampled_from(shapes)))
+    if near_order:
+        between = Or((between, And((Eq("z", "v"), Eq("v", x)))))
+    body = draw(st.sampled_from([Implies(between, Not(excluded)), Or((Not(between), Not(excluded)))]))
+    literals_on_v = q("v")
+    if kind == "family":
+        literals_on_v.append(Not(Letter("c", "v")))
+        body = Implies(Not(Letter("c", "z")), body)
+    bound = Leq("v", x) if greatest else Leq(x, "v")
+    # Under an or, the rest adds no literal on v to Q (# never occurs).
+    rest = Or((draw(_quantified_formulas(("v", "x", "y"), depth=2)), Letter("#", "v")))
+    parts = draw(st.permutations([bound, *literals_on_v, Forall("z", body), rest]))
+    if draw(st.booleans()):
+        f = Exists("v", conj(*parts))
+    else:
+        f = Forall("v", disj(*(Not(p) for p in parts)))
+    # At the bottom of an and/or chain, the quantifier sits just above or
+    # at the depth where its unit's text splits.
+    for k in range(draw(st.sampled_from([0, 0, 30, 31]))):
+        f = (And if k % 2 else Or)((Letter("a", "xy"[k % 2]), f))
+    return f, kind
+
+
+_BETWEEN = And((Not(Leq("z", "v")), Leq("z", "x")))
+
+
+@settings(deadline=None, max_examples=60)
+@given(_witness_quantifiers())
+# Near misses: the forall excludes b, not Q = not a, so the two differ only
+# on c, which neither names; the forall also excludes z == v == x.
+@example((Exists("v", And((Leq("v", "x"), Not(Letter("a", "v")), Forall("z", Implies(_BETWEEN, Not(Letter("b", "z")))), Letter("a", "y")))), "near"))
+@example((Exists("v", And((Leq("v", "x"), Not(Letter("a", "v")), Forall("z", Implies(Or((_BETWEEN, And((Eq("z", "v"), Eq("v", "x"))))), Letter("a", "z"))), Letter("b", "y")))), "near"))
+def test_unique_witnesses_agree_with_naive_reference(case):
+    """A quantifier that names the greatest (least) position <= x (>= x)
+    where Q holds is answered from the word's witness table, inline for a
+    scalar x and as the loop's first lookup for a row variable x, in the
+    exists and the forall form, also when Q and the forall are guarded as
+    the lift's hats are in ``family(3)``; a near miss, whose forall
+    excludes a Q' that differs from Q on one letter, or also excludes z
+    where z, v and x coincide, reads none.  Masks equal the naive
+    reference's in point mode and with one and two row variables, on every
+    word over a, b, c of length 0 to 4."""
+    f, kind = case
+    modes = [(("x", "y"), ()), (("y",), ("x",)), (("x",), ("y",)), ((), ("x", "y"))]
+    plans = [FormulaPlan(f, var_order, row_vars) for var_order, row_vars in modes]
+    for plan in plans:
+        witnesses = [spec for specs in plan._specs for spec in specs if spec[0] == "witness"]
+        assert bool(witnesses) == (kind != "near"), (f.render(), plan.row_vars)
+    words = [Word(t) for k in range(5) for t in itertools.product("abc", repeat=k)]
+    for w in words:
+        positions = range(1, len(w) + 1)
+        reference = _memo_eval(w, expand_macros(f))
+        for (var_order, row_vars), plan in zip(modes, plans):
+            rows = list(itertools.product(positions, repeat=len(row_vars)))
+            at = FormulaEvaluator(plan, RowSpace(w, rows)).at
+            for values in itertools.product(positions, repeat=len(var_order)):
+                env = dict(zip(var_order, values))
+                want = _mask(reference({**env, **dict(zip(row_vars, r))}) for r in rows)
+                assert at(values) == want, (f.render(), w.render(), row_vars, values)
+
+
 @pytest.mark.parametrize("dim", [1, 2, 3])
 def test_product_space_masks_match_the_row_by_row_build(dim):
     """``RowSpace.product`` lists the same rows as ``itertools.product`` and
@@ -915,14 +1015,16 @@ def _canonical(unit):
 
 @pytest.mark.parametrize(
     "name, units",
-    [("innsq-interp", 15), ("psi(innsq-interp)", 22), ("family(2)", 12)],
+    [("innsq-interp", 15), ("psi(innsq-interp)", 14), ("family(2)", 4)],
 )
 def test_plans_define_each_distinct_unit_once(name, units):
     """The order plans of innsq, of its lift and of ``family(2)`` repeat
     macros (innsq's block start, the lift's hat quantifiers): alpha-equal
-    copies are one unit, so the plans have 15, 22 and 12 units where one
-    unit per copy made 31, 45 and 17.  No two units have equal text up to
-    the names of their slots, and the binder defines each unit once."""
+    copies are one unit, so innsq's plan has 15 units where one unit per
+    copy made 31.  The hats of a y variable are unique witnesses answered
+    inline, not units, so the lifts' plans have 14 and 4 units (22 and 12
+    with a unit per hat).  No two units have equal text up to the names of
+    their slots, and the binder defines each unit once."""
     interp = {
         "innsq-interp": lambda: builtin_interp("innsq-interp"),
         "psi(innsq-interp)": lambda: psi(builtin_interp("innsq-interp")),

@@ -1,10 +1,11 @@
 import itertools
+import pathlib
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polyreglab.interp import builtin_interp, eval_interp, eval_interp_details
+from polyreglab.interp import builtin_interp, eval_interp, eval_interp_details, parse_interp
 from polyreglab.logic import Leq, Letter, check_sortable
 from polyreglab.psi import (
     DecoratedInput,
@@ -20,6 +21,9 @@ from polyreglab.psi import (
     psi,
 )
 from polyreglab.words import Alphabet, Word, erase
+from test_logic import _generated
+
+DATA = pathlib.Path(__file__).parent / "data"
 
 COLORED_INPUT = "♣♣a♣♣♣a♣a♣♣"
 COLORED_OUTPUT = "a□□□◊◊◊a□□□◊b□□□◊◊a□◊◊◊a□◊b□◊◊"
@@ -143,6 +147,42 @@ def test_family_level_three():
     assert f3.output_alphabet == Alphabet.of("a", "b", "□1", "◊1", "□2", "◊2")
     out = eval_interp(f3, Word(("a", "♣1", "a", "♣2")))
     assert out.word().tokens == ("a", "□1", "◊1", "b", "◊2", "□1", "◊2")
+
+
+def test_family_level_three_agrees_with_the_oracle_over_level_two():
+    """``family(3)`` is the lift of ``family(2)`` with the level-2 markers:
+    on every decoration of a word u over {a, ♣1} with |u| <= 2 and club
+    counts <= 2, it outputs what ``fprime_oracle`` computes from
+    ``family(2)`` on u.  Its inner hats sit in guards of ♣2, so they read
+    the witness tables of positions that are neither ♣1 nor ♣2."""
+    f2, f3, scheme = family(2), family(3), MarkerScheme.for_level(2)
+    for dec in enumerate_decorated(f2.input_alphabet, 2, 2):
+        got = eval_interp(f3, dec.decorate(scheme.club)).word()
+        assert got == fprime_oracle(f2, dec, scheme), (dec.u.render(), dec.p)
+
+
+@pytest.mark.parametrize(
+    "name, loops, witnesses",
+    [("psi(innsq-interp)", 6, 3), ("family(2)", 2, 3), ("family_3.interp", 2, 4)],
+)
+def test_lift_hats_are_answered_from_witness_tables(name, loops, witnesses):
+    """The order plans of the lifts read witness tables: the hats of the y
+    variables are answered inline, and those of the x variables, row
+    variables, loop over the club-free positions and first look up the
+    rows whose x has that position as its witness.  The loop units and the
+    witness tables of each plan are pinned, so a rule that stops firing
+    (``family 3``'s golden file read back, with its renamed binders,
+    included) fails here: one hat more in a loop, or one witness table
+    fewer."""
+    interp = {
+        "psi(innsq-interp)": lambda: psi(builtin_interp("innsq-interp")),
+        "family(2)": lambda: family(2),
+        "family_3.interp": lambda: parse_interp((DATA / "family_3.interp").read_text("utf-8")),
+    }[name]()
+    plan = interp.order_plan
+    units = _generated(plan).sources[:-1]
+    assert sum("while todo" in unit for unit in units) == loops
+    assert sum(spec[0] == "witness" for specs in plan._specs for spec in specs) == witnesses
 
 
 def test_family_markers():
