@@ -79,12 +79,11 @@ from .twoway import (
     TwoWayTransducer,
     builtin_regular_fn,
     builtin_regular_fns,
-    compose_semantic,
     parse_transducer,
     render_transducer,
     run,
 )
-from .words import Alphabet, MarkedWord, OriginWord, Word, WordError, erase, underline
+from .words import Alphabet, OriginWord, Word, WordError, erase
 
 __version__ = "0.1.0"
 

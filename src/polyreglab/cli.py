@@ -14,7 +14,6 @@ import random
 import sys
 
 from .interp import (
-    InterpError,
     eval_interp_details,
     interpretations,
     render_interp,
@@ -31,26 +30,19 @@ from .langlab import (
     resolve_function,
     words_upto,
 )
-from .logic import LogicError, check_sortable
-from .pebble import PebbleError, apply, polyfuns
-from .psi import PsiError, family, family_markers, psi
+from .logic import check_sortable
+from .pebble import apply, polyfuns
+from .psi import family, family_markers, psi
 from .twoway import (
     EmitOnEndmarkerError,
     NonTerminationError,
-    TransducerError,
     regular_fns,
 )
-from .words import Alphabet, Word, WordError
+from .words import Alphabet, Word
 
 _EVAL_ERRORS = (
-    WordError,
-    LogicError,
-    InterpError,
-    TransducerError,
     NonTerminationError,
     EmitOnEndmarkerError,
-    PebbleError,
-    PsiError,
     BudgetError,
     ValueError,
     KeyError,
@@ -268,9 +260,7 @@ def _cmd_pump(args) -> int:
 
 def _cmd_growth(args) -> int:
     resolved, alphabet = _resolve_over_alphabet(args)
-    estimate = growth_degree(
-        resolved.fn, alphabet, _parse_lengths(args.lengths), seed=args.seed
-    )
+    estimate = growth_degree(resolved.fn, alphabet, args.lengths, seed=args.seed)
     if args.format == "json":
         payload = {
             "slope": round(estimate.slope, 4),
@@ -409,14 +399,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("sample")
     p.add_argument("word")
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--K", type=int, required=True)
+    p.add_argument("--K", type=_count, required=True)
     p.add_argument("--extended", required=True)
     p.set_defaults(run=_cmd_pump)
 
     p = subs.add_parser("growth", parents=[common])
     p.add_argument("function")
     p.add_argument("--alphabet")
-    p.add_argument("--lengths", default="20:300:20")
+    p.add_argument("--lengths", type=_parse_lengths, default="20:300:20")
     p.set_defaults(run=_cmd_growth)
 
     p = subs.add_parser("sort-check", parents=[common])

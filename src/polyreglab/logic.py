@@ -327,11 +327,6 @@ def letters_used(f: Formula) -> frozenset[str]:
     return frozenset(x for g in _nodes(f) for x in _KINDS[type(g)].letters(g))
 
 
-def quantifier_count(f: Formula) -> int:
-    """Number of quantifier nodes; macros count via their expansion."""
-    return sum(isinstance(g, (Forall, Exists, Max, Min)) for g in _nodes(f))
-
-
 _FRESH_BASE = "u"
 
 

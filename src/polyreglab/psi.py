@@ -246,7 +246,3 @@ def dcomplete_witness(u: Word) -> DecoratedInput:
     """The decoration p = (0, 1, ..., n): block counts grow with position,
     so distinct origin pairs yield distinct marker blocks."""
     return DecoratedInput(u, tuple(range(len(u) + 1)))
-
-
-def decorated_alphabet(interp: Interpretation, scheme: MarkerScheme) -> Alphabet:
-    return interp.input_alphabet | Alphabet.of(scheme.club)

@@ -177,48 +177,6 @@ class RegularFn:
         return run(self.transducer, w)
 
 
-@record(eq=False)
-class ComposedFn:
-    """Semantic composition outer(inner(w)), evaluated on demand.  Origins
-    are composed: a letter traces through the intermediate word back to a
-    position of the original input."""
-
-    outer: RegularFn
-    inner: RegularFn
-
-    def __post_init__(self) -> None:
-        if not self.inner.output_alphabet.issubset(self.outer.input_alphabet):
-            raise TransducerError(
-                f"cannot compose: {self.inner.name} outputs over "
-                f"{{{self.inner.output_alphabet.render()}}} but {self.outer.name} reads "
-                f"{{{self.outer.input_alphabet.render()}}}"
-            )
-
-    @property
-    def name(self) -> str:
-        return f"{self.outer.name}.{self.inner.name}"
-
-    @property
-    def input_alphabet(self) -> Alphabet:
-        return self.inner.input_alphabet
-
-    @property
-    def output_alphabet(self) -> Alphabet:
-        return self.outer.output_alphabet
-
-    def __call__(self, w: Word) -> OriginWord:
-        mid = self.inner(w)
-        final = self.outer(mid.word())
-        relabeled = tuple(
-            (tok, mid.letters[pos[0] - 1][1]) for tok, pos in final.letters
-        )
-        return OriginWord(relabeled)
-
-
-def compose_semantic(outer: RegularFn, inner: RegularFn) -> ComposedFn:
-    return ComposedFn(outer, inner)
-
-
 # -- file format -------------------------------------------------------------
 
 

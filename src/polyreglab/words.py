@@ -48,9 +48,6 @@ class Alphabet:
     def __or__(self, other: "Alphabet") -> "Alphabet":
         return Alphabet(self.letters | other.letters)
 
-    def disjoint(self, other: "Alphabet") -> bool:
-        return not (self.letters & other.letters)
-
     def issubset(self, other: "Alphabet") -> bool:
         return self.letters <= other.letters
 
@@ -169,14 +166,6 @@ def mark_token(token: str) -> str:
     return MARK_PREFIX + token
 
 
-def is_marked_token(token: str) -> bool:
-    return token.startswith(MARK_PREFIX)
-
-
-def unmark_token(token: str) -> str:
-    return token[len(MARK_PREFIX):] if is_marked_token(token) else token
-
-
 def marked_alphabet(alphabet: Alphabet) -> Alphabet:
     """The alphabet doubled with underlined copies of its symbols."""
     marked = {mark_token(tok) for tok in alphabet.letters}
@@ -184,36 +173,6 @@ def marked_alphabet(alphabet: Alphabet) -> Alphabet:
         clash = sorted(marked & alphabet.letters)
         raise WordError(f"alphabet already contains underlined spellings: {clash}")
     return Alphabet(alphabet.letters | marked)
-
-
-@record(slots=True)
-class MarkedWord:
-    """A word together with a marked position (``underline``'s result)."""
-
-    letters: tuple[tuple[str, bool], ...]
-
-    def __len__(self) -> int:
-        return len(self.letters)
-
-    def unmark(self) -> Word:
-        return Word(tuple(tok for tok, _ in self.letters))
-
-    def marked_positions(self) -> tuple[int, ...]:
-        return tuple(i + 1 for i, (_, m) in enumerate(self.letters) if m)
-
-    def to_word(self) -> Word:
-        """Render over the doubled alphabet: marked letters get underlined
-        spellings."""
-        return Word(tuple(mark_token(tok) if m else tok for tok, m in self.letters))
-
-
-def underline(w: Word, position: int) -> MarkedWord:
-    """Mark position ``position`` of ``w`` (1-based)."""
-    if not 1 <= position <= len(w):
-        raise WordError(f"cannot underline position {position} of a length-{len(w)} word")
-    return MarkedWord(
-        tuple((tok, i + 1 == position) for i, tok in enumerate(w.tokens))
-    )
 
 
 @record(slots=True)

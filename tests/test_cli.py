@@ -284,6 +284,7 @@ def test_missing_required_flag_is_usage_error(capsys):
         ["agree", "innsq", "--random", "-1"],
         ["agree", "innsq", "--random-max-len", "-1"],
         ["image", "innsq", "--budget", "-1", "--max-len", "1"],
+        ["pump", "sample", "--K", "-1", "ab", "--k", "1", "--extended", "ab"],
     ],
     ids=lambda argv: f"{argv[0]}{argv[2]}",
 )
@@ -292,7 +293,7 @@ def test_negative_count_is_usage_error(capsys, tmp_path, argv):
     code 2, a usage message naming the option, no output and no file."""
     path = tmp_path / "out"
     with pytest.raises(SystemExit) as exc:
-        main(argv + ([] if argv[0] == "agree" else ["-o", str(path)]))
+        main(argv + ([] if argv[0] in ("agree", "pump") else ["-o", str(path)]))
     assert exc.value.code == 2
     assert not path.exists()
     captured = capsys.readouterr()
@@ -304,6 +305,51 @@ def test_missing_file_is_eval_error(capsys):
     rc, out, err = run(capsys, ["eval-interp", "no-such.interp", "aaa"])
     assert rc == 3
     assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize("value", ["1:5:0", "x"])
+def test_malformed_lengths_is_usage_error(capsys, value):
+    with pytest.raises(SystemExit) as exc:
+        main(["growth", "innsq", "--lengths", value])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"argument --lengths: invalid _parse_lengths value: {value!r}" in captured.err
+
+
+_INTERP = "dim 1\ninput-alphabet a\noutput-alphabet o\n(letter o {})\n(order (leq x1 y1))\n"
+
+_LIBRARY_ERRORS = {
+    "WordError": ({}, ["run-2dft", "reverse-blocks-ab", "abc"]),
+    "LogicError": ({"f.interp": _INTERP.format("(foo a x1)")}, ["eval-interp", "f.interp", "a"]),
+    "InterpError": ({"f.interp": _INTERP.format("(letter b x1)")}, ["eval-interp", "f.interp", "a"]),
+    "SexprError": ({"f.interp": _INTERP.format("(letter a x1")}, ["eval-interp", "f.interp", "a"]),
+    "TransducerError": ({"f.2dft": "states q\ninit r\n"}, ["run-2dft", "f.2dft", "a"]),
+    "PebbleError": ({"f.pfn": "(frob block-marker)\n"}, ["eval-pebble", "f.pfn", "a"]),
+    "PsiError": ({"f.interp": _INTERP.format("(letter a x1)")}, ["psi", "f.interp"]),
+    "BudgetError": ({}, ["image", "innsq", "--max-len", "3", "--budget", "1"]),
+    "ValueError": ({}, ["growth", "innsq", "--lengths", "0:4"]),
+}
+
+
+@pytest.mark.parametrize("error", sorted(_LIBRARY_ERRORS))
+def test_library_errors_are_eval_errors(capsys, tmp_path, monkeypatch, error):
+    """Each library error class reaches the user as exit code 3 and one
+    ``error:`` line, with no traceback.  Without the CLI's catch, the same
+    input raises that class.  Lengths that parse but are not ascending and
+    positive are refused by ``growth_degree``: an evaluation error too."""
+    files, argv = _LIBRARY_ERRORS[error]
+    for name, text in files.items():
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    rc, out, err = run(capsys, argv)
+    assert (rc, out) == (3, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+    monkeypatch.setattr("polyreglab.cli._EVAL_ERRORS", ())
+    with pytest.raises(Exception) as caught:
+        main(argv)
+    assert type(caught.value).__name__ == error
 
 
 def _nested_interp(tmp_path, depth, wrap="(not {})"):

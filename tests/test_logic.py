@@ -46,7 +46,6 @@ from polyreglab.logic import (
     free_vars,
     letters_used,
     parse_formula,
-    quantifier_count,
     relativize,
     rename_bound,
     substitute,
@@ -54,6 +53,7 @@ from polyreglab.logic import (
     _collect_frees,
     _comparison_atoms,
     _generate,
+    _nodes,
 )
 from polyreglab.words import Alphabet, Word
 
@@ -127,6 +127,10 @@ def test_max_min_macros():
     core = expand_macros(Max("x"))
     assert not isinstance(core, Max)
     assert free_vars(core) == frozenset({"x"})
+
+
+def _quantifiers(f):
+    return sum(isinstance(g, (Forall, Exists, Max, Min)) for g in _nodes(f))
 
 
 def _random_formula(rng, vars_free, depth, qdepth):
@@ -908,7 +912,7 @@ def test_walkers_take_no_stack_per_level():
             "free": (free_vars(f), _collect_frees(core, frees), free_vars(substitute(f, {"x": "z"}))),
             "all": (all_vars(f), len(all_vars(core))),
             "letters": letters_used(relativize(f, "#")),
-            "quantifiers": (quantifier_count(f), quantifier_count(relativize(f, "#"))),
+            "quantifiers": (_quantifiers(f), _quantifiers(relativize(f, "#"))),
             "comparisons": len(_comparison_atoms(core)),
             "units": len(_generate(core, frees, ("x", "z"), ()).sources),
             "plan": FormulaPlan(f, ("x", "z")).free,
@@ -1201,7 +1205,7 @@ def test_relativize_counts_and_free_vars():
         f = _random_formula(rng, ["x"], depth=4, qdepth=2)
         g = relativize(f, "♣")
         assert free_vars(g) == free_vars(f)
-        assert quantifier_count(g) == quantifier_count(expand_macros(f))
+        assert _quantifiers(g) == _quantifiers(expand_macros(f))
 
 
 def test_relativize_equivalent_on_guard_free_words():

@@ -12,7 +12,6 @@ from polyreglab.psi import (
     MarkerScheme,
     PsiError,
     dcomplete_witness,
-    decorated_alphabet,
     enumerate_decorated,
     family,
     family_markers,
@@ -276,11 +275,6 @@ def test_psi_rejects_wrong_dimension():
     )
     with pytest.raises(PsiError, match="dimension 2"):
         psi(one_dim)
-
-
-def test_decorated_alphabet():
-    sq = builtin_interp("squaring-family")
-    assert decorated_alphabet(sq, MarkerScheme.plain()) == Alphabet.of("a", "♣")
 
 
 # -- decorated inputs ----------------------------------------------------------------

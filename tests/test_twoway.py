@@ -16,7 +16,6 @@ from polyreglab.twoway import (
     bouncing_machine,
     builtin_regular_fn,
     builtin_regular_fns,
-    compose_semantic,
     erasing_fn,
     identity_fn,
     parse_transducer,
@@ -436,37 +435,3 @@ def test_builder_machines_render_as_their_goldens():
     with pytest.raises(TransducerError) as caught:
         erasing_fn(Alphabet.of("a", "b"), Alphabet.of("a", "b"))
     assert str(caught.value) == "erasing everything leaves no output alphabet"
-
-
-def test_compose_origins_trace_to_original_input():
-    marker = builtin_regular_fn("block-marker")
-    keep_marks = erasing_fn(marker.output_alphabet, Alphabet.of("#"))
-    composed = compose_semantic(keep_marks, marker)
-    assert composed.name == "erase-#.block-marker"
-    out = composed(Word.parse("aa#b"))
-    assert out.word() == Word((PEBBLE_MARK, PEBBLE_MARK))
-    assert out.origins() == ((1,), (4,))
-
-
-def test_compose_counts_hashes_of_marked_word():
-    counter = builtin_regular_fn("hash-counter")
-    copy = identity_fn(counter.input_alphabet, name="copy")
-    composed = compose_semantic(counter, copy)
-    out = composed(Word.parse("a#b#"))
-    assert out.word() == Word((PEBBLE_MARK, PEBBLE_MARK))
-    assert out.origins() == ((2,), (4,))
-
-
-def test_compose_alphabet_mismatch():
-    marker = builtin_regular_fn("block-marker")
-    with pytest.raises(TransducerError, match="cannot compose"):
-        compose_semantic(marker, marker)
-
-
-def test_composed_alphabets():
-    marker = builtin_regular_fn("block-marker")
-    counter = builtin_regular_fn("hash-counter")
-    composed = compose_semantic(counter, marker)
-    assert composed.input_alphabet == marker.input_alphabet
-    assert composed.output_alphabet == counter.output_alphabet
-    assert composed(Word.parse("ab#a")).word() == Word((PEBBLE_MARK,))

@@ -4,17 +4,13 @@ from hypothesis import strategies as st
 
 from polyreglab.words import (
     Alphabet,
-    MarkedWord,
     OriginWord,
     Word,
     WordError,
     concat,
     erase,
-    is_marked_token,
     mark_token,
     marked_alphabet,
-    underline,
-    unmark_token,
 )
 
 
@@ -25,8 +21,6 @@ def test_alphabet_basics():
     assert list(ab) == ["a", "b"]
     assert ab.render() == "a b"
     assert (ab | Alphabet.of("c")).letters == frozenset("abc")
-    assert ab.disjoint(Alphabet.of("c", "d"))
-    assert not ab.disjoint(Alphabet.of("b"))
     assert Alphabet.of("a").issubset(ab)
 
 
@@ -80,8 +74,6 @@ def test_render_spaces_only_for_multichar_tokens():
 
 def test_marking_round_trip():
     assert mark_token("a") == "_a"
-    assert is_marked_token("_a") and not is_marked_token("a")
-    assert unmark_token("_a") == "a"
     marked = marked_alphabet(Alphabet.of("a", "#"))
     assert marked.letters == frozenset({"a", "#", "_a", "_#"})
 
@@ -89,16 +81,6 @@ def test_marking_round_trip():
 def test_marked_alphabet_collision():
     with pytest.raises(WordError):
         marked_alphabet(Alphabet.of("a", "_a"))
-
-
-def test_underline():
-    m = underline(Word.parse("aba"), 2)
-    assert isinstance(m, MarkedWord)
-    assert m.marked_positions() == (2,)
-    assert m.to_word().tokens == ("a", "_b", "a")
-    assert m.unmark().tokens == ("a", "b", "a")
-    with pytest.raises(WordError):
-        underline(Word.parse("a"), 2)
 
 
 def test_origin_word():
