@@ -1,8 +1,12 @@
 """Command-line front door.
 
 Every verb is a thin adapter over the library: results are byte-identical
-to direct calls.  Exit codes: 0 success, 1 a check failed (disagreement,
-unsortable, incomplete report), 2 usage, 3 evaluation error.
+to direct calls.  Under ``--format json`` each verb but ``psi`` and
+``family`` (which write definition files) prints one JSON object line in
+place of its text, with the same exit code, and only in text mode does
+``eval-interp`` print its diagnostic note on stderr.  Exit codes: 0
+success, 1 a check failed (disagreement, unsortable, incomplete report),
+2 usage, 3 evaluation error.
 """
 
 from __future__ import annotations
@@ -38,7 +42,7 @@ from .twoway import (
     NonTerminationError,
     regular_fns,
 )
-from .words import Alphabet, Word
+from .words import Alphabet, OriginWord, Word
 
 _EVAL_ERRORS = (
     NonTerminationError,
@@ -64,29 +68,37 @@ def _parse_alphabet(text: str) -> Alphabet:
     return Alphabet.of(*tokens)
 
 
-def _count(text: str) -> int:
-    """An int of at least 0, for the options that count; a usage error
-    (exit code 2) otherwise."""
+def _int(text: str) -> int:
     try:
-        value = int(text)
+        return int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+
+
+def _count(text: str) -> int:
+    """An int of at least 0, for the arguments that count; else a usage error."""
+    value = _int(text)
     if value < 0:
         raise argparse.ArgumentTypeError(f"must be at least 0, not {value}")
     return value
 
 
 def _parse_lengths(text: str) -> list[int]:
-    if ":" in text:
-        parts = text.split(":")
-        if len(parts) == 2:
-            lo, hi, step = int(parts[0]), int(parts[1]), 1
-        elif len(parts) == 3:
-            lo, hi, step = (int(p) for p in parts)
-        else:
-            raise ValueError(f"bad length range {text!r}")
-        return list(range(lo, hi + 1, step))
-    return [int(p) for p in text.split(",") if p]
+    """``LO:HI[:STEP]`` or ``N,N,...``; else a usage error saying why."""
+    if ":" not in text:
+        return [_int(p) for p in text.split(",") if p]
+    fields = [_int(p) for p in text.split(":")]
+    if len(fields) not in (2, 3):
+        raise argparse.ArgumentTypeError(f"a range has 2 or 3 fields, not {len(fields)}")
+    lo, hi, step = (*fields, 1)[:3]
+    if step == 0:
+        raise argparse.ArgumentTypeError("the step of a range must not be 0")
+    return list(range(lo, hi + 1, step))
+
+
+def _read_sample(path: str) -> LanguageSample:
+    with open(path, encoding="utf-8") as handle:
+        return LanguageSample.parse(handle.read())
 
 
 def _resolve_over_alphabet(args) -> tuple[ResolvedFn, Alphabet]:
@@ -108,8 +120,24 @@ def _emit(path: str | None, text: str) -> None:
         sys.stdout.write(text)
 
 
-def _origins_line(annotated) -> str:
-    return " ".join(",".join(str(i) for i in orig) for _, orig in annotated)
+def _result(args, payload: dict, text: str, code: int = 0, path: str | None = None) -> int:
+    """Write ``payload`` as one JSON line under ``--format json``, else ``text``
+    (newline included), to ``path`` or stdout; return the exit code ``code``."""
+    if args.format == "json":
+        text = json.dumps(payload, ensure_ascii=False, sort_keys=True) + "\n"
+    _emit(path, text)
+    return code
+
+
+def _origin_word(annotated: OriginWord, origins: bool) -> tuple[dict, str]:
+    """The payload and text of an output word, and of the origin of each
+    letter when ``origins`` is set."""
+    output = annotated.word().render()
+    tuples = [list(orig) for _, orig in annotated] if origins else None
+    text = output + "\n"
+    if origins:
+        text += " ".join(",".join(map(str, orig)) for orig in tuples) + "\n"
+    return {"output": output, "origins": tuples}, text
 
 
 # -- verbs ---------------------------------------------------------------------
@@ -117,53 +145,26 @@ def _origins_line(annotated) -> str:
 
 def _cmd_eval_interp(args) -> int:
     interp = interpretations.load(args.interp)
-    w = _read_word(args.word, interp.input_alphabet)
-    result = eval_interp_details(interp, w)
-    if args.format == "json":
-        payload = {
-            "output": result.word().render(),
-            "origins": [list(o) for _, o in result.output] if args.origins else None,
-            "diagnostic": result.diagnostic.to_json() if result.diagnostic else None,
-        }
-        print(json.dumps(payload, ensure_ascii=False, sort_keys=True))
-    else:
-        print(result.word().render())
-        if args.origins:
-            print(_origins_line(result.output))
-        if result.diagnostic:
-            print(
-                f"note: {result.diagnostic.kind}: {result.diagnostic.detail}",
-                file=sys.stderr,
-            )
-    return 0
+    result = eval_interp_details(interp, _read_word(args.word, interp.input_alphabet))
+    payload, text = _origin_word(result.output, args.origins)
+    diagnostic = result.diagnostic
+    payload["diagnostic"] = diagnostic.to_json() if diagnostic else None
+    code = _result(args, payload, text)
+    if diagnostic and args.format == "text":
+        print(f"note: {diagnostic.kind}: {diagnostic.detail}", file=sys.stderr)
+    return code
 
 
 def _cmd_eval_pebble(args) -> int:
     tree = polyfuns.load(args.tree)
-    w = _read_word(args.word, tree.input_alphabet)
-    out = apply(tree, w)
-    if args.format == "json":
-        print(json.dumps({"output": out.render()}, ensure_ascii=False, sort_keys=True))
-    else:
-        print(out.render())
-    return 0
+    out = apply(tree, _read_word(args.word, tree.input_alphabet)).render()
+    return _result(args, {"output": out}, out + "\n")
 
 
 def _cmd_run_2dft(args) -> int:
     rf = regular_fns.load(args.machine)
-    w = _read_word(args.word, rf.input_alphabet)
-    annotated = rf(w)
-    if args.format == "json":
-        payload = {
-            "output": annotated.word().render(),
-            "origins": [list(o) for _, o in annotated] if args.origins else None,
-        }
-        print(json.dumps(payload, ensure_ascii=False, sort_keys=True))
-    else:
-        print(annotated.word().render())
-        if args.origins:
-            print(_origins_line(annotated))
-    return 0
+    annotated = rf(_read_word(args.word, rf.input_alphabet))
+    return _result(args, *_origin_word(annotated, args.origins))
 
 
 def _cmd_psi(args) -> int:
@@ -202,90 +203,62 @@ def _cmd_image(args) -> int:
         budget=args.budget,
         function_id=resolved.ref,
     )
-    if args.format == "json":
-        payload = {
-            "function": sample.function_id,
-            "input-alphabet": sorted(alphabet.letters),
-            "max-len": sample.max_len,
-            "count": len(sample),
-            "outputs": [
-                [out.render(), sample.outputs[out].render()]
-                for out in sample.sorted_outputs()
-            ],
-        }
-        _emit(args.output, json.dumps(payload, ensure_ascii=False, sort_keys=True) + "\n")
-    else:
-        _emit(args.output, sample.render())
-    return 0
+    payload = {
+        "function": sample.function_id,
+        "input-alphabet": sorted(alphabet.letters),
+        "max-len": sample.max_len,
+        "count": len(sample),
+        "outputs": [
+            [out.render(), sample.outputs[out].render()] for out in sample.sorted_outputs()
+        ],
+    }
+    return _result(args, payload, sample.render(), path=args.output)
 
 
 def _cmd_check_dcomplete(args) -> int:
-    with open(args.prime, encoding="utf-8") as handle:
-        prime = LanguageSample.parse(handle.read())
-    with open(args.base, encoding="utf-8") as handle:
-        base = LanguageSample.parse(handle.read())
-    markers = _parse_alphabet(args.markers)
-    report = check_dcomplete(prime, base, markers)
-    if args.format == "json":
-        print(json.dumps(report.to_json(), ensure_ascii=False, sort_keys=True))
-    else:
-        print(report.render())
-    return 0 if report.passed else 1
+    prime, base = _read_sample(args.prime), _read_sample(args.base)
+    report = check_dcomplete(prime, base, _parse_alphabet(args.markers))
+    return _result(args, report.to_json(), report.render() + "\n", 0 if report.passed else 1)
 
 
 def _cmd_pump(args) -> int:
-    with open(args.sample, encoding="utf-8") as handle:
-        sample = LanguageSample.parse(handle.read())
-    with open(args.extended, encoding="utf-8") as handle:
-        extended = LanguageSample.parse(handle.read())
+    sample, extended = _read_sample(args.sample), _read_sample(args.extended)
     w = _read_word(args.word, None)
     found = pump_search(sample, w, args.k, args.K, extended, budget=args.budget)
-    if args.format == "json":
-        payload = {
-            "found": found is not None,
-            "pieces": [p.render() for p in found.pieces] if found else None,
-            "k": args.k,
-            "K": args.K,
-            "reason": "below pumping threshold" if len(w) < args.K else None,
-        }
-        print(json.dumps(payload, ensure_ascii=False, sort_keys=True))
-    elif found:
-        print(found.render())
-    elif len(w) < args.K:
-        print("none (below pumping threshold)")
+    below = len(w) < args.K
+    payload = {
+        "found": found is not None,
+        "pieces": [p.render() for p in found.pieces] if found else None,
+        "k": args.k,
+        "K": args.K,
+        "reason": "below pumping threshold" if below else None,
+    }
+    if found:
+        text = found.render()
     else:
-        print("none")
-    return 0
+        text = "none (below pumping threshold)" if below else "none"
+    return _result(args, payload, text + "\n")
 
 
 def _cmd_growth(args) -> int:
     resolved, alphabet = _resolve_over_alphabet(args)
     estimate = growth_degree(resolved.fn, alphabet, args.lengths, seed=args.seed)
-    if args.format == "json":
-        payload = {
-            "slope": round(estimate.slope, 4),
-            "classification": estimate.classification,
-            "table": [list(row) for row in estimate.table],
-        }
-        print(json.dumps(payload, ensure_ascii=False, sort_keys=True))
-    else:
-        print(estimate.render())
-    return 0
+    payload = {
+        "slope": round(estimate.slope, 4),
+        "classification": estimate.classification,
+        "table": [list(row) for row in estimate.table],
+    }
+    return _result(args, payload, estimate.render() + "\n")
 
 
 def _cmd_sort_check(args) -> int:
-    interp = interpretations.load(args.interp)
-    report = check_sortable(interp)
-    if args.format == "json":
-        payload = {
-            "ok": report.ok,
-            "sorts": report.sorts,
-            "witness": report.witness.render() if report.witness else None,
-        }
-        print(json.dumps(payload, ensure_ascii=False, sort_keys=True))
-    else:
-        print(report.render())
-    return 0 if report.ok else 1
+    report = check_sortable(interpretations.load(args.interp))
+    payload = {
+        "ok": report.ok,
+        "sorts": report.sorts,
+        "witness": report.witness.render() if report.witness else None,
+    }
+    return _result(args, payload, report.render() + "\n", 0 if report.ok else 1)
 
 
 def _cmd_agree(args) -> int:
@@ -318,20 +291,12 @@ def _cmd_agree(args) -> int:
                     )
             checked += 1
     verdict = "agree" if mismatches == 0 else "DISAGREE"
-    if args.format == "json":
-        payload = {
-            "suite": "innsq",
-            "checked": checked,
-            "mismatches": mismatches,
-            "verdict": verdict,
-        }
-        print(json.dumps(payload, ensure_ascii=False, sort_keys=True))
-    else:
-        print(
-            f"{checked} inputs checked (exhaustive <= {args.max_len} plus "
-            f"{args.random} random): {verdict}"
-        )
-    return 0 if mismatches == 0 else 1
+    payload = {"suite": "innsq", "checked": checked, "mismatches": mismatches, "verdict": verdict}
+    text = (
+        f"{checked} inputs checked (exhaustive <= {args.max_len} plus "
+        f"{args.random} random): {verdict}\n"
+    )
+    return _result(args, payload, text, 0 if mismatches == 0 else 1)
 
 
 # -- wiring --------------------------------------------------------------------
@@ -378,7 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(run=_cmd_psi)
 
     p = subs.add_parser("family", parents=[common])
-    p.add_argument("k", type=int)
+    p.add_argument("k", type=_count)
     p.add_argument("-o", "--output")
     p.set_defaults(run=_cmd_family)
 
@@ -398,7 +363,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("pump", parents=[common])
     p.add_argument("sample")
     p.add_argument("word")
-    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--k", type=_count, required=True)
     p.add_argument("--K", type=_count, required=True)
     p.add_argument("--extended", required=True)
     p.set_defaults(run=_cmd_pump)

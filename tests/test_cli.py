@@ -260,6 +260,107 @@ def test_image_json(capsys):
     assert payload["outputs"] == [["", ""], ["a", "a"], ["aa", "aa"]]
 
 
+@pytest.fixture(scope="module")
+def samples(tmp_path_factory):
+    """The directory of the .sample files the verbs that read one are given."""
+    root = tmp_path_factory.mktemp("samples")
+    for name, argv in {
+        "prime": ["psi:squaring-family", "--max-len", "3"],
+        "base": ["interp:squaring-family", "--max-len", "2"],
+        "short": ["identity", "--alphabet", "a", "--max-len", "4"],
+        "extended": ["identity", "--alphabet", "a", "--max-len", "12"],
+    }.items():
+        assert main(["image", *argv, "-o", str(root / f"{name}.sample")]) == 0
+    return root
+
+
+# Each verb that takes --format, with its argv ({} stands for the samples'
+# directory), its exit code, and the stdout and stderr it prints as text.
+_FORMAT_CASES = {
+    "eval-interp": (
+        ["eval-interp", "squaring-family", "aaa", "--origins"],
+        0,
+        "aabaab\n1,1 1,2 1,3 2,1 2,2 2,3\n",
+        "",
+    ),
+    "eval-interp-note": (
+        ["eval-interp", "cross-sort-demo", "aaa"],
+        0,
+        "\n",
+        "note: order-not-linear: reflexivity violated on (2, 1)\n",
+    ),
+    "eval-pebble": (["eval-pebble", "innsq-pebble", "a##b"], 0, "aa##bb\n", ""),
+    "run-2dft": (
+        ["run-2dft", "reverse-blocks-ab", "aaa#aa", "--origins"],
+        0,
+        "aabb#aaabbb\n5 6 5 6 4 1 2 3 1 2 3\n",
+        "",
+    ),
+    "image": (
+        ["image", "identity", "--alphabet", "a", "--max-len", "2"],
+        0,
+        '{"count": 3, "function": "identity", "input-alphabet": ["a"], "max-len": 2}\n'
+        "\t\na\ta\naa\taa\n",
+        "",
+    ),
+    "check-dcomplete": (
+        ["check-dcomplete", "--prime", "{}/prime.sample", "--base", "{}/base.sample", "--markers", "□"],
+        1,
+        "erasure direction: 5 outputs checked, 2 failures, 1 unknown (beyond comparison bound)\n"
+        "  FAIL erase('ab◊') = 'ab◊' not in base image\n"
+        "  FAIL erase('a□◊b□') = 'a◊b' not in base image\n"
+        "delta direction: 2 witnesses checked, 1 failures, 1 vacuous (fewer than two inner blocks)\n"
+        "  FAIL on base output 'ab': unexpected token '◊' at output position 3\n"
+        "verdict: FAIL\n",
+        "",
+    ),
+    "pump-found": (
+        ["pump", "{}/short.sample", "aaaa", "--k", "1", "--K", "1", "--extended", "{}/extended.sample"],
+        0,
+        "u0='' v1='a' u1='aaa'\n",
+        "",
+    ),
+    "pump-below": (
+        ["pump", "{}/short.sample", "a", "--k", "1", "--K", "3", "--extended", "{}/extended.sample"],
+        0,
+        "none (below pumping threshold)\n",
+        "",
+    ),
+    "growth": (
+        ["growth", "innsq", "--lengths", "2:6:2"],
+        0,
+        "  length  max |out|\n       2          2\n       4          6\n       6         12\n"
+        "slope 1.626 (degree ~ 1.63)\n",
+        "",
+    ),
+    "sort-check": (
+        ["sort-check", "cross-sort-demo"],
+        1,
+        "not sortable\n  order: (leq x1 y2) merges sort 1 with sort 2\n",
+        "",
+    ),
+    "agree": (
+        ["agree", "innsq", "--max-len", "2", "--random", "3"],
+        0,
+        "16 inputs checked (exhaustive <= 2 plus 3 random): agree\n",
+        "",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(_FORMAT_CASES))
+def test_every_verb_prints_text_or_one_json_line(capsys, samples, case):
+    """Each verb prints its pinned text, or under --format json one line
+    that parses as JSON and nothing on stderr, with the same exit code."""
+    template, code, text_out, text_err = _FORMAT_CASES[case]
+    argv = [arg.replace("{}", str(samples)) for arg in template]
+    assert run(capsys, argv) == (code, text_out, text_err)
+    rc, out, err = run(capsys, ["--format", "json", *argv])
+    assert (rc, err) == (code, "")
+    assert out.count("\n") == 1 and out.endswith("\n")
+    assert isinstance(json.loads(out), dict)
+
+
 # -- exit codes -------------------------------------------------------------------
 
 
@@ -285,12 +386,15 @@ def test_missing_required_flag_is_usage_error(capsys):
         ["agree", "innsq", "--random-max-len", "-1"],
         ["image", "innsq", "--budget", "-1", "--max-len", "1"],
         ["pump", "sample", "--K", "-1", "ab", "--k", "1", "--extended", "ab"],
+        ["pump", "sample", "--k", "-1", "ab", "--K", "1", "--extended", "ab"],
+        ["family", "-1"],
     ],
-    ids=lambda argv: f"{argv[0]}{argv[2]}",
+    ids=lambda argv: "".join(argv[0:1] + argv[2:3]),
 )
 def test_negative_count_is_usage_error(capsys, tmp_path, argv):
-    """A count option below 0 is refused before any work is done: exit
-    code 2, a usage message naming the option, no output and no file."""
+    """A count argument below 0 is refused before any work is done: exit
+    code 2, a usage message naming the argument, no output and no file."""
+    name, value = (argv[2], argv[3]) if len(argv) > 2 else ("k", argv[1])
     path = tmp_path / "out"
     with pytest.raises(SystemExit) as exc:
         main(argv + ([] if argv[0] in ("agree", "pump") else ["-o", str(path)]))
@@ -298,7 +402,7 @@ def test_negative_count_is_usage_error(capsys, tmp_path, argv):
     assert not path.exists()
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert f"argument {argv[2]}: must be at least 0, not {argv[3]}" in captured.err
+    assert f"argument {name}: must be at least 0, not {value}" in captured.err
 
 
 def test_missing_file_is_eval_error(capsys):
@@ -307,14 +411,25 @@ def test_missing_file_is_eval_error(capsys):
     assert err.startswith("error: ")
 
 
-@pytest.mark.parametrize("value", ["1:5:0", "x"])
+_MALFORMED_LENGTHS = {
+    "1:5:0": "the step of a range must not be 0",
+    "x": "invalid int value: 'x'",
+    "1:x:2": "invalid int value: 'x'",
+    "1:2:3:4": "a range has 2 or 3 fields, not 4",
+}
+
+
+@pytest.mark.parametrize("value", list(_MALFORMED_LENGTHS))
 def test_malformed_lengths_is_usage_error(capsys, value):
+    """A --lengths that does not parse is a usage error that says why,
+    without naming the parser's own function."""
     with pytest.raises(SystemExit) as exc:
         main(["growth", "innsq", "--lengths", value])
     assert exc.value.code == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert f"argument --lengths: invalid _parse_lengths value: {value!r}" in captured.err
+    assert f"argument --lengths: {_MALFORMED_LENGTHS[value]}\n" in captured.err
+    assert "_parse_lengths" not in captured.err
 
 
 _INTERP = "dim 1\ninput-alphabet a\noutput-alphabet o\n(letter o {})\n(order (leq x1 y1))\n"

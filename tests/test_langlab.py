@@ -15,7 +15,6 @@ from polyreglab.interp import (
     render_interp,
 )
 from polyreglab.langlab import (
-    DEFAULT_BUDGET,
     BudgetError,
     LanguageSample,
     PumpDecomposition,
@@ -27,7 +26,6 @@ from polyreglab.langlab import (
     words_upto,
 )
 from polyreglab.pebble import builtin_polyfuns, innsq_direct
-from polyreglab.psi import dcomplete_witness
 from polyreglab.twoway import builtin_regular_fn, builtin_regular_fns, render_transducer
 from polyreglab.words import Alphabet, Word, erase
 
