@@ -270,7 +270,7 @@ def _cmd_agree(args) -> int:
     alphabet = direct.input_alphabet
     letters = sorted(alphabet.letters)
     rng = random.Random(args.seed)
-    mismatches = 0
+    mismatch_lines: list[str] = []
     checked = 0
     stages = [("exhaustive", words_upto(alphabet, args.max_len))]
     randoms = [
@@ -284,15 +284,21 @@ def _cmd_agree(args) -> int:
             for label, fn in (("pebble", via_pebble), ("interp", via_interp)):
                 got = fn(w)
                 if got != expected:
-                    mismatches += 1
-                    print(
+                    mismatch_lines.append(
                         f"MISMATCH [{stage}/{label}] on {w.render()!r}: "
                         f"{got.render()!r} != {expected.render()!r}"
                     )
             checked += 1
+    mismatches = len(mismatch_lines)
     verdict = "agree" if mismatches == 0 else "DISAGREE"
-    payload = {"suite": "innsq", "checked": checked, "mismatches": mismatches, "verdict": verdict}
-    text = (
+    payload = {
+        "suite": "innsq",
+        "checked": checked,
+        "mismatches": mismatches,
+        "mismatch_lines": mismatch_lines,
+        "verdict": verdict,
+    }
+    text = "".join(line + "\n" for line in mismatch_lines) + (
         f"{checked} inputs checked (exhaustive <= {args.max_len} plus "
         f"{args.random} random): {verdict}\n"
     )

@@ -108,7 +108,7 @@ class Interpretation:
 class InterpDomain:
     """The selected tuples of one evaluation, as masks over ``space``, the
     product space of all dim-tuples of the word's positions in increasing
-    order (see ``RowSpace.product``): ``masks`` maps each output letter to
+    order (see ``RowSpace``): ``masks`` maps each output letter to
     the mask of the tuples on which its formula holds.  Normally no two
     letters hold on one tuple; ``overlap`` finds the first that does."""
 
@@ -165,7 +165,7 @@ def compute_domain(interp: Interpretation, u: Word) -> InterpDomain:
     the product space of all n^dim tuples as rows: it answers every letter's
     mask at once, and the letter formulas share their tables and units."""
     u.alphabet_check(interp.input_alphabet)
-    space = RowSpace.product(u, interp.dim)
+    space = RowSpace(u, interp.dim)
     letters = interp.letter_formulas
     if not u:
         return InterpDomain(space, dict.fromkeys(letters, 0))
@@ -191,32 +191,33 @@ class OrderCheck:
 
 
 def check_linear_order(
-    dom: Sequence[tuple[int, ...]], interp: Interpretation, u: Word
+    dom: Sequence[tuple[int, ...]], interp: Interpretation, space: RowSpace
 ) -> OrderCheck:
     """Is the order formula a linear (reflexive, total) order on ``dom``?
 
-    ``dom`` lists the domain in increasing order, as
-    ``InterpDomain.tuples`` does; within one first component, that order
-    decides only which violation a failed check names.  One query per tuple t, with the x variables bound
-    to each tuple as a row, from the interpretation's order plan bound to
-    ``u``: bit i of ``masks[j]`` says tuple i <= tuple j.  Ranked by
-    predecessor count, the relation is the ranking's linear order exactly
-    when each tuple's mask holds itself and the tuples ranked below it, and
-    nothing else.  The rows are ``dom`` itself, whose component 0 is one
-    run of rows per position, so its masks take no pass over the rows (see
-    ``RowSpace.increasing``); a ``dom`` whose first components decrease
-    somewhere is refused with a ``LogicError``.
+    ``dom`` lists tuples of ``space``, the product space of the word (see
+    ``RowSpace``), as ``InterpDomain.tuples`` does in increasing order; that
+    order decides only which violation a failed check names.  One query per
+    tuple t, from the interpretation's order plan bound to ``space``, with
+    the x variables bound to each row: ANDed with the mask of ``dom``'s
+    rows, its bit for tuple s says s <= t.  Ranked by predecessor count, the
+    relation is the ranking's linear order exactly when each tuple's mask
+    holds itself and the tuples ranked below it, and nothing else.
     """
     m = len(dom)
     if m == 0:
         return OrderCheck(True, ())
-    at = FormulaEvaluator(interp.order_plan, RowSpace.increasing(u, dom)).at
-    masks = [at(t) for t in dom]
+    bits = space.bits(dom)
+    selected = sum(map((1).__lshift__, bits))
+    at = FormulaEvaluator(interp.order_plan, space).at
+    masks = [at(t) & selected for t in dom]
     ranked = sorted(range(m), key=lambda j: masks[j].bit_count())
     below = 0
     for j in ranked:
-        below |= 1 << j
+        below |= 1 << bits[j]
         if masks[j] != below:
+            # Bit i of a tuple's mask over dom is the bit of dom[i] over the space.
+            masks = [sum((mask >> b & 1) << i for i, b in enumerate(bits)) for mask in masks]
             return OrderCheck(False, (), _order_violation(dom, masks))
     return OrderCheck(True, tuple(dom[j] for j in ranked))
 
@@ -282,7 +283,7 @@ def eval_interp_details(interp: Interpretation, u: Word) -> InterpResult:
             "letter-overlap", f"letters {holds} all hold on {tup}", (tup,), tuple(holds)
         )
         return InterpResult(OriginWord(), diag)
-    check = check_linear_order(tuples, interp, u)
+    check = check_linear_order(tuples, interp, domain.space)
     if not check.ok:
         assert check.violation is not None
         diag = InterpDiagnostic(

@@ -527,8 +527,8 @@ def growth_degree(
     is small enough, otherwise over structured block patterns plus seeded
     random words; structured inputs matter because the worst cases of
     block-splitting functions are far from uniform noise."""
-    if not lengths or sorted(lengths) != list(lengths) or lengths[0] < 1:
-        raise ValueError("lengths must be ascending and positive")
+    if len(set(lengths)) < 2 or sorted(lengths) != list(lengths) or lengths[0] < 1:
+        raise ValueError("lengths must be ascending and positive, at least two of them distinct")
     rng = random.Random(seed)
     letters = sorted(alphabet.letters)
     table: list[tuple[int, int]] = []
@@ -550,9 +550,6 @@ def growth_degree(
         table.append((length, peak))
     xs = [math.log(length) for length, _ in table]
     ys = [math.log(max(1, peak)) for _, peak in table]
-    if len(set(xs)) < 2 or len(set(ys)) < 2:
-        slope = 0.0
-    else:
-        slope = statistics.linear_regression(xs, ys).slope
+    slope = statistics.linear_regression(xs, ys).slope
     classification = "bounded" if slope < 0.2 else f"degree ~ {slope:.2f}"
     return GrowthEstimate(slope=slope, table=tuple(table), classification=classification)

@@ -15,14 +15,14 @@ plan never changes once built, so one plan serves any number of words, also
 from several threads; a plan may also take several formulas at once, and an
 interpretation keeps one for its letter formulas and one for its order
 formula.  ``FormulaEvaluator(plan, space)`` binds a plan to a ``RowSpace``,
-rows of one word, building only the word's tables and one function per
-distinct unit, and is used by one thread.
+the dim-tuples of positions of one word, building only the word's tables
+and one function per distinct unit, and is used by one thread.
 
-The generated code computes an int mask over a row space: a list of row
-tuples that bind the space's row variables, where bit i says the formula
-holds with them bound to row i.  Atoms are lookups in the word's tables,
-connectives are inline bitwise operations, and each quantifier is one
-generated function memoized on the values of its scalar free variables.  A
+The generated code computes an int mask over a row space, whose rows bind
+the space's row variables, where bit i says the formula holds with them
+bound to row i.  Atoms are lookups in the word's tables, connectives are
+inline bitwise operations, and each quantifier is one generated function
+memoized on the values of its scalar free variables.  A
 quantifier whose free variables are all scalar is answered over the
 positions space, whose rows 1..n bind the quantified variable, so a single
 evaluation of its body answers it: exists is a nonzero mask, forall a full
@@ -34,13 +34,12 @@ inside those bodies.  A quantifier that names a unique witness, the greatest
 (or least) position <= x (>= x) where some letter literals hold, is read off
 a per-word table of that position instead (see ``_unique_witness``).  An
 interpretation thus evaluates its letter formulas on all tuples in one query
-and its order formula one column at a time; a point query is the case of a
-single empty row.
+and its order formula one column at a time, both over the product space of
+the word; a point query is the case of dimension 0, whose one row is empty.
 """
 
 from __future__ import annotations
 
-import collections
 import functools
 import itertools
 import operator
@@ -439,102 +438,60 @@ def bit_flags(mask: int) -> bytes:
 
 
 class RowSpace:
-    """Rows of one word that a bound formula answers for: bit i of a mask
-    over the space stands for ``rows[i]``, and ``all`` is the mask of every
-    row.  The tables that plans read (see ``table``) are built on first use
-    and kept, so evaluators of several formulas that share a space build
-    each table once.  ``positions`` is the space of the rows (1,) to (n,)
-    of the same word, built on first use.  ``dim`` is the dimension of a
-    product space (see ``product``), 0 for listed rows."""
+    """All ``dim``-tuples of positions of one word, in ``itertools.product``
+    order, which is increasing order: the rows that a bound formula answers
+    for.  Bit i of a mask over the space stands for the i-th row, and
+    ``all`` is the mask of every row; ``RowSpace(word, 0)`` has the one row
+    ``()``, for point queries.  The rows are never listed (see
+    ``rows_at``), and ``masks[a]`` holds component a's ==, <= and >= masks
+    by position, in closed form.  The tables that plans read (see ``table``)
+    are built on first use and kept, so evaluators of several plans that
+    share a space build each table once.  ``positions`` is the space
+    ``RowSpace(word, 1)`` of the rows (1,) to (n,), built on first use."""
 
-    __slots__ = ("word", "n", "dim", "all", "_rows", "_letters", "_masks", "_tables", "_positions")
+    __slots__ = ("word", "n", "dim", "all", "masks", "_letters", "_tables", "_positions")
 
-    def __init__(self, word: Word, rows: Sequence[tuple[int, ...]]):
-        self.word = word
-        self.n = len(word)
-        self.dim = 0
-        self._rows: Sequence[tuple[int, ...]] | None = rows
-        self.all = (1 << len(rows)) - 1
+    def __init__(self, word: Word, dim: int):
+        n = len(word)
+        self.word, self.n, self.dim = word, n, dim
+        self.all = ALL = (1 << n**dim) - 1
+        # The masks of the rows whose component a is ==, <= and >= each
+        # position p, indexed by p (0 to n + 1): component a holds each of
+        # 1..n in turn for a run of s = n^(dim-1-a) rows, so it is == p on
+        # one pattern of runs shifted by (p-1)s.
+        self.masks: list[tuple[list[int], list[int], list[int]]] = []
+        for a in range(dim):
+            s = n ** (dim - 1 - a)
+            run = (ALL // ((1 << n * s) - 1) if n else 0) * ((1 << s) - 1)
+            eq = [0, *(run << p * s for p in range(n)), 0]
+            le = list(itertools.accumulate(eq, operator.or_))
+            self.masks.append((eq, le, [ALL ^ below for below in [0, *le[:-1]]]))
         self._letters: dict[str, list[bool]] = {}
-        self._masks: dict[int, tuple[list[int], list[int], list[int]]] = {}
         self._tables: dict[tuple, object] = {}
         self._positions: RowSpace | None = None
 
-    @classmethod
-    def product(cls, word: Word, dim: int) -> RowSpace:
-        """All ``dim``-tuples of positions of ``word``, in ``itertools.product``
-        order, which is increasing order, without listing them (see ``rows``
-        and ``rows_at``), and with each component's masks in closed form:
-        component a holds each of 1..n in turn for a run of s = n^(dim-1-a)
-        rows, so it is == p on one pattern of runs shifted by (p-1)s."""
-        n = len(word)
-        space = cls(word, ())
-        space.dim, space._rows, space.all = dim, None, (1 << n**dim) - 1
-        for a in range(dim):
-            s = n ** (dim - 1 - a)
-            run = (space.all // ((1 << n * s) - 1) if n else 0) * ((1 << s) - 1)
-            space._fill(a, [0, *(run << p * s for p in range(n)), 0])
-        return space
-
-    @classmethod
-    def increasing(cls, word: Word, rows: Sequence[tuple[int, ...]]) -> RowSpace:
-        """The space of ``rows``, tuples of positions of ``word`` listed in
-        increasing order of their first component, as a domain in increasing
-        order is: component 0 is then one run of rows per position, as long
-        as the position's count among the first components, so its == masks
-        are made from those counts without a pass over the rows in Python."""
-        firsts = list(map(operator.itemgetter(0), rows))
-        if firsts != sorted(firsts):
-            raise LogicError("rows are not listed in increasing order of their first component")
-        space = cls(word, rows)
-        counts = collections.Counter(firsts)
-        eq, start = [0], 0
-        for p in range(1, space.n + 1):
-            eq.append(((1 << counts[p]) - 1) << start)
-            start += counts[p]
-        space._fill(0, [*eq, 0])
-        return space
-
-    @property
-    def rows(self) -> Sequence[tuple[int, ...]]:
-        """The rows; a product space lists them on first use."""
-        if self._rows is None:
-            self._rows = self.rows_at(self.all)
-        return self._rows
-
     def rows_at(self, mask: int) -> list[tuple[int, ...]]:
-        """The rows whose bits are set in ``mask``, lowest first; a product
-        space reads them off ``itertools.product`` without listing it."""
-        rows = self._rows
-        if rows is None:
-            rows = itertools.product(range(1, self.n + 1), repeat=self.dim)
+        """The rows whose bits are set in ``mask``, lowest first, read off
+        ``itertools.product`` without listing it."""
+        rows = itertools.product(range(1, self.n + 1), repeat=self.dim)
         return list(itertools.compress(rows, bit_flags(mask)))
+
+    def bits(self, rows: Sequence[tuple[int, ...]]) -> list[int]:
+        """The bit of each of ``rows``, as ``rows_at`` reads them: a row's
+        components as the digits of a base-n number, less that of (1, ...,
+        1), read one component of every row at a time."""
+        n, bits = self.n, [0] * len(rows)
+        for column in zip(*rows):
+            bits = map(operator.add, map(n.__mul__, bits), column)
+        ones = sum(n**k for k in range(self.dim))
+        return list(map(ones.__rsub__, bits))
 
     @property
     def positions(self) -> RowSpace:
         if self._positions is None:
-            self._positions = RowSpace.product(self.word, 1)
+            self._positions = RowSpace(self.word, 1)
             self._positions._letters = self._letters
         return self._positions
-
-    def masks(self, a: int) -> tuple[list[int], list[int], list[int]]:
-        """Masks of the rows whose component ``a`` is ==, <= and >= each
-        position p, indexed by p (0 to n + 1); the == masks take one pass
-        over the rows, unless they are known in closed form (see
-        ``product`` and ``increasing``).  The pass ors one bit into an int
-        per row, which copies up to m/8 bytes for m rows; listed spaces
-        come from order checks, whose m queries return as many m-bit masks."""
-        if a not in self._masks:
-            eq = [0] * (self.n + 2)
-            for i, row in enumerate(self.rows):
-                eq[row[a]] |= 1 << i
-            self._fill(a, eq)
-        return self._masks[a]
-
-    def _fill(self, a: int, eq: list[int]) -> None:
-        """Keep ``eq`` as component a's == masks, with the <= and >= it implies."""
-        le = list(itertools.accumulate(eq, operator.or_))
-        self._masks[a] = (eq, le, [self.all ^ below for below in [0, *le[:-1]]])
 
     def table(self, spec: tuple):
         """The value on this space of an atom spec, complemented when its
@@ -562,7 +519,7 @@ class RowSpace:
                 value = f
                 if a is not None:
                     value = [0] * (self.n + 2)
-                    for p, eq in enumerate(self.masks(a)[0]):
+                    for p, eq in enumerate(self.masks[a][0]):
                         value[f[p]] |= eq
             elif kind == "letter":
                 holds = self._letters.get(x)
@@ -571,15 +528,15 @@ class RowSpace:
                 if a is None:
                     value = [self.all if h else 0 for h in holds]
                 else:
-                    at_p = itertools.compress(self.masks(a)[0], holds)
+                    at_p = itertools.compress(self.masks[a][0], holds)
                     value = functools.reduce(operator.or_, at_p, 0)
             elif kind == "rows":
                 # The rows whose component a is some p, and component b is == p or >= p.
-                eq_b, _, ge_b = self.masks(b[0])
-                at_p = map(operator.and_, self.masks(a)[0], eq_b if x else ge_b)
+                eq_b, _, ge_b = self.masks[b[0]]
+                at_p = map(operator.and_, self.masks[a][0], eq_b if x else ge_b)
                 value = functools.reduce(operator.or_, at_p, 0)
             else:
-                value = self.masks(a)[x]
+                value = self.masks[a][x]
             if neg:
                 ALL = self.all
                 value = ALL ^ value if isinstance(value, int) else [ALL ^ m for m in value]
@@ -1150,8 +1107,8 @@ class FormulaEvaluator:
     Each row of ``space`` binds the row variables, component by component;
     ``at(values)`` binds the scalar variables positionally, in the order of
     ``plan.free``, and returns an int mask whose bit i says the formula
-    holds with the row variables bound to row i.  Over ``RowSpace(word,
-    ((),))``, the one empty row, ``at`` is a point query answering 0 or 1.
+    holds with the row variables bound to row i.  Over ``RowSpace(word, 0)``,
+    whose one row is empty, ``at`` is a point query answering 0 or 1.
     For a plan of a tuple of formulas, ``at`` answers a tuple of masks.
 
     Binding builds only what depends on the word: the tables of ``space``
@@ -1208,7 +1165,7 @@ class FormulaEvaluator:
 
 def eval_formula(word: Word, formula: Formula, env: Mapping[str, int] | None = None) -> bool:
     """Tarskian truth of ``formula`` on ``word`` under ``env``."""
-    return FormulaEvaluator(FormulaPlan(formula), RowSpace(word, ((),))).evaluate(env or {})
+    return FormulaEvaluator(FormulaPlan(formula), RowSpace(word, 0)).evaluate(env or {})
 
 
 # -- relativization ------------------------------------------------------

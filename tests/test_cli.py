@@ -215,6 +215,44 @@ def test_agree_small(capsys):
     assert out == "146 inputs checked (exhaustive <= 4 plus 25 random): agree\n"
 
 
+def test_agree_json_keeps_its_mismatches_in_one_line(capsys, monkeypatch):
+    """With ``pebble:innsq-pebble`` swapped for the identity, the suite
+    disagrees and exits 1: under --format json stdout is one JSON line that
+    holds the MISMATCH lines, and in text they come before the summary."""
+    from polyreglab import cli
+    from polyreglab.words import Alphabet
+
+    resolve = cli.resolve_function
+
+    def resolving(ref, alphabet=None):
+        if ref == "pebble:innsq-pebble":
+            return resolve("identity", Alphabet.of("a", "b", "#"))
+        return resolve(ref, alphabet)
+
+    monkeypatch.setattr(cli, "resolve_function", resolving)
+    argv = ["agree", "innsq", "--max-len", "1", "--random", "0"]
+    rc, out, err = run(capsys, ["--format", "json", *argv])
+    assert (rc, err) == (1, "")
+    assert out.count("\n") == 1 and out.endswith("\n")
+    assert json.loads(out) == {
+        "suite": "innsq",
+        "checked": 4,
+        "mismatches": 2,
+        "mismatch_lines": [
+            "MISMATCH [exhaustive/pebble] on 'a': 'a' != ''",
+            "MISMATCH [exhaustive/pebble] on 'b': 'b' != ''",
+        ],
+        "verdict": "DISAGREE",
+    }
+    rc, out, err = run(capsys, argv)
+    assert (rc, err) == (1, "")
+    assert out == (
+        "MISMATCH [exhaustive/pebble] on 'a': 'a' != ''\n"
+        "MISMATCH [exhaustive/pebble] on 'b': 'b' != ''\n"
+        "4 inputs checked (exhaustive <= 1 plus 0 random): DISAGREE\n"
+    )
+
+
 # -- json format -----------------------------------------------------------------
 
 
@@ -569,7 +607,7 @@ def test_deep_chain_from_a_deep_stack_is_refused(capsys, tmp_path):
     too_deep = r"plan nests 700 units deep, and \d+ of the recursion limit's \d+ frames are left"
     with pytest.raises(LogicError, match=too_deep):
         _called_from(300, lambda: eval_interp(interp, u))
-    ev = FormulaEvaluator(plan, RowSpace.product(u, 1))
+    ev = FormulaEvaluator(plan, RowSpace(u, 1))
     with pytest.raises(LogicError, match=too_deep):
         _called_from(300, lambda: ev.at(()))
     assert ev.at(()) == (0b01,)  # a stands at position 1 only

@@ -127,7 +127,7 @@ def _dummy_interp(order):
 
 def test_lex_order_is_linear():
     dom = [(i, j) for i in (1, 2) for j in (1, 2, 3)]
-    check = check_linear_order(dom, _dummy_interp(_lex_order()), Word.parse("aaa"))
+    check = check_linear_order(dom, _dummy_interp(_lex_order()), RowSpace(Word.parse("aaa"), 2))
     assert check.ok
     assert check.sorted_tuples == ((1, 1), (1, 2), (1, 3), (2, 1), (2, 2), (2, 3))
 
@@ -135,7 +135,7 @@ def test_lex_order_is_linear():
 def test_always_true_order_fails_antisymmetry():
     dom = [(1, 1), (2, 2)]
     always = And((Eq("x1", "x1"), Eq("x2", "x2"), Eq("y1", "y1"), Eq("y2", "y2")))
-    check = check_linear_order(dom, _dummy_interp(always), Word.parse("aa"))
+    check = check_linear_order(dom, _dummy_interp(always), RowSpace(Word.parse("aa"), 2))
     assert not check.ok
     assert check.violation is not None
     assert check.violation.kind == "antisymmetry"
@@ -146,7 +146,7 @@ def test_innsq_order_check():
     I = builtin_interp("innsq-interp")
     u = Word.parse("aba#baa#bb")
     dom = compute_domain(I, u)
-    check = check_linear_order(dom.tuples(), I, u)
+    check = check_linear_order(dom.tuples(), I, RowSpace(u, I.dim))
     assert check.ok
 
 
@@ -154,7 +154,7 @@ def _relation_interp(m, pairs):
     """A dimension-1 interpretation that selects every position of the word
     made of the first m letters a, b, c, ... and orders positions by
     ``pairs`` (1-based (s, t) meaning s <= t)."""
-    letters = "abcdef"[:m]
+    letters = "abcdefghi"[:m]
     order = disj(
         *(And((Letter(letters[s - 1], "x1"), Letter(letters[t - 1], "y1"))) for s, t in pairs)
     )
@@ -230,7 +230,7 @@ def test_order_check_accepts_exactly_linear_orders(case):
     m, rel = case
     letters = "abcdef"[:m]
     check = check_linear_order(
-        [(i,) for i in range(1, m + 1)], _relation_interp(m, sorted(rel)), Word(tuple(letters))
+        [(i,) for i in range(1, m + 1)], _relation_interp(m, sorted(rel)), RowSpace(Word(tuple(letters)), 1)
     )
     assert check.ok == _is_linear(m, rel)
     if check.ok:
@@ -241,9 +241,29 @@ def test_order_check_accepts_exactly_linear_orders(case):
         assert _breaks(check.violation.kind, positions, rel)
 
 
+@settings(deadline=None, max_examples=200)
+@given(_reflexive_relations(), st.data())
+def test_unselected_rows_never_change_the_verdict(case, data):
+    """The order check over the first m positions of a word of m + k
+    distinct letters, whose order relates the other k positions to each
+    other and to the first m arbitrarily, gives the verdict, the sorted
+    tuples and the violation that it gives on the word of the first m
+    letters alone: the rows outside the domain are masked out."""
+    m, rel = case
+    k = data.draw(st.integers(1, 3))
+    outside = [(s, t) for s in range(1, m + k + 1) for t in range(1, m + k + 1) if max(s, t) > m]
+    extra = data.draw(st.sets(st.sampled_from(outside)))
+    dom = [(i,) for i in range(1, m + 1)]
+    word = Word(tuple("abcdefghi"[: m + k]))
+    check = check_linear_order(dom, _relation_interp(m + k, sorted(rel | extra)), RowSpace(word, 1))
+    alone = check_linear_order(dom, _relation_interp(m, sorted(rel)), RowSpace(Word(word.tokens[:m]), 1))
+    assert check == alone
+
+
 def test_order_check_evaluates_each_pair_once(monkeypatch):
-    """One order query per domain tuple t; its mask holds bit i exactly when
-    the order formula holds on (tuple i, t), as a point evaluation says."""
+    """One order query per domain tuple t; its mask over the product space
+    holds the bit of row s exactly when the order formula holds on (s, t),
+    as a point evaluation says, for every row s, selected or not."""
     calls = []
     at = FormulaEvaluator.at
 
@@ -261,18 +281,18 @@ def test_order_check_evaluates_each_pair_once(monkeypatch):
     for interp, u in cases:
         dom = compute_domain(interp, u).tuples()
         calls.clear()
-        check_linear_order(dom, interp, u)
+        check_linear_order(dom, interp, RowSpace(u, interp.dim))
         queried = list(calls)
-        m = len(dom)
         assert [t for t, _ in queried] == dom
         xs, ys = interp.tuple_vars(), tuple(f"y{k}" for k in range(1, interp.dim + 1))
+        rows = list(itertools.product(range(1, len(u) + 1), repeat=interp.dim))
         for t, mask in queried:
-            assert 0 <= mask < 1 << m
+            assert 0 <= mask < 1 << len(rows)
             pairs = [
                 eval_formula(u, interp.order_formula, {**dict(zip(xs, s)), **dict(zip(ys, t))})
-                for s in dom
+                for s in rows
             ]
-            assert mask == sum(1 << i for i, holds in enumerate(pairs) if holds)
+            assert mask == _mask(pairs)
 
 
 # -- domain pass -----------------------------------------------------------------
@@ -321,7 +341,7 @@ _LETTERS_CASES = {
 def test_letters_plan_agrees_with_each_letter_alone(name):
     """On every word up to length 4, the empty word included, the masks of
     the one letters plan equal those of a plan of each letter formula alone,
-    bound to the tuples listed as rows, and the naive reference's."""
+    bound to the word's product space, and the naive reference's."""
     interp = _LETTERS_CASES[name]()
     xs = interp.tuple_vars()
     alone = {c: FormulaPlan(f, (), xs) for c, f in interp.letter_formulas.items()}
@@ -331,8 +351,7 @@ def test_letters_plan_agrees_with_each_letter_alone(name):
         assert list(domain.masks) == list(interp.letter_formulas)
         for c, f in interp.letter_formulas.items():
             want = _mask(naive_eval(u, f, dict(zip(xs, row))) for row in rows)
-            if rows:
-                assert FormulaEvaluator(alone[c], RowSpace(u, rows)).at(()) == want
+            assert FormulaEvaluator(alone[c], RowSpace(u, interp.dim)).at(()) == want
             assert domain.masks[c] == want, (name, u.render(), c)
 
 
@@ -343,9 +362,9 @@ def test_letters_plan_binds_words_of_one_length_in_any_order():
     for interp in (psi(builtin_interp("innsq-interp")), family(2)):
         plan, xs = interp.letters_plan, interp.tuple_vars()
         words = [w for w in words_upto(interp.input_alphabet, 3) if len(w) == 3]
-        bound = [(w, FormulaEvaluator(plan, RowSpace.product(w, 2))) for w in words]
+        bound = [(w, FormulaEvaluator(plan, RowSpace(w, 2))) for w in words]
         for w, ev in bound[::2] + bound[1::2][::-1]:
-            fresh = FormulaEvaluator(FormulaPlan(plan.formula, (), xs), RowSpace.product(w, 2))
+            fresh = FormulaEvaluator(FormulaPlan(plan.formula, (), xs), RowSpace(w, 2))
             assert ev.at(()) == fresh.at(()), w.render()
 
 
@@ -356,7 +375,7 @@ def test_domain_letters_follow_its_tuples(letters):
     one, three and 300 letters over product spaces of dimension 1 to 3."""
     rng = random.Random(letters)
     for dim, n in [(1, 0), (1, 5), (2, 4), (3, 3)]:
-        space = RowSpace.product(Word(("a",) * n), dim)
+        space = RowSpace(Word(("a",) * n), dim)
         masks = dict.fromkeys((f"c{k}" for k in range(letters)), 0)
         for i in range(n**dim):
             if rng.random() < 0.7:
@@ -449,9 +468,9 @@ def test_eval_interp_sorts_the_domain_once(monkeypatch):
         listed.append(tuples(self))
         return listed[-1]
 
-    def checking(dom, interp, u):
+    def checking(dom, interp, space):
         checked.append(dom)
-        return check(dom, interp, u)
+        return check(dom, interp, space)
 
     monkeypatch.setattr(interp_module.InterpDomain, "tuples", listing)
     monkeypatch.setattr(interp_module, "check_linear_order", checking)
@@ -486,48 +505,34 @@ def test_eval_interp_queries_through_module_evaluator(monkeypatch):
 
 def test_eval_interp_builds_each_table_once_per_word(monkeypatch):
     """One ``eval_interp`` of the lifted innsq interpretation on a word of
-    length 6 makes four row spaces: the product space of the 36 tuples, for
-    the letters plan, the space of the 9 selected tuples, for the order
-    check, and a positions space for each.  Each space fills the position
-    masks of each row component once, and only component 1 of the selected
-    tuples takes a pass over rows; each of the 32 tables the two evaluators
-    ask for is built once."""
-    spaces, fills, passes, tables = [], [], [], []
-    init, fill, build_masks = RowSpace.__init__, RowSpace._fill, RowSpace.masks
-    build_table = RowSpace.table
+    length 6 makes two row spaces: the product space of the 36 tuples, to
+    which both the letters plan and the order plan are bound, and its
+    positions space.  Each of the 27 distinct tables that the two
+    evaluators ask for is built once, also those both plans read, such as
+    the lift's hat witness tables: 32 requests, 27 builds."""
+    spaces, requests, builds = [], [], []
+    init, build_table = RowSpace.__init__, RowSpace.table
 
     def counting_init(self, *args):
         spaces.append(self)
         init(self, *args)
 
-    def counting_fill(self, a, eq):
-        fills.append((self, a))
-        fill(self, a, eq)
-
-    def counting_masks(self, a):
-        if a not in self._masks:
-            passes.append((self, a))
-        return build_masks(self, a)
-
     def counting_table(self, spec):
-        tables.append((self, spec))
+        requests.append((id(self), spec))
+        if spec not in self._tables:
+            builds.append((id(self), spec))
         return build_table(self, spec)
 
     monkeypatch.setattr(RowSpace, "__init__", counting_init)
-    monkeypatch.setattr(RowSpace, "_fill", counting_fill)
-    monkeypatch.setattr(RowSpace, "masks", counting_masks)
     monkeypatch.setattr(RowSpace, "table", counting_table)
     lifted = psi(builtin_interp("innsq-interp"))
     lifted.letters_plan, lifted.order_plan  # planned before counting
     spaces.clear()
     out = eval_interp(lifted, Word.parse("a♣b#♣a"))
     assert len(out) == 9
-    assert sorted(space.all.bit_length() for space in spaces) == [6, 6, 9, 36]
-    assert sorted((space.all.bit_length(), a) for space, a in fills) == [
-        (6, 0), (6, 0), (9, 0), (9, 1), (36, 0), (36, 1)
-    ]
-    assert [(space.all.bit_length(), a) for space, a in passes] == [(9, 1)]
-    assert (len(tables), len({(id(space), spec) for space, spec in tables})) == (32, 32)
+    assert [space.all.bit_length() for space in spaces] == [36, 6]
+    assert (len(requests), len(builds), len(set(builds))) == (32, 27, 27)
+    assert set(builds) == set(requests)
 
 
 def test_image_sweep_plans_each_formula_once(monkeypatch):

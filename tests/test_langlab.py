@@ -367,6 +367,9 @@ def test_growth_rejects_bad_lengths():
         growth_degree(lambda w: w, Alphabet.of("a"), [10, 5])
     with pytest.raises(ValueError, match="ascending"):
         growth_degree(lambda w: w, Alphabet.of("a"), [])
+    for lengths in ([3], [4, 4]):
+        with pytest.raises(ValueError, match="ascending"):
+            growth_degree(lambda w: w, Alphabet.of("a"), lengths)
 
 
 def test_growth_render_has_a_table():

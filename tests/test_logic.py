@@ -185,31 +185,31 @@ def _mask(holds):
     return sum(1 << i for i, h in enumerate(holds) if h)
 
 
-def _evaluator(w, f, var_order, rows, row_vars):
-    """A plan of its own for ``f``, bound to ``rows`` of ``w``."""
-    return FormulaEvaluator(FormulaPlan(f, var_order, row_vars), RowSpace(w, rows))
+def _evaluator(w, f, var_order, row_vars):
+    """A plan of its own for ``f``, bound to the product space of ``w``
+    whose rows bind ``row_vars``."""
+    return FormulaEvaluator(FormulaPlan(f, var_order, row_vars), RowSpace(w, len(row_vars)))
 
 
 def test_row_masks_agree_with_naive_reference():
     """Bit i of a row query is the naive truth value with the row variables
-    bound to row i: x as a row variable over a random subset of positions
-    with y scalar, then x and y both row variables over random pairs."""
+    bound to row i, for every row of the product space (and so for every
+    subset of its rows): x as a row variable with y scalar, then x and y
+    both row variables."""
     rng = random.Random(5)
     for trial in range(200):
         f = _random_formula(rng, ["x", "y"], depth=4, qdepth=3)
         n = rng.randint(1, 5)
         w = Word(tuple(rng.choices("ab#", k=n)))
         positions = range(1, n + 1)
-        rows = [(x,) for x in rng.sample(positions, rng.randint(0, n))]
-        at = _evaluator(w, f, ("y",), rows, ("x",)).at
+        at = _evaluator(w, f, ("y",), ("x",)).at
         for y in positions:
-            want = _mask(naive_eval(w, f, {"x": x, "y": y}) for (x,) in rows)
-            assert at((y,)) == want, (sexpr.render(to_sexpr(f)), w.render(), rows, y)
+            want = _mask(naive_eval(w, f, {"x": x, "y": y}) for x in positions)
+            assert at((y,)) == want, (sexpr.render(to_sexpr(f)), w.render(), y)
         pairs = list(itertools.product(positions, repeat=2))
-        rows = rng.sample(pairs, rng.randint(0, len(pairs)))
-        got = _evaluator(w, f, (), rows, ("x", "y")).at(())
-        want = _mask(naive_eval(w, f, {"x": x, "y": y}) for x, y in rows)
-        assert got == want, (sexpr.render(to_sexpr(f)), w.render(), rows)
+        got = _evaluator(w, f, (), ("x", "y")).at(())
+        want = _mask(naive_eval(w, f, {"x": x, "y": y}) for x, y in pairs)
+        assert got == want, (sexpr.render(to_sexpr(f)), w.render())
 
 
 _BINDERS = ("u", "v", "w", "x", "y")
@@ -256,13 +256,9 @@ def _quantified_formulas(draw, scope=("x", "y"), depth=4):
 
 @st.composite
 def _quantified_cases(draw):
-    n = draw(st.integers(0, 6))
-    w = Word(tuple(draw(st.lists(st.sampled_from("ab#"), min_size=n, max_size=n))))
-    positions = st.integers(1, max(n, 1))
-    xs = draw(st.lists(positions, max_size=8 if n else 0))
-    pairs = draw(st.lists(st.tuples(positions, positions), max_size=12 if n else 0))
+    w = Word(tuple(draw(st.lists(st.sampled_from("ab#"), max_size=6))))
     closure = draw(st.tuples(st.sampled_from((Forall, Exists)), st.sampled_from((Forall, Exists))))
-    return draw(_quantified_formulas()), w, xs, pairs, closure
+    return draw(_quantified_formulas()), w, closure
 
 
 @settings(deadline=None, max_examples=300)
@@ -271,16 +267,16 @@ def test_quantifiers_agree_with_naive_reference(case):
     """Quantifier-heavy formulas in point mode (x and y scalar), with x as a
     row variable, with x and y both row variables, and closed into a
     sentence, on words of length 0 to 6."""
-    f, w, xs, pairs, (outer, inner) = case
+    f, w, (outer, inner) = case
     positions = range(1, len(w) + 1)
-    at = _evaluator(w, f, ("x", "y"), ((),), ()).at
+    at = _evaluator(w, f, ("x", "y"), ()).at
     for x, y in itertools.product(positions, repeat=2):
         assert at((x, y)) == naive_eval(w, f, {"x": x, "y": y}), (x, y)
-    rows = [(x,) for x in xs]
-    at = _evaluator(w, f, ("y",), rows, ("x",)).at
+    at = _evaluator(w, f, ("y",), ("x",)).at
     for y in positions:
-        assert at((y,)) == _mask(naive_eval(w, f, {"x": x, "y": y}) for x in xs), y
-    got = _evaluator(w, f, (), pairs, ("x", "y")).at(())
+        assert at((y,)) == _mask(naive_eval(w, f, {"x": x, "y": y}) for x in positions), y
+    got = _evaluator(w, f, (), ("x", "y")).at(())
+    pairs = itertools.product(positions, repeat=2)
     assert got == _mask(naive_eval(w, f, {"x": x, "y": y}) for x, y in pairs)
     sentence = outer("x", inner("y", f))
     assert eval_formula(w, sentence) == naive_eval(w, sentence, {})
@@ -346,7 +342,7 @@ def test_guarded_loops_agree_with_naive_reference(f):
         for w in _words_up_to(3):
             positions = range(1, len(w) + 1)
             rows = list(itertools.product(positions, repeat=len(row_vars)))
-            at = FormulaEvaluator(plan, RowSpace(w, rows)).at
+            at = FormulaEvaluator(plan, RowSpace(w, len(row_vars))).at
             for values in itertools.product(positions, repeat=len(var_order)):
                 env = dict(zip(var_order, values))
                 want = _mask(naive_eval(w, f, {**env, **dict(zip(row_vars, r))}) for r in rows)
@@ -446,7 +442,7 @@ def test_unique_witnesses_agree_with_naive_reference(case):
         reference = _memo_eval(w, expand_macros(f))
         for (var_order, row_vars), plan in zip(modes, plans):
             rows = list(itertools.product(positions, repeat=len(row_vars)))
-            at = FormulaEvaluator(plan, RowSpace(w, rows)).at
+            at = FormulaEvaluator(plan, RowSpace(w, len(row_vars))).at
             for values in itertools.product(positions, repeat=len(var_order)):
                 env = dict(zip(var_order, values))
                 want = _mask(reference({**env, **dict(zip(row_vars, r))}) for r in rows)
@@ -455,21 +451,22 @@ def test_unique_witnesses_agree_with_naive_reference(case):
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
 def test_product_space_masks_match_the_row_by_row_build(dim):
-    """``RowSpace.product`` lists the same rows as ``itertools.product`` and
-    its closed-form masks equal those built row by row from that list, for
+    """``RowSpace`` lists the same rows as ``itertools.product`` and its
+    closed-form masks equal those built row by row from that list, for
     every component and words of length 0 to 7."""
     for n in range(8):
         w = Word(tuple("ab#"[k % 3] for k in range(n)))
-        space = RowSpace.product(w, dim)
-        generic = RowSpace(w, list(itertools.product(range(1, n + 1), repeat=dim)))
-        assert space.rows == generic.rows and space.all == generic.all
+        space = RowSpace(w, dim)
+        rows = list(itertools.product(range(1, n + 1), repeat=dim))
+        assert space.rows_at(space.all) == rows and space.all == (1 << len(rows)) - 1
         for a in range(dim):
-            assert space.masks(a) == generic.masks(a), (n, a)
+            assert space.masks[a] == _masks_row_by_row(n, rows, a), (n, a)
 
 
 def _masks_row_by_row(n, rows, a):
-    """The ==, <= and >= masks of component ``a``, built one row at a time
-    as ``RowSpace.masks`` once built them for every space."""
+    """The ==, <= and >= masks of component ``a`` of ``rows``, bit i for
+    ``rows[i]``, built one row at a time: the reference for the closed-form
+    masks of ``RowSpace``."""
     bufs = [bytearray((len(rows) + 7) >> 3) for _ in range(n + 2)]
     for i, row in enumerate(rows):
         bufs[row[a]][i >> 3] |= 1 << (i & 7)
@@ -482,31 +479,24 @@ def _masks_row_by_row(n, rows, a):
 @settings(deadline=None, max_examples=200)
 @given(st.integers(1, 3), st.integers(0, 5), st.sampled_from([0, 0.1, 0.5, 0.9, 1]), st.randoms())
 def test_order_space_masks_match_the_row_by_row_build(dim, n, density, rng):
-    """The space of a domain in increasing order, as the order check binds
-    it, has the masks of the row-by-row build, and so do the same rows
-    reordered within each first component and a space listing them
-    shuffled; ``RowSpace.increasing`` refuses the shuffled rows when their
-    first components decrease somewhere.  A product space lists the rows of
-    a mask in order.  Domains are drawn from every density, the empty one
-    included, in dimensions 1 to 3 on words of length 0 to 5."""
+    """A domain's rows of the product space, as the order check reads
+    them: the space lists the rows of the domain's mask in order, finds
+    their bits from the rows, and its masks, restricted to that mask, are
+    those of the row-by-row build over the domain's rows with each row at
+    its bit in the space.  Domains are drawn from every density, the empty
+    one included, in dimensions 1 to 3 on words of length 0 to 5."""
     w = Word(tuple("ab#"[k % 3] for k in range(n)))
-    product = RowSpace.product(w, dim)
+    product = RowSpace(w, dim)
     mask = sum(1 << i for i in range(n**dim) if rng.random() < density)
     rows = [row for i, row in enumerate(itertools.product(range(1, n + 1), repeat=dim)) if mask >> i & 1]
     assert product.rows_at(mask) == rows
-    by_first = sorted(rows, key=lambda row: (row[0], rng.random()))
-    shuffled = rows[:]
-    rng.shuffle(shuffled)
-    spaces = [RowSpace.increasing(w, rows), RowSpace.increasing(w, by_first), RowSpace(w, shuffled)]
-    firsts = [row[0] for row in shuffled]
-    if firsts == sorted(firsts):
-        spaces.append(RowSpace.increasing(w, shuffled))
-    else:
-        with pytest.raises(LogicError, match="not listed in increasing order"):
-            RowSpace.increasing(w, shuffled)
-    for space in spaces:
-        for a in range(dim):
-            assert space.masks(a) == _masks_row_by_row(n, space.rows, a), (mask, a)
+    bits = [i for i in range(n**dim) if mask >> i & 1]
+    assert product.bits(rows) == bits
+    for a in range(dim):
+        restricted = [[m & mask for m in masks] for masks in product.masks[a]]
+        by_row = _masks_row_by_row(n, rows, a)
+        spread = [[sum((m >> j & 1) << b for j, b in enumerate(bits)) for m in masks] for masks in by_row]
+        assert restricted == spread, (mask, a)
 
 
 @st.composite
@@ -543,10 +533,10 @@ def test_one_plan_serves_a_sequence_of_words(f, words, closure):
         for w in words:
             positions = range(1, len(w) + 1)
             rows = list(itertools.product(positions, repeat=len(row_vars)))
-            ev = FormulaEvaluator(plan, RowSpace(w, rows))
+            ev = FormulaEvaluator(plan, RowSpace(w, len(row_vars)))
             bound.append((w, rows, ev))
         for w, rows, ev in bound + bound[::-1]:
-            fresh = _evaluator(w, g, var_order, rows, row_vars)
+            fresh = _evaluator(w, g, var_order, row_vars)
             for values in itertools.product(range(1, len(w) + 1), repeat=len(var_order)):
                 env = dict(zip(var_order, values))
                 want = _mask(naive_eval(w, g, {**env, **dict(zip(row_vars, r))}) for r in rows)
@@ -594,8 +584,8 @@ def test_plans_of_several_formulas_agree_with_one_plan_each(f, g, words):
         for w in words:
             positions = range(1, len(w) + 1)
             rows = list(itertools.product(positions, repeat=len(row_vars)))
-            at = FormulaEvaluator(together, RowSpace(w, rows)).at
-            singles = [FormulaEvaluator(p, RowSpace(w, rows)).at for p in alone]
+            at = FormulaEvaluator(together, RowSpace(w, len(row_vars))).at
+            singles = [FormulaEvaluator(p, RowSpace(w, len(row_vars))).at for p in alone]
             for values in itertools.product(positions, repeat=len(var_order)):
                 env = dict(zip(var_order, values))
                 want = tuple(
@@ -603,7 +593,7 @@ def test_plans_of_several_formulas_agree_with_one_plan_each(f, g, words):
                 )
                 assert at(values) == tuple(one(values) for one in singles) == want, (w.render(), values)
     with pytest.raises(LogicError, match="one formula"):
-        _evaluator(Word.parse("ab"), (f, g), ("x", "y", "u"), ((),), ()).evaluate({"x": 1, "y": 1, "u": 1})
+        _evaluator(Word.parse("ab"), (f, g), ("x", "y", "u"), ()).evaluate({"x": 1, "y": 1, "u": 1})
 
 
 def test_var_order_is_checked_when_the_plan_is_built():
@@ -718,7 +708,7 @@ def test_hostile_names_reach_generated_code_only_as_tables():
             plan = FormulaPlan(f, var_order, row_vars)
             _assert_generated_text_only(plan)
             rows = list(itertools.product(positions, repeat=len(row_vars)))
-            ev = FormulaEvaluator(plan, RowSpace(w, rows))
+            ev = FormulaEvaluator(plan, RowSpace(w, len(row_vars)))
             for values in itertools.product(positions, repeat=len(var_order)):
                 env = dict(zip(var_order, values))
                 want = _mask(naive_eval(w, f, {**env, **dict(zip(row_vars, r))}) for r in rows)
@@ -862,7 +852,7 @@ def _check_deep(f):
         reference = _memo_eval(w, f)
         for (var_order, row_vars), plan in zip(modes, plans):
             rows = list(itertools.product(positions, repeat=len(row_vars)))
-            at = FormulaEvaluator(plan, RowSpace(w, rows)).at
+            at = FormulaEvaluator(plan, RowSpace(w, len(row_vars))).at
             for values in itertools.product(positions, repeat=len(var_order)):
                 env = dict(zip(var_order, values))
                 want = _mask(reference({**env, **dict(zip(row_vars, r))}) for r in rows)
@@ -976,15 +966,14 @@ def test_deep_formulas_repr_without_recursion():
 
 def test_evaluators_share_a_row_space_of_their_word():
     """Evaluators of several formulas over one ``RowSpace`` give the masks
-    of evaluators with their own rows."""
+    of evaluators with spaces of their own."""
     rng = random.Random(23)
     w = Word(tuple("ab#ba"))
-    rows = list(itertools.product(range(1, 6), repeat=2))
-    space = RowSpace(w, rows)
+    space = RowSpace(w, 2)
     for trial in range(20):
         f = _random_formula(rng, ["x", "y"], depth=4, qdepth=3)
         shared = FormulaEvaluator(FormulaPlan(f, (), ("x", "y")), space).at(())
-        assert shared == _evaluator(w, f, (), rows, ("x", "y")).at(())
+        assert shared == _evaluator(w, f, (), ("x", "y")).at(())
 
 
 def _size(f):
@@ -1090,7 +1079,7 @@ def test_shared_units_agree_with_naive_reference(f, words):
             rows = list(itertools.product(positions, repeat=len(row_vars)))
             queries = list(itertools.product(positions, repeat=len(var_order)))
             for order in (queries, queries[::-1]):
-                at = FormulaEvaluator(plan, RowSpace(w, rows)).at
+                at = FormulaEvaluator(plan, RowSpace(w, len(row_vars))).at
                 for values in order + order[::-1]:
                     env = dict(zip(var_order, values))
                     want = _mask(naive_eval(w, f, {**env, **dict(zip(row_vars, r))}) for r in rows)
