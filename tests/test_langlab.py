@@ -1,7 +1,10 @@
+import functools
 import itertools
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polyreglab import interp as interp_module
 from polyreglab import pebble as pebble_module
@@ -15,9 +18,11 @@ from polyreglab.interp import (
     render_interp,
 )
 from polyreglab.langlab import (
+    DEFAULT_BUDGET,
     BudgetError,
     LanguageSample,
     PumpDecomposition,
+    _placements,
     check_dcomplete,
     enumerate_image,
     growth_degree,
@@ -337,6 +342,85 @@ def test_decomposition_accessors():
     assert d.pumped(3).render() == "aaabbb#ab"
 
 
+# -- differential test against the splicing search -------------------------------
+
+
+def _reference_pump_search(sample, w, k, K, extended, budget=DEFAULT_BUDGET):
+    """The search as first written: each pumped variant spliced from the
+    spans, and the pieces of a find built again from the same spans."""
+    if w not in sample.outputs:
+        raise ValueError(f"{w.render()!r} is not an output in the sample")
+    if k < 1 or K < 0:
+        raise ValueError("need k >= 1 and K >= 0")
+    if len(w) < K:
+        return None
+    toks = w.tokens
+    examined = 0
+    for spans in _placements(len(toks), k, K):
+        if all(length == 0 for _, length in spans):
+            continue
+        examined += 1
+        if examined > budget:
+            raise BudgetError(
+                f"pump search exceeded the budget of {budget} candidate "
+                f"decompositions (last tried spans {spans})",
+                examined=examined,
+            )
+        ok = True
+        for n in (0, 2, 3):
+            parts = []
+            prev = 0
+            for s, length in spans:
+                parts.extend(toks[prev:s])
+                parts.extend(toks[s : s + length] * n)
+                prev = s + length
+            parts.extend(toks[prev:])
+            if Word(tuple(parts)) not in extended.outputs:
+                ok = False
+                break
+        if ok:
+            pieces = []
+            prev = 0
+            for s, length in spans:
+                pieces.append(Word(toks[prev:s]))
+                pieces.append(Word(toks[s : s + length]))
+                prev = s + length
+            pieces.append(Word(toks[prev:]))
+            return PumpDecomposition(tuple(pieces), k, K)
+    return None
+
+
+@functools.cache
+def _pump_samples():
+    """(sample, extended sample) pairs: identity on {a} and on {a, b}, and
+    the direct innsq on {a, #}."""
+    identity = lambda w: w  # noqa: E731
+    cases = [(identity, ("a",), 4, 12), (identity, ("a", "b"), 3, 8), (innsq_direct, ("a", "#"), 3, 8)]
+    return [
+        (enumerate_image(fn, Alphabet.of(*letters), short), enumerate_image(fn, Alphabet.of(*letters), long))
+        for fn, letters, short, long in cases
+    ]
+
+
+def _pump_outcome(search, *args):
+    try:
+        found = search(*args)
+    except BudgetError as exc:
+        return "budget", str(exc), exc.examined
+    return "done", found.pieces if found else None
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.data())
+def test_pump_search_agrees_with_splicing_reference(reverse_blocks_samples, data):
+    sample, extended = data.draw(st.sampled_from([*_pump_samples(), reverse_blocks_samples]))
+    w = data.draw(st.sampled_from(sample.sorted_outputs()))
+    k, K = data.draw(st.integers(1, 2)), data.draw(st.integers(0, 3))
+    budget = data.draw(st.one_of(st.integers(0, 30), st.just(DEFAULT_BUDGET)))
+    args = (sample, w, k, K, extended, budget)
+    assert _pump_outcome(pump_search, *args) == _pump_outcome(_reference_pump_search, *args)
+
+
 # -- growth ----------------------------------------------------------------------
 
 
@@ -370,6 +454,15 @@ def test_growth_rejects_bad_lengths():
     for lengths in ([3], [4, 4]):
         with pytest.raises(ValueError, match="ascending"):
             growth_degree(lambda w: w, Alphabet.of("a"), lengths)
+
+
+def test_growth_pins_the_sampled_lengths():
+    """Every length here has more than 2,048 words, so each row's peak comes
+    from the structured words and 30 seeded random ones; a changed sample
+    size or seed use moves the table.  These are the benchmark's lengths."""
+    estimate = growth_degree(innsq_direct, Alphabet.of("a", "b", "#"), [8, 16, 24, 32, 48])
+    assert estimate.table == ((8, 20), (16, 72), (24, 156), (32, 272), (48, 600))
+    assert estimate.slope == pytest.approx(1.8975968053476184, rel=1e-12)
 
 
 def test_growth_render_has_a_table():
