@@ -204,10 +204,7 @@ def _cmd_image(args) -> int:
         function_id=resolved.ref,
     )
     payload = {
-        "function": sample.function_id,
-        "input-alphabet": sorted(alphabet.letters),
-        "max-len": sample.max_len,
-        "count": len(sample),
+        **sample.manifest(),
         "outputs": [
             [out.render(), sample.outputs[out].render()] for out in sample.sorted_outputs()
         ],

@@ -60,20 +60,32 @@ class LanguageSample:
     def sorted_outputs(self) -> list[Word]:
         return sorted(self.outputs, key=lambda w: (len(w), w.tokens))
 
-    def render(self) -> str:
-        manifest = {
+    def manifest(self) -> dict:
+        """The first line of a ``.sample`` file, as a dict."""
+        return {
             "function": self.function_id,
             "input-alphabet": sorted(self.input_alphabet.letters),
             "max-len": self.max_len,
             "count": len(self.outputs),
         }
-        lines = [json.dumps(manifest, ensure_ascii=False, sort_keys=True)]
+
+    def render(self) -> str:
+        """The manifest line, then one ``output<TAB>witness`` line per output,
+        each word written so that ``parse`` reads it back."""
+        letters = self.input_alphabet.letters
+        spelled = any(len(tok) > 1 and set(tok) <= letters for tok in letters)
+        lines = [json.dumps(self.manifest(), ensure_ascii=False, sort_keys=True)]
         for out in self.sorted_outputs():
             wit = self.outputs[out]
             for tok in (*out.tokens, *wit.tokens):
                 if "\t" in tok or "\n" in tok:
                     raise ValueError(f"token {tok!r} cannot be serialized")
-            lines.append(f"{out.render()}\t{wit.render()}")
+            out_text, wit_text = out.render(), wit.render()
+            if len(out) == 1 and len(out_text) > 1:
+                out_text += " "  # so that it reads back as one letter
+            if spelled and Word.parse(wit_text, self.input_alphabet) != wit:
+                wit_text = " ".join(wit.tokens)  # else its letters read back as longer ones
+            lines.append(f"{out_text}\t{wit_text}")
         return "\n".join(lines) + "\n"
 
     @staticmethod
@@ -88,9 +100,8 @@ class LanguageSample:
             if not line:
                 continue
             out_text, _, wit_text = line.partition("\t")
-            out = Word.parse(out_text)
-            wit = Word.parse(wit_text, alphabet) if wit_text else Word()
-            outputs[out] = wit
+            out = Word(tuple(out_text.split())) if out_text.endswith(" ") else Word.parse(out_text)
+            outputs[out] = Word.parse(wit_text, alphabet)
         if len(outputs) != manifest["count"]:
             raise ValueError(
                 f"manifest promises {manifest['count']} outputs, file has {len(outputs)}"
@@ -375,18 +386,12 @@ class PumpDecomposition:
         return self.pieces[0::2]
 
     def concatenation(self) -> Word:
-        toks: list[str] = []
-        for piece in self.pieces:
-            toks.extend(piece.tokens)
-        return Word(tuple(toks))
+        return self.pumped(1)
 
     def pumped(self, n: int) -> Word:
         toks: list[str] = []
         for idx, piece in enumerate(self.pieces):
-            if idx % 2:
-                toks.extend(piece.tokens * n)
-            else:
-                toks.extend(piece.tokens)
+            toks.extend(piece.tokens * (n if idx % 2 else 1))
         return Word(tuple(toks))
 
     def render(self) -> str:
@@ -450,28 +455,14 @@ def pump_search(
                 f"decompositions (last tried spans {spans})",
                 examined=examined,
             )
-        ok = True
-        for n in (0, 2, 3):
-            parts: list[str] = []
-            prev = 0
-            for s, length in spans:
-                parts.extend(toks[prev:s])
-                parts.extend(toks[s : s + length] * n)
-                prev = s + length
-            parts.extend(toks[prev:])
-            if Word(tuple(parts)) not in extended.outputs:
-                ok = False
-                break
-        if ok:
-            pieces: list[Word] = []
-            prev = 0
-            for s, length in spans:
-                pieces.append(Word(toks[prev:s]))
-                pieces.append(Word(toks[s : s + length]))
-                prev = s + length
-            pieces.append(Word(toks[prev:]))
-            found = PumpDecomposition(tuple(pieces), k, K)
-            assert found.concatenation() == w
+        pieces: list[Word] = []
+        prev = 0
+        for s, length in spans:
+            pieces += (Word(toks[prev:s]), Word(toks[s : s + length]))
+            prev = s + length
+        pieces.append(Word(toks[prev:]))
+        found = PumpDecomposition(tuple(pieces), k, K)
+        if all(found.pumped(n) in extended.outputs for n in (0, 2, 3)):
             return found
     return None
 
@@ -513,13 +504,17 @@ def _structured_words(alphabet: Alphabet, length: int) -> Iterator[Word]:
                 yield Word(toks + (c,) * (length - len(toks)))
 
 
+# growth_degree takes every word of a length that has at most EXHAUSTIVE_WORDS
+# of them, else the structured words and RANDOM_WORDS seeded random ones
+EXHAUSTIVE_WORDS = 2048
+RANDOM_WORDS = 30
+
+
 def growth_degree(
     fn: Callable[[Word], Word],
     alphabet: Alphabet,
     lengths: list[int],
     seed: int = 12345,
-    random_per_length: int = 30,
-    exhaustive_budget: int = 2048,
 ) -> GrowthEstimate:
     """Profile max output length against input length and fit a power law.
 
@@ -527,14 +522,14 @@ def growth_degree(
     is small enough, otherwise over structured block patterns plus seeded
     random words; structured inputs matter because the worst cases of
     block-splitting functions are far from uniform noise."""
-    if len(set(lengths)) < 2 or sorted(lengths) != list(lengths) or lengths[0] < 1:
-        raise ValueError("lengths must be ascending and positive, at least two of them distinct")
+    if len(lengths) < 2 or list(lengths) != sorted(set(lengths)) or lengths[0] < 1:
+        raise ValueError("lengths must be strictly ascending and positive, at least two of them")
     rng = random.Random(seed)
     letters = sorted(alphabet.letters)
     table: list[tuple[int, int]] = []
     for length in lengths:
         peak = 0
-        if len(letters) ** length <= exhaustive_budget:
+        if len(letters) ** length <= EXHAUSTIVE_WORDS:
             candidates: Iterator[Word] = (
                 Word(toks) for toks in itertools.product(letters, repeat=length)
             )
@@ -542,7 +537,7 @@ def growth_degree(
             structured = list(_structured_words(alphabet, length))
             randoms = [
                 Word(tuple(rng.choices(letters, k=length)))
-                for _ in range(random_per_length)
+                for _ in range(RANDOM_WORDS)
             ]
             candidates = iter(structured + randoms)
         for w in candidates:

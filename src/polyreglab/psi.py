@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 from typing import Iterator
 
-from .interp import Interpretation, eval_interp
+from .interp import Interpretation, builtin_interp, eval_interp
 from .logic import (
     And,
     Eq,
@@ -223,16 +223,12 @@ def fprime_oracle(
 # -- iterated lifts --------------------------------------------------------------
 
 
-def family(k: int, base: Interpretation | None = None) -> Interpretation:
+def family(k: int) -> Interpretation:
     """The k-th member of the squaring family: k-1 lifts applied to the
     squaring interpretation, with level-indexed markers."""
     if k < 1:
         raise PsiError(f"family levels start at 1, got {k}")
-    if base is None:
-        from .interp import builtin_interp
-
-        base = builtin_interp("squaring-family")
-    result = base
+    result = builtin_interp("squaring-family")
     for level in range(1, k):
         result = psi(result, MarkerScheme.for_level(level))
     return result

@@ -162,16 +162,22 @@ def _first_repeat(machine: TwoWayTransducer, tape: list[int]) -> NonTerminationE
 @record(eq=False)
 class RegularFn:
     """A string-to-string function of linear growth, backed by a two-way
-    transducer.  ``growth_constant`` bounds |f(w)| <= C * |w|;
-    ``reference`` is a directly-written description of the same function,
-    kept for cross-checking."""
+    transducer, whose alphabets it reads.  ``growth_constant`` bounds
+    |f(w)| <= C * |w|; ``reference`` is a directly-written description of
+    the same function, kept for cross-checking."""
 
     name: str
-    input_alphabet: Alphabet
-    output_alphabet: Alphabet
     growth_constant: int
     transducer: TwoWayTransducer
     reference: Callable[[Word], Word] | None = None
+
+    @property
+    def input_alphabet(self) -> Alphabet:
+        return self.transducer.input_alphabet
+
+    @property
+    def output_alphabet(self) -> Alphabet:
+        return self.transducer.output_alphabet
 
     def __call__(self, w: Word) -> OriginWord:
         return run(self.transducer, w)
@@ -260,14 +266,6 @@ def _machine(
     )
 
 
-def _regular_fn(machine: TwoWayTransducer, growth_constant: int, reference: Callable) -> RegularFn:
-    """``machine`` as a function, named and typed as the machine is."""
-    return RegularFn(
-        machine.name, machine.input_alphabet, machine.output_alphabet, growth_constant,
-        transducer=machine, reference=reference,
-    )
-
-
 def _block_marker() -> RegularFn:
     """One pass: a pebble-mark at the first letter of every nonempty block,
     a # for every #."""
@@ -300,7 +298,7 @@ def _block_marker() -> RegularFn:
                 at_start = False
         return Word(tuple(out))
 
-    return _regular_fn(machine, 1, reference)
+    return RegularFn(machine.name, 1, machine, reference)
 
 
 def _hash_counter() -> RegularFn:
@@ -319,7 +317,7 @@ def _hash_counter() -> RegularFn:
         k = w.count("#") + w.count("_#")
         return Word((PEBBLE_MARK,) * k)
 
-    return _regular_fn(machine, 1, reference)
+    return RegularFn(machine.name, 1, machine, reference)
 
 
 def _marked_block_copy() -> RegularFn:
@@ -363,7 +361,7 @@ def _marked_block_copy() -> RegularFn:
                 break
         return Word(tuple(out))
 
-    return _regular_fn(machine, 1, reference)
+    return RegularFn(machine.name, 1, machine, reference)
 
 
 def _reverse_blocks_ab() -> RegularFn:
@@ -403,14 +401,14 @@ def _reverse_blocks_ab() -> RegularFn:
         parts = ["a" * len(b) + "b" * len(b) for b in reversed(blocks)]
         return Word.parse("#".join(parts))
 
-    return _regular_fn(machine, 2, reference)
+    return RegularFn(machine.name, 2, machine, reference)
 
 
-def identity_fn(alphabet: Alphabet, name: str = "identity") -> RegularFn:
+def identity_fn(alphabet: Alphabet) -> RegularFn:
     """Copy the input, one sweep."""
     if not len(alphabet):
         raise TransducerError("identity needs a non-empty alphabet")
-    return erasing_fn(alphabet, Alphabet.of(), name)
+    return erasing_fn(alphabet, Alphabet.of(), "identity")
 
 
 def erasing_fn(alphabet: Alphabet, delta: Alphabet, name: str | None = None) -> RegularFn:
@@ -428,7 +426,7 @@ def erasing_fn(alphabet: Alphabet, delta: Alphabet, name: str | None = None) -> 
     def reference(w: Word) -> Word:
         return Word(tuple(tok for tok in w if tok not in delta))
 
-    return _regular_fn(machine, 1, reference)
+    return RegularFn(machine.name, 1, machine, reference)
 
 
 def bouncing_machine() -> TwoWayTransducer:
@@ -450,13 +448,7 @@ def _parse_regular_fn(text: str, name: str, _dir: str) -> RegularFn:
     """The function of a ``.2dft`` file; ``name`` is the fallback when the
     file does not name its machine."""
     machine = parse_transducer(text)
-    return RegularFn(
-        name=machine.name or name,
-        input_alphabet=machine.input_alphabet,
-        output_alphabet=machine.output_alphabet,
-        growth_constant=len(machine.states),
-        transducer=machine,
-    )
+    return RegularFn(machine.name or name, len(machine.states), machine)
 
 
 regular_fns = Registry(

@@ -287,6 +287,13 @@ def test_growth_json(capsys):
     assert payload["classification"].startswith("degree")
 
 
+def test_growth_refuses_repeated_lengths(capsys):
+    """A repeated length would be fitted as several points at one x."""
+    rc, out, err = run(capsys, ["growth", "innsq", "--lengths", "1,1,2"])
+    assert (rc, out) == (3, "")
+    assert "strictly ascending" in err
+
+
 def test_image_json(capsys):
     rc, out, _ = run(
         capsys,

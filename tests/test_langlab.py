@@ -93,6 +93,26 @@ def test_sample_round_trip():
     assert Word() in back.outputs  # the bare-tab line survives parsing
 
 
+@pytest.mark.parametrize("letters", [("♣1", "a"), ("a", "bb", "c"), ("xy", "z"), ("a", "b", "ab")])
+def test_sample_round_trip_with_longer_letters(letters):
+    """Outputs and witnesses read back as written, also where a word of one
+    letter of several characters renders like a word of several letters."""
+    sample = enumerate_image(lambda w: w, Alphabet.of(*letters), 2, function_id="identity")
+    back = LanguageSample.parse(sample.render())
+    assert back.outputs == dict(sample.outputs)
+    assert back.render() == sample.render()
+
+
+def test_sample_spaces_only_the_columns_that_need_it():
+    """One letter of several characters as an output is followed by a space,
+    and never as a witness; a witness is written with its letters apart only
+    where they would read back as a longer letter."""
+    lines = enumerate_image(lambda w: w, Alphabet.of("♣1", "a"), 1).render().splitlines()
+    assert lines[1:] == ["\t", "a\ta", "♣1 \t♣1"]
+    lines = enumerate_image(lambda w: w, Alphabet.of("a", "b", "ab"), 2).render().splitlines()
+    assert "ab\ta b" in lines and "ab \tab" in lines and "ba\tba" in lines
+
+
 def test_sample_rejects_unserializable_tokens():
     sample = LanguageSample(
         function_id="x",
@@ -451,7 +471,7 @@ def test_growth_rejects_bad_lengths():
         growth_degree(lambda w: w, Alphabet.of("a"), [10, 5])
     with pytest.raises(ValueError, match="ascending"):
         growth_degree(lambda w: w, Alphabet.of("a"), [])
-    for lengths in ([3], [4, 4]):
+    for lengths in ([3], [4, 4], [2, 2, 4], [1, 1, 2]):
         with pytest.raises(ValueError, match="ascending"):
             growth_degree(lambda w: w, Alphabet.of("a"), lengths)
 
