@@ -23,9 +23,11 @@ from .langlab import (
     GrowthEstimate,
     LanguageSample,
     PumpDecomposition,
+    PumpReport,
     check_dcomplete,
     enumerate_image,
     growth_degree,
+    pump_report,
     pump_search,
     resolve_function,
     words_upto,

@@ -30,7 +30,7 @@ from .langlab import (
     check_dcomplete,
     enumerate_image,
     growth_degree,
-    pump_search,
+    pump_report,
     resolve_function,
     words_upto,
 )
@@ -203,12 +203,7 @@ def _cmd_image(args) -> int:
         budget=args.budget,
         function_id=resolved.ref,
     )
-    payload = {
-        **sample.manifest(),
-        "outputs": [
-            [out.render(), sample.outputs[out].render()] for out in sample.sorted_outputs()
-        ],
-    }
+    payload = {**sample.manifest(), "outputs": sample.spelled_outputs()}
     return _result(args, payload, sample.render(), path=args.output)
 
 
@@ -221,20 +216,16 @@ def _cmd_check_dcomplete(args) -> int:
 def _cmd_pump(args) -> int:
     sample, extended = _read_sample(args.sample), _read_sample(args.extended)
     w = _read_word(args.word, None)
-    found = pump_search(sample, w, args.k, args.K, extended, budget=args.budget)
-    below = len(w) < args.K
+    report = pump_report(sample, w, args.k, args.K, extended, budget=args.budget)
+    found = report.found
     payload = {
         "found": found is not None,
         "pieces": [p.render() for p in found.pieces] if found else None,
         "k": args.k,
         "K": args.K,
-        "reason": "below pumping threshold" if below else None,
+        "reason": report.reason,
     }
-    if found:
-        text = found.render()
-    else:
-        text = "none (below pumping threshold)" if below else "none"
-    return _result(args, payload, text + "\n")
+    return _result(args, payload, report.render() + "\n")
 
 
 def _cmd_growth(args) -> int:

@@ -115,13 +115,14 @@ class InterpDomain:
     space: RowSpace
     masks: Mapping[str, int]
 
-    def _selected(self) -> int:
+    def selected(self) -> int:
+        """The mask of the tuples on which some letter holds."""
         return functools.reduce(operator.or_, self.masks.values(), 0)
 
     def tuples(self) -> list[tuple[int, ...]]:
         """The tuples on which some letter holds, in increasing order, read
         off the set bits of the letters' masks."""
-        return self.space.rows_at(self._selected())
+        return self.space.rows_at(self.selected())
 
     def overlap(self) -> tuple[tuple[int, ...], list[str]] | None:
         """The first tuple on which several letters hold, and those letters
@@ -135,16 +136,15 @@ class InterpDomain:
         (tup,) = self.space.rows_at(low)
         return tup, sorted(c for c, mask in self.masks.items() if mask & low)
 
-    def letters(self) -> list[str]:
-        """The letter of each tuple that ``tuples`` lists, in that order,
-        when no two letters hold on one tuple: each mask's set bits name
-        their tuple's letter, and the bits no letter holds on stay 0 (a
-        letter is never empty, so never false)."""
-        by_bit: list = [0] * self.space.all.bit_length()
+    def letter_at_bit(self) -> dict[int, str]:
+        """The letter of each selected tuple, by the tuple's bit, when no
+        two letters hold on one tuple: one ``dict.fromkeys`` per letter
+        over the set bits of its mask."""
+        letter_at: dict[int, str] = {}
         for c, mask in self.masks.items():
-            for i in itertools.compress(itertools.count(), bit_flags(mask)):
-                by_bit[i] = c
-        return list(filter(None, by_bit))
+            bits = itertools.compress(itertools.count(), bit_flags(mask))
+            letter_at.update(dict.fromkeys(bits, c))
+        return letter_at
 
     @property
     def letters_at(self) -> dict[tuple[int, ...], frozenset[str]]:
@@ -157,7 +157,7 @@ class InterpDomain:
         return {tup: frozenset(holding[tup]) for tup in self.tuples()}
 
     def __len__(self) -> int:
-        return self._selected().bit_count()
+        return self.selected().bit_count()
 
 
 def compute_domain(interp: Interpretation, u: Word) -> InterpDomain:
@@ -185,41 +185,44 @@ class OrderViolation:
 
 @record(slots=True)
 class OrderCheck:
+    """The verdict of ``check_linear_order``: when ``ok``, the selected
+    tuples in the order's sequence and the bit of each over the space."""
+
     ok: bool
     sorted_tuples: tuple[tuple[int, ...], ...] = ()
     violation: OrderViolation | None = None
+    bits: tuple[int, ...] = ()
 
 
-def check_linear_order(
-    dom: Sequence[tuple[int, ...]], interp: Interpretation, space: RowSpace
-) -> OrderCheck:
-    """Is the order formula a linear (reflexive, total) order on ``dom``?
+def check_linear_order(selected: int, interp: Interpretation, space: RowSpace) -> OrderCheck:
+    """Is the order formula a linear (reflexive, total) order on the rows
+    of ``space``, the product space of the word (see ``RowSpace``), whose
+    bits are set in ``selected``?
 
-    ``dom`` lists tuples of ``space``, the product space of the word (see
-    ``RowSpace``), as ``InterpDomain.tuples`` does in increasing order; that
-    order decides only which violation a failed check names.  One query per
-    tuple t, from the interpretation's order plan bound to ``space``, with
-    the x variables bound to each row: ANDed with the mask of ``dom``'s
-    rows, its bit for tuple s says s <= t.  Ranked by predecessor count, the
-    relation is the ranking's linear order exactly when each tuple's mask
-    holds itself and the tuples ranked below it, and nothing else.
+    The mask is decoded once, into its bits by ``bit_flags`` and its rows
+    by ``rows_at``, in increasing order; that order decides only which
+    violation a failed check names.  One query per selected row t, from the
+    interpretation's order plan bound to ``space``, with the x variables
+    bound to each row: ANDed with ``selected``, its bit for row s says
+    s <= t.  Ranked by predecessor count, the relation is the ranking's
+    linear order exactly when each row's mask holds itself and the rows
+    ranked below it, and nothing else.
     """
-    m = len(dom)
-    if m == 0:
-        return OrderCheck(True, ())
-    bits = space.bits(dom)
-    selected = sum(map((1).__lshift__, bits))
+    if not selected:
+        return OrderCheck(True)
+    bits = list(itertools.compress(itertools.count(), bit_flags(selected)))
+    rows = space.rows_at(selected)
     at = FormulaEvaluator(interp.order_plan, space).at
-    masks = [at(t) & selected for t in dom]
-    ranked = sorted(range(m), key=lambda j: masks[j].bit_count())
+    masks = [at(t) & selected for t in rows]
+    ranked = sorted(range(len(rows)), key=lambda j: masks[j].bit_count())
     below = 0
     for j in ranked:
         below |= 1 << bits[j]
         if masks[j] != below:
-            # Bit i of a tuple's mask over dom is the bit of dom[i] over the space.
+            # Bit i of a row's mask over the selected rows is bit bits[i] over the space.
             masks = [sum((mask >> b & 1) << i for i, b in enumerate(bits)) for mask in masks]
-            return OrderCheck(False, (), _order_violation(dom, masks))
-    return OrderCheck(True, tuple(dom[j] for j in ranked))
+            return OrderCheck(False, (), _order_violation(rows, masks))
+    return OrderCheck(True, tuple(rows[j] for j in ranked), bits=tuple(bits[j] for j in ranked))
 
 
 def _order_violation(tuples: Sequence[tuple[int, ...]], masks: list[int]) -> OrderViolation:
@@ -275,7 +278,6 @@ class InterpResult:
 
 def eval_interp_details(interp: Interpretation, u: Word) -> InterpResult:
     domain = compute_domain(interp, u)
-    tuples = domain.tuples()
     overlap = domain.overlap()
     if overlap is not None:
         tup, holds = overlap
@@ -283,16 +285,15 @@ def eval_interp_details(interp: Interpretation, u: Word) -> InterpResult:
             "letter-overlap", f"letters {holds} all hold on {tup}", (tup,), tuple(holds)
         )
         return InterpResult(OriginWord(), diag)
-    check = check_linear_order(tuples, interp, domain.space)
+    check = check_linear_order(domain.selected(), interp, domain.space)
     if not check.ok:
         assert check.violation is not None
         diag = InterpDiagnostic(
             "order-not-linear", check.violation.render(), check.violation.tuples
         )
         return InterpResult(OriginWord(), diag)
-    letter_at = dict(zip(tuples, domain.letters()))
-    ordered = check.sorted_tuples
-    output = OriginWord(tuple(zip(map(letter_at.__getitem__, ordered), ordered)))
+    letters = map(domain.letter_at_bit().__getitem__, check.bits)
+    output = OriginWord(tuple(zip(letters, check.sorted_tuples)))
     assert len(output) <= len(u) ** interp.dim
     return InterpResult(output)
 

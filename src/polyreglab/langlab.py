@@ -69,12 +69,16 @@ class LanguageSample:
             "count": len(self.outputs),
         }
 
-    def render(self) -> str:
-        """The manifest line, then one ``output<TAB>witness`` line per output,
-        each word written so that ``parse`` reads it back."""
+    def spelled_outputs(self) -> list[tuple[str, str]]:
+        """Each output, in ``sorted_outputs`` order, and its witness, as a
+        ``.sample`` line writes them, so that ``parse`` reads them back:
+        as ``Word.render`` does, but an output of one letter of several
+        characters ends in a space, and a witness whose one-character
+        letters would read back as a longer letter of the input alphabet
+        has spaces between its letters."""
         letters = self.input_alphabet.letters
         spelled = any(len(tok) > 1 and set(tok) <= letters for tok in letters)
-        lines = [json.dumps(self.manifest(), ensure_ascii=False, sort_keys=True)]
+        pairs = []
         for out in self.sorted_outputs():
             wit = self.outputs[out]
             for tok in (*out.tokens, *wit.tokens):
@@ -82,10 +86,17 @@ class LanguageSample:
                     raise ValueError(f"token {tok!r} cannot be serialized")
             out_text, wit_text = out.render(), wit.render()
             if len(out) == 1 and len(out_text) > 1:
-                out_text += " "  # so that it reads back as one letter
+                out_text += " "
             if spelled and Word.parse(wit_text, self.input_alphabet) != wit:
-                wit_text = " ".join(wit.tokens)  # else its letters read back as longer ones
-            lines.append(f"{out_text}\t{wit_text}")
+                wit_text = " ".join(wit.tokens)
+            pairs.append((out_text, wit_text))
+        return pairs
+
+    def render(self) -> str:
+        """The manifest line, then one ``output<TAB>witness`` line per
+        output (see ``spelled_outputs``)."""
+        lines = [json.dumps(self.manifest(), ensure_ascii=False, sort_keys=True)]
+        lines += [f"{out}\t{wit}" for out, wit in self.spelled_outputs()]
         return "\n".join(lines) + "\n"
 
     @staticmethod
@@ -389,10 +400,7 @@ class PumpDecomposition:
         return self.pumped(1)
 
     def pumped(self, n: int) -> Word:
-        toks: list[str] = []
-        for idx, piece in enumerate(self.pieces):
-            toks.extend(piece.tokens * (n if idx % 2 else 1))
-        return Word(tuple(toks))
+        return Word(_pumped([piece.tokens for piece in self.pieces], n))
 
     def render(self) -> str:
         parts = []
@@ -400,6 +408,14 @@ class PumpDecomposition:
             tag = f"u{idx // 2}" if idx % 2 == 0 else f"v{(idx + 1) // 2}"
             parts.append(f"{tag}={piece.render()!r}")
         return " ".join(parts)
+
+
+def _pumped(pieces: list[tuple[str, ...]], n: int) -> tuple[str, ...]:
+    """The tokens of u0 v1^n u1 ... vk^n uk, for ``pieces`` u0 v1 u1 ... vk uk."""
+    toks: list[str] = []
+    for i, piece in enumerate(pieces):
+        toks += piece * n if i % 2 else piece
+    return tuple(toks)
 
 
 def _placements(n: int, k: int, K: int) -> Iterator[tuple[tuple[int, int], ...]]:
@@ -424,25 +440,41 @@ def _placements(n: int, k: int, K: int) -> Iterator[tuple[tuple[int, int], ...]]
     yield from rec(0, k, [])
 
 
-def pump_search(
+@record
+class PumpReport:
+    """What ``pump_report`` found: the first decomposition, or None and,
+    when the search did not run, the ``reason``."""
+
+    found: PumpDecomposition | None
+    reason: str | None = None
+
+    def render(self) -> str:
+        if self.found is not None:
+            return self.found.render()
+        return f"none ({self.reason})" if self.reason else "none"
+
+
+def pump_report(
     sample: LanguageSample,
     w: Word,
     k: int,
     K: int,
     extended: LanguageSample,
     budget: int = DEFAULT_BUDGET,
-) -> PumpDecomposition | None:
+) -> PumpReport:
     """Look for a decomposition of w into k pumpable factors of length
     <= K whose pumped variants (n = 0, 2, 3) all appear in the extended
-    sample.  Returns the first find in left-to-right order, or None;
-    a None is evidence against pumpability at these parameters, not a
-    disproof."""
+    sample: the first find in left-to-right order, or none, which is
+    evidence against pumpability at these parameters, not a disproof.  A
+    word shorter than K is below the pumping threshold, and not searched.
+    Candidates are tested on token tuples, and only the find is made a
+    ``PumpDecomposition``."""
     if w not in sample.outputs:
         raise ValueError(f"{w.render()!r} is not an output in the sample")
     if k < 1 or K < 0:
         raise ValueError("need k >= 1 and K >= 0")
     if len(w) < K:
-        return None
+        return PumpReport(None, "below pumping threshold")
     toks = w.tokens
     examined = 0
     for spans in _placements(len(toks), k, K):
@@ -455,16 +487,26 @@ def pump_search(
                 f"decompositions (last tried spans {spans})",
                 examined=examined,
             )
-        pieces: list[Word] = []
-        prev = 0
+        pieces, prev = [], 0
         for s, length in spans:
-            pieces += (Word(toks[prev:s]), Word(toks[s : s + length]))
+            pieces += (toks[prev:s], toks[s : s + length])
             prev = s + length
-        pieces.append(Word(toks[prev:]))
-        found = PumpDecomposition(tuple(pieces), k, K)
-        if all(found.pumped(n) in extended.outputs for n in (0, 2, 3)):
-            return found
-    return None
+        pieces.append(toks[prev:])
+        if all(Word(_pumped(pieces, n)) in extended.outputs for n in (0, 2, 3)):
+            return PumpReport(PumpDecomposition(tuple(map(Word, pieces)), k, K))
+    return PumpReport(None)
+
+
+def pump_search(
+    sample: LanguageSample,
+    w: Word,
+    k: int,
+    K: int,
+    extended: LanguageSample,
+    budget: int = DEFAULT_BUDGET,
+) -> PumpDecomposition | None:
+    """The decomposition that ``pump_report`` finds, or None."""
+    return pump_report(sample, w, k, K, extended, budget).found
 
 
 # -- growth profiling ----------------------------------------------------------------

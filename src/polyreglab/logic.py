@@ -437,35 +437,85 @@ def bit_flags(mask: int) -> bytes:
     return bin(mask)[:1:-1].encode().translate(_BINARY_DIGITS)
 
 
+# Row geometries kept at once: two per word length (the product space and
+# its positions space) for 32 lengths.
+GEOMETRY_CACHE = 64
+
+
+class RowGeometry:
+    """What the row space of ``dim``-tuples of a word takes from the word's
+    length n and ``dim`` alone (see ``RowSpace``): ``all``, ``masks`` and,
+    by spec, every ``slot`` and ``rows`` table of ``RowSpace.table`` and
+    its complement.  Built in full by ``row_geometry``, once per (n, dim)
+    while it stays in that bounded cache, and never changed after, so the
+    spaces of all words of one length share it, also across threads."""
+
+    __slots__ = ("all", "masks", "tables")
+
+    def __init__(self, n: int, dim: int):
+        self.all = ALL = (1 << n**dim) - 1
+        # The masks of the rows whose component a is ==, <= and >= each
+        # position p, indexed by p (0 to n + 1): component a holds each of
+        # 1..n in turn for a run of s = n^(dim-1-a) rows, so it is == p on
+        # one pattern of runs shifted by (p-1)s.  Tables are tuples, since
+        # every space of the length reads the same ones.
+        masks = []
+        self.tables: dict[tuple, object] = {}
+        for a in range(dim):
+            s = n ** (dim - 1 - a)
+            run = (ALL // ((1 << n * s) - 1) if n else 0) * ((1 << s) - 1)
+            eq = (0, *(run << p * s for p in range(n)), 0)
+            le = tuple(itertools.accumulate(eq, operator.or_))
+            below = (0, *le[:-1])
+            ge = tuple(ALL ^ m for m in below)
+            masks.append((eq, le, ge))
+            # Not <= p is >= p + 1, and not >= p is <= p - 1.
+            negated = (tuple(ALL ^ m for m in eq), (*ge[1:], 0), below)
+            for which, (value, other) in enumerate(zip((eq, le, ge), negated)):
+                self.tables["slot", which, a, False] = value
+                self.tables["slot", which, a, True] = other
+        self.masks: tuple[tuple[tuple[int, ...], ...], ...] = tuple(masks)
+        # The rows whose component a is == (or <=) component b: every
+        # component is == and <= itself, and for a < b, b <= a is not a < b.
+        rows = {(is_eq, a, a): ALL for a in range(dim) for is_eq in (True, False)}
+        for a, b in itertools.combinations(range(dim), 2):
+            eq_a, (eq_b, _, ge_b) = self.masks[a][0], self.masks[b]
+            same = functools.reduce(operator.or_, map(operator.and_, eq_a, eq_b), 0)
+            up = functools.reduce(operator.or_, map(operator.and_, eq_a, ge_b), 0)
+            rows.update({(True, a, b): same, (True, b, a): same, (False, a, b): up})
+            rows[False, b, a] = ALL ^ up ^ same
+        for (is_eq, a, b), value in rows.items():
+            self.tables["rows", is_eq, a, b, False] = value
+            self.tables["rows", is_eq, a, b, True] = ALL ^ value
+
+
+row_geometry = functools.lru_cache(maxsize=GEOMETRY_CACHE)(RowGeometry)
+
+
 class RowSpace:
     """All ``dim``-tuples of positions of one word, in ``itertools.product``
     order, which is increasing order: the rows that a bound formula answers
     for.  Bit i of a mask over the space stands for the i-th row, and
     ``all`` is the mask of every row; ``RowSpace(word, 0)`` has the one row
     ``()``, for point queries.  The rows are never listed (see
-    ``rows_at``), and ``masks[a]`` holds component a's ==, <= and >= masks
-    by position, in closed form.  The tables that plans read (see ``table``)
-    are built on first use and kept, so evaluators of several plans that
-    share a space build each table once.  ``positions`` is the space
-    ``RowSpace(word, 1)`` of the rows (1,) to (n,), built on first use."""
+    ``rows_at``).  What depends only on the word's length and ``dim`` is
+    its ``geometry``, shared with every space of that length and dimension
+    (see ``RowGeometry``): ``all``, ``masks[a]``, component a's ==, <= and
+    >= masks by position in closed form, and the tables that compare
+    components with positions or with each other.  The tables that depend
+    on the word's letters (see ``table``) are built on first use and kept,
+    so evaluators of several plans that share a space build each table
+    once.  ``positions`` is the space ``RowSpace(word, 1)`` of the rows
+    (1,) to (n,), built on first use."""
 
-    __slots__ = ("word", "n", "dim", "all", "masks", "_letters", "_tables", "_positions")
+    __slots__ = (
+        "word", "n", "dim", "geometry", "all", "masks", "_letters", "_tables", "_positions"
+    )
 
     def __init__(self, word: Word, dim: int):
-        n = len(word)
-        self.word, self.n, self.dim = word, n, dim
-        self.all = ALL = (1 << n**dim) - 1
-        # The masks of the rows whose component a is ==, <= and >= each
-        # position p, indexed by p (0 to n + 1): component a holds each of
-        # 1..n in turn for a run of s = n^(dim-1-a) rows, so it is == p on
-        # one pattern of runs shifted by (p-1)s.
-        self.masks: list[tuple[list[int], list[int], list[int]]] = []
-        for a in range(dim):
-            s = n ** (dim - 1 - a)
-            run = (ALL // ((1 << n * s) - 1) if n else 0) * ((1 << s) - 1)
-            eq = [0, *(run << p * s for p in range(n)), 0]
-            le = list(itertools.accumulate(eq, operator.or_))
-            self.masks.append((eq, le, [ALL ^ below for below in [0, *le[:-1]]]))
+        self.word, self.n, self.dim = word, len(word), dim
+        self.geometry = geometry = row_geometry(self.n, dim)
+        self.all, self.masks = geometry.all, geometry.masks
         self._letters: dict[str, list[bool]] = {}
         self._tables: dict[tuple, object] = {}
         self._positions: RowSpace | None = None
@@ -475,16 +525,6 @@ class RowSpace:
         ``itertools.product`` without listing it."""
         rows = itertools.product(range(1, self.n + 1), repeat=self.dim)
         return list(itertools.compress(rows, bit_flags(mask)))
-
-    def bits(self, rows: Sequence[tuple[int, ...]]) -> list[int]:
-        """The bit of each of ``rows``, as ``rows_at`` reads them: a row's
-        components as the digits of a base-n number, less that of (1, ...,
-        1), read one component of every row at a time."""
-        n, bits = self.n, [0] * len(rows)
-        for column in zip(*rows):
-            bits = map(operator.add, map(n.__mul__, bits), column)
-        ones = sum(n**k for k in range(self.dim))
-        return list(map(ones.__rsub__, bits))
 
     @property
     def positions(self) -> RowSpace:
@@ -509,38 +549,38 @@ class RowSpace:
         f == v."""
         value = self._tables.get(spec)
         if value is None:
-            kind, x, a, *b, neg = spec
-            if kind == "witness":
-                f, last = [0] * (self.n + 2), 0
-                for p in range(1, self.n + 1) if b[0] else range(self.n, 0, -1):
-                    if all((self.word.tokens[p - 1] == c) == holds for c, holds in x):
-                        last = p
-                    f[p] = last
-                value = f
-                if a is not None:
-                    value = [0] * (self.n + 2)
-                    for p, eq in enumerate(self.masks[a][0]):
-                        value[f[p]] |= eq
-            elif kind == "letter":
-                holds = self._letters.get(x)
-                if holds is None:
-                    holds = self._letters[x] = [False, *(t == x for t in self.word.tokens)]
-                if a is None:
-                    value = [self.all if h else 0 for h in holds]
-                else:
-                    at_p = itertools.compress(self.masks[a][0], holds)
-                    value = functools.reduce(operator.or_, at_p, 0)
-            elif kind == "rows":
-                # The rows whose component a is some p, and component b is == p or >= p.
-                eq_b, _, ge_b = self.masks[b[0]]
-                at_p = map(operator.and_, self.masks[a][0], eq_b if x else ge_b)
-                value = functools.reduce(operator.or_, at_p, 0)
-            else:
-                value = self.masks[a][x]
-            if neg:
-                ALL = self.all
-                value = ALL ^ value if isinstance(value, int) else [ALL ^ m for m in value]
+            value = self.geometry.tables.get(spec)
+            if value is None:
+                value = self._word_table(spec)
             self._tables[spec] = value
+        return value
+
+    def _word_table(self, spec: tuple):
+        """A ``letter`` or ``witness`` table of ``table``, built from the word."""
+        kind, x, a, *b, neg = spec
+        if kind == "witness":
+            f, last = [0] * (self.n + 2), 0
+            for p in range(1, self.n + 1) if b[0] else range(self.n, 0, -1):
+                if all((self.word.tokens[p - 1] == c) == holds for c, holds in x):
+                    last = p
+                f[p] = last
+            value = f
+            if a is not None:
+                value = [0] * (self.n + 2)
+                for p, eq in enumerate(self.masks[a][0]):
+                    value[f[p]] |= eq
+        else:
+            holds = self._letters.get(x)
+            if holds is None:
+                holds = self._letters[x] = [False, *(t == x for t in self.word.tokens)]
+            if a is None:
+                value = [self.all if h else 0 for h in holds]
+            else:
+                at_p = itertools.compress(self.masks[a][0], holds)
+                value = functools.reduce(operator.or_, at_p, 0)
+        if neg:
+            ALL = self.all
+            value = ALL ^ value if isinstance(value, int) else [ALL ^ m for m in value]
         return value
 
 
@@ -672,9 +712,32 @@ def _unique_witness(v: str, parts: list[Formula]):
             greatest = bound.left == v
             x = bound.right if greatest else bound.left
             for part in parts:
-                if isinstance(part, Forall) and _excludes(part, v, x, literals, greatest):
+                if (
+                    isinstance(part, Forall)
+                    and _may_exclude(part, v, x, literals, greatest)
+                    and _excludes(part, v, x, literals, greatest)
+                ):
                     return x, literals, greatest, bound, part
     return None
+
+
+def _may_exclude(fa: Forall, v: str, x: str, literals, greatest: bool) -> bool:
+    """A test on the comparison atoms of ``fa``'s body that every forall
+    ``_excludes`` accepts passes.  Unless no letter satisfies Q, when the
+    body need only be valid, the body must tell z == v from v < z and
+    z == x from x < z for the greatest witness (z == v from z < v and z == x
+    from z < x for the least): the other atoms agree on each such pair of
+    cases, so it needs z <= v and z <= x (v <= z and x <= z), or an
+    equality in their place."""
+    positive = {c for c, holds in literals if holds}
+    if len(positive) > 1 or any((c, False) in literals for c in positive):
+        return True
+    z, compared = fa.var, set()
+    for g in _comparison_atoms(fa.body):
+        compared.add((g.left, g.right))
+        if isinstance(g, Eq):
+            compared.add((g.right, g.left))
+    return {(z, v), (z, x)} <= compared if greatest else {(v, z), (x, z)} <= compared
 
 
 # The orders of z against lo <= hi, as positions (lo, hi, z): lo < hi with

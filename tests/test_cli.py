@@ -305,6 +305,20 @@ def test_image_json(capsys):
     assert payload["outputs"] == [["", ""], ["a", "a"], ["aa", "aa"]]
 
 
+def test_image_json_outputs_read_back_unambiguously(capsys):
+    """``image``'s JSON spells each output and witness as its ``.sample``
+    line does: the 13 outputs of identity over {♣, 1, ♣1} up to length 2
+    are 13 distinct strings (``♣1 `` is the letter ♣1, ``♣1`` is ♣ then 1),
+    and each pair is a line of the text the verb prints."""
+    argv = ["image", "identity", "--alphabet", "♣,1,♣1", "--max-len", "2"]
+    rc, out, _ = run(capsys, ["--format", "json", *argv])
+    assert rc == 0
+    outputs = json.loads(out)["outputs"]
+    assert len(outputs) == len({output for output, _ in outputs}) == 13
+    rc, text, _ = run(capsys, argv)
+    assert rc == 0 and text.splitlines()[1:] == ["\t".join(pair) for pair in outputs]
+
+
 @pytest.fixture(scope="module")
 def samples(tmp_path_factory):
     """The directory of the .sample files the verbs that read one are given."""

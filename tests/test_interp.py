@@ -27,9 +27,11 @@ from polyreglab.logic import (
     FormulaPlan,
     Leq,
     Letter,
+    Not,
     Or,
     RowSpace,
     bit_flags,
+    conj,
     disj,
     eval_formula,
     strict_less,
@@ -125,9 +127,15 @@ def _dummy_interp(order):
     )
 
 
+def _mask_of(dom, space):
+    """The mask over ``space`` of the rows that ``dom`` lists."""
+    return _mask(row in dom for row in itertools.product(range(1, space.n + 1), repeat=space.dim))
+
+
 def test_lex_order_is_linear():
     dom = [(i, j) for i in (1, 2) for j in (1, 2, 3)]
-    check = check_linear_order(dom, _dummy_interp(_lex_order()), RowSpace(Word.parse("aaa"), 2))
+    space = RowSpace(Word.parse("aaa"), 2)
+    check = check_linear_order(_mask_of(dom, space), _dummy_interp(_lex_order()), space)
     assert check.ok
     assert check.sorted_tuples == ((1, 1), (1, 2), (1, 3), (2, 1), (2, 2), (2, 3))
 
@@ -135,7 +143,8 @@ def test_lex_order_is_linear():
 def test_always_true_order_fails_antisymmetry():
     dom = [(1, 1), (2, 2)]
     always = And((Eq("x1", "x1"), Eq("x2", "x2"), Eq("y1", "y1"), Eq("y2", "y2")))
-    check = check_linear_order(dom, _dummy_interp(always), RowSpace(Word.parse("aa"), 2))
+    space = RowSpace(Word.parse("aa"), 2)
+    check = check_linear_order(_mask_of(dom, space), _dummy_interp(always), space)
     assert not check.ok
     assert check.violation is not None
     assert check.violation.kind == "antisymmetry"
@@ -146,7 +155,7 @@ def test_innsq_order_check():
     I = builtin_interp("innsq-interp")
     u = Word.parse("aba#baa#bb")
     dom = compute_domain(I, u)
-    check = check_linear_order(dom.tuples(), I, RowSpace(u, I.dim))
+    check = check_linear_order(dom.selected(), I, RowSpace(u, I.dim))
     assert check.ok
 
 
@@ -230,7 +239,7 @@ def test_order_check_accepts_exactly_linear_orders(case):
     m, rel = case
     letters = "abcdef"[:m]
     check = check_linear_order(
-        [(i,) for i in range(1, m + 1)], _relation_interp(m, sorted(rel)), RowSpace(Word(tuple(letters)), 1)
+        (1 << m) - 1, _relation_interp(m, sorted(rel)), RowSpace(Word(tuple(letters)), 1)
     )
     assert check.ok == _is_linear(m, rel)
     if check.ok:
@@ -255,9 +264,77 @@ def test_unselected_rows_never_change_the_verdict(case, data):
     extra = data.draw(st.sets(st.sampled_from(outside)))
     dom = [(i,) for i in range(1, m + 1)]
     word = Word(tuple("abcdefghi"[: m + k]))
-    check = check_linear_order(dom, _relation_interp(m + k, sorted(rel | extra)), RowSpace(word, 1))
-    alone = check_linear_order(dom, _relation_interp(m, sorted(rel)), RowSpace(Word(word.tokens[:m]), 1))
+    selected = _mask_of(dom, RowSpace(word, 1))
+    check = check_linear_order(selected, _relation_interp(m + k, sorted(rel | extra)), RowSpace(word, 1))
+    alone = check_linear_order(selected, _relation_interp(m, sorted(rel)), RowSpace(Word(word.tokens[:m]), 1))
     assert check == alone
+
+
+def _tuple_list_check(dom, interp, space):
+    """The order check as it was written when it took the selected tuples
+    as a list in increasing order: each tuple's bit found back from its
+    components (here by its index in the product), the mask summed from
+    the bits, and no bits in the result."""
+    m = len(dom)
+    if m == 0:
+        return interp_module.OrderCheck(True, ())
+    product = list(itertools.product(range(1, space.n + 1), repeat=space.dim))
+    bits = [product.index(t) for t in dom]
+    selected = sum(map((1).__lshift__, bits))
+    at = FormulaEvaluator(interp.order_plan, space).at
+    masks = [at(t) & selected for t in dom]
+    ranked = sorted(range(m), key=lambda j: masks[j].bit_count())
+    below = 0
+    for j in ranked:
+        below |= 1 << bits[j]
+        if masks[j] != below:
+            masks = [sum((mask >> b & 1) << i for i, b in enumerate(bits)) for mask in masks]
+            return interp_module.OrderCheck(False, (), interp_module._order_violation(dom, masks))
+    return interp_module.OrderCheck(True, tuple(dom[j] for j in ranked))
+
+
+@st.composite
+def _row_relations(draw):
+    """A dimension of 1 or 2, a word of distinct letters, a mask of
+    selected rows of its product space, and a relation on all its rows: a
+    linear order with a few pairs reversed, which can leave a cycle, and a
+    few pairs toggled, the diagonal included."""
+    dim = draw(st.integers(1, 2))
+    n = draw(st.integers(0, 4 if dim == 1 else 3))
+    rows = list(itertools.product(range(1, n + 1), repeat=dim))
+    selected = draw(st.integers(0, (1 << len(rows)) - 1))
+    perm = draw(st.permutations(rows))
+    rel = {(perm[i], perm[j]) for i in range(len(rows)) for j in range(i, len(rows))}
+    if rows:
+        pairs = st.sets(st.tuples(st.sampled_from(rows), st.sampled_from(rows)), max_size=4)
+        flips = draw(pairs)
+        rel = {(t, s) if (s, t) in flips else (s, t) for s, t in rel} ^ draw(pairs)
+    return dim, Word(tuple("abcd"[:n])), selected, rel
+
+
+@settings(deadline=None, max_examples=150)
+@given(_row_relations())
+def test_mask_check_agrees_with_the_tuple_list_check(case):
+    """On random relations over the rows of dimensions 1 and 2 and random
+    selections of rows, the check that takes the selected rows as a mask
+    gives the verdict, the sorted tuples and the violation that the check
+    taking them as a list gave, and the bits of its sorted tuples."""
+    dim, word, selected, rel = case
+    xs, ys = (tuple(f"{v}{i}" for i in range(1, dim + 1)) for v in "xy")
+    tokens = word.tokens
+    pairs = [
+        conj(*(Letter(tokens[p - 1], v) for p, v in zip(s + t, xs + ys))) for s, t in sorted(rel)
+    ]
+    order = disj(*pairs) if pairs else And((*(Eq(v, v) for v in xs + ys), Not(Eq(xs[0], xs[0]))))
+    letters = Alphabet.of(*tokens) if tokens else Alphabet.of("a")
+    domain = conj(*(Eq(v, v) for v in xs))
+    interp = Interpretation(dim, letters, Alphabet.of("o"), {"o": domain}, order)
+    space = RowSpace(word, dim)
+    check = check_linear_order(selected, interp, space)
+    old = _tuple_list_check(space.rows_at(selected), interp, space)
+    assert (check.ok, check.sorted_tuples, check.violation) == (old.ok, old.sorted_tuples, old.violation)
+    product = list(itertools.product(range(1, len(word) + 1), repeat=dim))
+    assert check.bits == tuple(product.index(t) for t in check.sorted_tuples)
 
 
 def test_order_check_evaluates_each_pair_once(monkeypatch):
@@ -279,9 +356,10 @@ def test_order_check_evaluates_each_pair_once(monkeypatch):
         (_WITNESS, Word.parse("abcde")),
     ]
     for interp, u in cases:
-        dom = compute_domain(interp, u).tuples()
+        domain = compute_domain(interp, u)
+        dom = domain.tuples()
         calls.clear()
-        check_linear_order(dom, interp, RowSpace(u, interp.dim))
+        check_linear_order(domain.selected(), interp, RowSpace(u, interp.dim))
         queried = list(calls)
         assert [t for t, _ in queried] == dom
         xs, ys = interp.tuple_vars(), tuple(f"y{k}" for k in range(1, interp.dim + 1))
@@ -370,9 +448,10 @@ def test_letters_plan_binds_words_of_one_length_in_any_order():
 
 @pytest.mark.parametrize("letters", [1, 3, 300])
 def test_domain_letters_follow_its_tuples(letters):
-    """``InterpDomain.letters`` names the letter of each tuple that
-    ``tuples`` lists, as ``letters_at`` does, for disjoint random masks of
-    one, three and 300 letters over product spaces of dimension 1 to 3."""
+    """``InterpDomain.letter_at_bit``, read in the order of the bits, names
+    the letter of each tuple that ``tuples`` lists, as ``letters_at`` does,
+    for disjoint random masks of one, three and 300 letters over product
+    spaces of dimension 1 to 3."""
     rng = random.Random(letters)
     for dim, n in [(1, 0), (1, 5), (2, 4), (3, 3)]:
         space = RowSpace(Word(("a",) * n), dim)
@@ -382,7 +461,8 @@ def test_domain_letters_follow_its_tuples(letters):
                 masks[rng.choice(list(masks))] |= 1 << i
         domain = interp_module.InterpDomain(space, masks)
         assert domain.overlap() is None and len(domain) == len(domain.letters_at)
-        assert domain.letters() == [c for c, in domain.letters_at.values()]
+        letter_at = domain.letter_at_bit()
+        assert [letter_at[i] for i in sorted(letter_at)] == [c for c, in domain.letters_at.values()]
         assert domain.tuples() == list(domain.letters_at)
 
 
@@ -442,7 +522,8 @@ def test_diagnostics_match_the_per_letter_reference(seed):
 
 def test_set_bits_decodes_every_set_bit():
     """``logic.bit_flags`` under ``itertools.compress``, the one decoder of
-    set bits that ``InterpDomain.letters`` and ``RowSpace.rows_at`` share,
+    set bits that ``InterpDomain.letter_at_bit``, ``check_linear_order``
+    and ``RowSpace.rows_at`` share,
     lists the same indices as reading the binary digits one by one, on 0,
     on seeded random masks of up to 1,000 bits, sparse and dense, and on a
     random mask of 100,000 bits."""
@@ -459,24 +540,24 @@ def test_set_bits_decodes_every_set_bit():
 
 
 def test_eval_interp_sorts_the_domain_once(monkeypatch):
-    """The domain is listed in order once, and the order check gets that
-    very list."""
-    listed, checked = [], []
-    tuples, check = interp_module.InterpDomain.tuples, interp_module.check_linear_order
+    """The domain's mask is decoded into its rows once, and the order
+    check gets that very mask."""
+    decoded, checked = [], []
+    rows_at, check = RowSpace.rows_at, interp_module.check_linear_order
 
-    def listing(self):
-        listed.append(tuples(self))
-        return listed[-1]
+    def decoding(self, mask):
+        decoded.append(mask)
+        return rows_at(self, mask)
 
-    def checking(dom, interp, space):
-        checked.append(dom)
-        return check(dom, interp, space)
+    def checking(selected, interp, space):
+        checked.append(selected)
+        return check(selected, interp, space)
 
-    monkeypatch.setattr(interp_module.InterpDomain, "tuples", listing)
+    monkeypatch.setattr(RowSpace, "rows_at", decoding)
     monkeypatch.setattr(interp_module, "check_linear_order", checking)
     out = eval_interp(builtin_interp("innsq-interp"), Word.parse("ab#ba#"))
     assert out.word() == innsq_direct(Word.parse("ab#ba#"))
-    assert len(listed) == len(checked) == 1 and checked[0] is listed[0]
+    assert len(decoded) == len(checked) == 1 and checked[0] is decoded[0]
 
 
 def test_eval_interp_queries_through_module_evaluator(monkeypatch):

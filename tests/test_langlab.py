@@ -26,6 +26,7 @@ from polyreglab.langlab import (
     check_dcomplete,
     enumerate_image,
     growth_degree,
+    pump_report,
     pump_search,
     resolve_function,
     words_upto,
@@ -319,6 +320,20 @@ def test_pump_reverse_blocks_pinned(reverse_blocks_samples):
 def test_pump_below_threshold(reverse_blocks_samples):
     short, extended = reverse_blocks_samples
     assert pump_search(short, Word.parse("#"), 1, 2, extended) is None
+
+
+def test_pump_report_says_why_it_found_nothing(reverse_blocks_samples):
+    """A word shorter than K is below the pumping threshold and is not
+    searched; a search that finds nothing gives no reason."""
+    short, extended = reverse_blocks_samples
+    below = pump_report(short, Word.parse("#"), 1, 2, extended)
+    assert (below.found, below.reason) == (None, "below pumping threshold")
+    assert below.render() == "none (below pumping threshold)"
+    searched = pump_report(short, Word.parse("ab#ab"), 1, 2, extended)
+    assert (searched.found, searched.reason, searched.render()) == (None, None, "none")
+    found = pump_report(short, Word.parse("ab#ab"), 2, 2, extended)
+    assert found.reason is None
+    assert found.render() == found.found.render() == "u0='' v1='a' u1='' v2='b' u2='#ab'"
 
 
 def test_pump_requires_membership(reverse_blocks_samples):

@@ -35,8 +35,10 @@ from polyreglab.logic import (
     Min,
     Not,
     Or,
+    GEOMETRY_CACHE,
     RowSpace,
     all_vars,
+    bit_flags,
     check_sortable,
     children,
     conj,
@@ -48,11 +50,14 @@ from polyreglab.logic import (
     parse_formula,
     relativize,
     rename_bound,
+    row_geometry,
     substitute,
     to_sexpr,
     _collect_frees,
     _comparison_atoms,
+    _excludes,
     _generate,
+    _may_exclude,
     _nodes,
 )
 from polyreglab.words import Alphabet, Word
@@ -414,6 +419,57 @@ def _witness_quantifiers(draw):
 _BETWEEN = And((Not(Leq("z", "v")), Leq("z", "x")))
 
 
+_VXZ_ATOMS = [Letter(c, "z") for c in "ab"] + [
+    atom(left, right) for atom in (Leq, Eq) for left in "vxz" for right in "vxz" if left != right
+]
+
+
+@st.composite
+def _witness_bodies(draw):
+    """A forall's body about v, x and z, and literals Q on v: a random
+    formula over z's letters and comparisons among v, x and z, or the body
+    of a witness in either direction, between bounds of either shape."""
+    literals = tuple(sorted(draw(st.sets(st.tuples(st.sampled_from("ab"), st.booleans()), max_size=2))))
+    greatest = draw(st.booleans())
+    if draw(st.booleans()):
+        body = draw(
+            st.recursive(
+                st.sampled_from(_VXZ_ATOMS),
+                lambda kids: st.one_of(
+                    kids.map(Not),
+                    st.tuples(kids, kids).map(And),
+                    st.tuples(kids, kids).map(Or),
+                    st.tuples(kids, kids).map(lambda pair: Implies(*pair)),
+                ),
+                max_leaves=6,
+            )
+        )
+    else:
+        q = [Letter(c, "z") if holds else Not(Letter(c, "z")) for c, holds in literals]
+        if greatest:  # z in (v, x]
+            shapes = [(Not(Leq("z", "v")), Leq("z", "x")), (Leq("v", "z"), Not(Eq("z", "v")), Leq("z", "x"))]
+        else:  # z in [x, v)
+            shapes = [(Leq("x", "z"), Not(Leq("v", "z"))), (Leq("x", "z"), Leq("z", "v"), Not(Eq("v", "z")))]
+        between = And(draw(st.sampled_from(shapes)))
+        if q:
+            body = draw(st.sampled_from([Implies(between, Not(conj(*q))), Or((Not(between), Not(conj(*q))))]))
+        else:
+            body = Not(between)
+    return Forall("z", body), literals, greatest
+
+
+@settings(deadline=None, max_examples=300)
+@given(_witness_bodies())
+def test_the_atom_test_passes_every_truth_table_match(case):
+    """``_may_exclude``, the test on comparison atoms that runs before the
+    truth table of ``_excludes``, passes every forall that the truth table
+    accepts, on random bodies and on witness bodies, for Q of zero to two
+    literals (contradictory ones included) in either direction."""
+    fa, literals, greatest = case
+    if _excludes(fa, "v", "x", literals, greatest):
+        assert _may_exclude(fa, "v", "x", literals, greatest), fa.render()
+
+
 @settings(deadline=None, max_examples=60)
 @given(_witness_quantifiers())
 # Near misses: the forall excludes b, not Q = not a, so the two differ only
@@ -463,27 +519,81 @@ def test_product_space_masks_match_the_row_by_row_build(dim):
             assert space.masks[a] == _masks_row_by_row(n, rows, a), (n, a)
 
 
+def test_spaces_of_one_length_share_one_geometry():
+    """Row spaces of words of one length and dimension share one geometry
+    object, whatever the words' letters, and take ``all`` and ``masks``
+    from it; another length or dimension has a geometry of its own."""
+    spaces = [RowSpace(Word(tuple(t)), 2) for t in ("ab#", "###", "bba")]
+    assert spaces[0].geometry is spaces[1].geometry is spaces[2].geometry
+    assert all(s.all is s.geometry.all and s.masks is s.geometry.masks for s in spaces)
+    assert spaces[0].positions.geometry is RowSpace(Word(tuple("aaa")), 1).geometry
+    others = [RowSpace(Word(tuple("ab")), 2), spaces[0].positions]
+    assert all(other.geometry is not spaces[0].geometry for other in others)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_geometry_tables_match_the_row_by_row_build(dim):
+    """Every ``slot`` and ``rows`` table of a geometry, and its complement,
+    equals its definition read row by row, for words of length 0 to 5."""
+    compare = {0: lambda c, p: c == p, 1: lambda c, p: c <= p, 2: lambda c, p: c >= p}
+    for n in range(6):
+        rows = list(itertools.product(range(1, n + 1), repeat=dim))
+        everything = (1 << len(rows)) - 1
+        tables = RowSpace(Word(("a",) * n), dim).geometry.tables
+        want = {}
+        for a in range(dim):
+            for which, holds in compare.items():
+                masks = tuple(_mask(holds(row[a], p) for row in rows) for p in range(n + 2))
+                want["slot", which, a, False] = masks
+                want["slot", which, a, True] = tuple(everything ^ m for m in masks)
+            for b in range(dim):
+                for is_eq in (True, False):
+                    mask = _mask(row[a] == row[b] if is_eq else row[a] <= row[b] for row in rows)
+                    want["rows", is_eq, a, b, False] = mask
+                    want["rows", is_eq, a, b, True] = everything ^ mask
+        assert tables == want, n
+
+
+def test_geometry_cache_stays_at_its_bound():
+    """A sweep over words of length 0 to 40 in dimensions 1 to 3, 123
+    geometries, leaves ``GEOMETRY_CACHE`` of them cached, and a space of a
+    length swept early gets a fresh geometry equal to the one it had."""
+    row_geometry.cache_clear()
+    try:
+        first = RowSpace(Word(), 1).geometry
+        for n in range(41):
+            for dim in (1, 2, 3):
+                RowSpace(Word(("a",) * n), dim)
+                assert row_geometry.cache_info().currsize <= GEOMETRY_CACHE
+        assert row_geometry.cache_info().currsize == GEOMETRY_CACHE
+        again = RowSpace(Word(), 1).geometry
+        assert again is not first
+        assert (again.all, again.masks, again.tables) == (first.all, first.masks, first.tables)
+    finally:
+        row_geometry.cache_clear()
+
+
 def _masks_row_by_row(n, rows, a):
     """The ==, <= and >= masks of component ``a`` of ``rows``, bit i for
-    ``rows[i]``, built one row at a time: the reference for the closed-form
-    masks of ``RowSpace``."""
+    ``rows[i]``, built one row at a time, as tuples by position: the
+    reference for the closed-form masks of ``RowSpace``."""
     bufs = [bytearray((len(rows) + 7) >> 3) for _ in range(n + 2)]
     for i, row in enumerate(rows):
         bufs[row[a]][i >> 3] |= 1 << (i & 7)
-    eq = [int.from_bytes(buf, "little") for buf in bufs]
-    le = list(itertools.accumulate(eq, lambda x, y: x | y))
+    eq = tuple(int.from_bytes(buf, "little") for buf in bufs)
+    le = tuple(itertools.accumulate(eq, lambda x, y: x | y))
     everything = (1 << len(rows)) - 1
-    return eq, le, [everything ^ below for below in [0, *le[:-1]]]
+    return eq, le, tuple(everything ^ below for below in [0, *le[:-1]])
 
 
 @settings(deadline=None, max_examples=200)
 @given(st.integers(1, 3), st.integers(0, 5), st.sampled_from([0, 0.1, 0.5, 0.9, 1]), st.randoms())
 def test_order_space_masks_match_the_row_by_row_build(dim, n, density, rng):
     """A domain's rows of the product space, as the order check reads
-    them: the space lists the rows of the domain's mask in order, finds
-    their bits from the rows, and its masks, restricted to that mask, are
-    those of the row-by-row build over the domain's rows with each row at
-    its bit in the space.  Domains are drawn from every density, the empty
+    them: the space lists the rows of the domain's mask in order,
+    ``bit_flags`` decodes the mask's bits, and the space's masks,
+    restricted to that mask, are those of the row-by-row build over the
+    domain's rows with each row at its bit in the space.  Domains are drawn from every density, the empty
     one included, in dimensions 1 to 3 on words of length 0 to 5."""
     w = Word(tuple("ab#"[k % 3] for k in range(n)))
     product = RowSpace(w, dim)
@@ -491,7 +601,7 @@ def test_order_space_masks_match_the_row_by_row_build(dim, n, density, rng):
     rows = [row for i, row in enumerate(itertools.product(range(1, n + 1), repeat=dim)) if mask >> i & 1]
     assert product.rows_at(mask) == rows
     bits = [i for i in range(n**dim) if mask >> i & 1]
-    assert product.bits(rows) == bits
+    assert list(itertools.compress(itertools.count(), bit_flags(mask))) == bits
     for a in range(dim):
         restricted = [[m & mask for m in masks] for masks in product.masks[a]]
         by_row = _masks_row_by_row(n, rows, a)

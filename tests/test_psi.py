@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from polyreglab import logic
 from polyreglab.interp import builtin_interp, eval_interp, eval_interp_details, parse_interp
 from polyreglab.logic import Leq, Letter, check_sortable
 from polyreglab.psi import (
@@ -182,6 +183,19 @@ def test_lift_hats_are_answered_from_witness_tables(name, loops, witnesses):
     units = _generated(plan).sources[:-1]
     assert sum("while todo" in unit for unit in units) == loops
     assert sum(spec[0] == "witness" for specs in plan._specs for spec in specs) == witnesses
+
+
+def test_planning_the_lift_runs_a_truth_table_per_hat(monkeypatch):
+    """Planning the letters and the order of psi(innsq-interp) runs the
+    truth table of ``logic._excludes`` six times, once per hat, and each
+    one matches: the eight foralls that it ran on before and rejected, whose
+    comparison atoms cannot tell z from v or from x, are skipped."""
+    verdicts = []
+    excludes = logic._excludes
+    monkeypatch.setattr(logic, "_excludes", lambda *args: verdicts.append(excludes(*args)) or verdicts[-1])
+    lifted = psi(builtin_interp("innsq-interp"))
+    lifted.letters_plan, lifted.order_plan
+    assert verdicts == [True] * 6
 
 
 def test_family_markers():
