@@ -1,5 +1,7 @@
 import itertools
 import random
+import sys
+import threading
 
 import pytest
 from hypothesis import given, settings
@@ -34,6 +36,7 @@ from polyreglab.logic import (
     conj,
     disj,
     eval_formula,
+    row_geometry,
     strict_less,
 )
 from polyreglab.pebble import innsq_direct
@@ -614,6 +617,37 @@ def test_eval_interp_builds_each_table_once_per_word(monkeypatch):
     assert [space.all.bit_length() for space in spaces] == [36, 6]
     assert (len(requests), len(builds), len(set(builds))) == (32, 27, 27)
     assert set(builds) == set(requests)
+
+
+def test_threads_share_plans_and_geometries():
+    """Four threads, more than the cores, evaluate innsq-interp and its
+    lift on every word up to length 3 in their own orders, through one
+    plan each and with a short switch interval, after the geometry cache
+    is cleared, so that threads build and share the geometries of each
+    length: every output and origin equals the one-thread result."""
+    interps = [builtin_interp("innsq-interp"), psi(builtin_interp("innsq-interp"))]
+    want = {(I, w): eval_interp(I, w) for I in interps for w in words_upto(I.input_alphabet, 3)}
+    wrong, finished = [], []
+
+    def work(seed):
+        jobs = list(want)
+        random.Random(seed).shuffle(jobs)
+        wrong.extend(job for job in jobs if eval_interp(*job) != want[job])
+        finished.append(seed)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        row_geometry.cache_clear()
+        threads = [threading.Thread(target=work, args=(seed,)) for seed in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert sorted(finished) == [0, 1, 2, 3] and wrong == []
 
 
 def test_image_sweep_plans_each_formula_once(monkeypatch):
