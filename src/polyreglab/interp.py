@@ -119,11 +119,6 @@ class InterpDomain:
         """The mask of the tuples on which some letter holds."""
         return functools.reduce(operator.or_, self.masks.values(), 0)
 
-    def tuples(self) -> list[tuple[int, ...]]:
-        """The tuples on which some letter holds, in increasing order, read
-        off the set bits of the letters' masks."""
-        return self.space.rows_at(self.selected())
-
     def overlap(self) -> tuple[tuple[int, ...], list[str]] | None:
         """The first tuple on which several letters hold, and those letters
         sorted, or None: the lowest bit set in some two letters' masks."""
@@ -145,19 +140,6 @@ class InterpDomain:
             bits = itertools.compress(itertools.count(), bit_flags(mask))
             letter_at.update(dict.fromkeys(bits, c))
         return letter_at
-
-    @property
-    def letters_at(self) -> dict[tuple[int, ...], frozenset[str]]:
-        """The selected tuples in increasing order, each with the letters
-        that hold on it."""
-        holding: dict[tuple[int, ...], set[str]] = {}
-        for c, mask in self.masks.items():
-            for tup in self.space.rows_at(mask):
-                holding.setdefault(tup, set()).add(c)
-        return {tup: frozenset(holding[tup]) for tup in self.tuples()}
-
-    def __len__(self) -> int:
-        return self.selected().bit_count()
 
 
 def compute_domain(interp: Interpretation, u: Word) -> InterpDomain:

@@ -34,9 +34,9 @@ class BudgetError(RuntimeError):
 
 def words_upto(alphabet: Alphabet, max_len: int) -> Iterator[Word]:
     """All words of length <= max_len, shortest first, letters in sorted
-    order within each length."""
+    order within each length; over no letters, the empty word alone."""
     letters = sorted(alphabet.letters)
-    for n in range(max_len + 1):
+    for n in range(max_len + 1 if letters else 1):
         for toks in itertools.product(letters, repeat=n):
             yield Word(toks)
 
@@ -50,12 +50,6 @@ class LanguageSample:
     input_alphabet: Alphabet
     max_len: int
     outputs: Mapping[Word, Word]
-
-    def __contains__(self, w: Word) -> bool:
-        return w in self.outputs
-
-    def __len__(self) -> int:
-        return len(self.outputs)
 
     def sorted_outputs(self) -> list[Word]:
         return sorted(self.outputs, key=lambda w: (len(w), w.tokens))
@@ -133,11 +127,23 @@ def enumerate_image(
     function_id: str = "",
 ) -> LanguageSample:
     """Evaluate fn on every word of length <= max_len and collect the
-    distinct outputs, remembering the first witness for each."""
-    total = sum(len(alphabet) ** n for n in range(max_len + 1))
+    distinct outputs, remembering the first witness for each.  The inputs
+    are counted before any is evaluated, length by length until the count
+    passes the budget, in closed form over 0 or 1 letters."""
+    size, total = len(alphabet), 1
+    if size < 2:
+        total += max_len * size
+    else:
+        layer = 1
+        for _ in range(max_len):
+            if total > budget:
+                break
+            layer *= size
+            total += layer
     if total > budget:
         raise BudgetError(
-            f"{total} inputs exceed the budget of {budget}; try a smaller max length",
+            f"the inputs up to length {max_len} exceed the budget of {budget}; "
+            "try a smaller max length",
             examined=0,
         )
     outputs: dict[Word, Word] = {}

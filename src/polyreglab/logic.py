@@ -307,10 +307,6 @@ def _rebuilt(g: Formula, env: Mapping[str, str], kids: Sequence[Formula]) -> For
 # -- structural helpers --------------------------------------------------
 
 
-def children(f: Formula) -> tuple[Formula, ...]:
-    return _KINDS[type(f)].kids(f)
-
-
 def free_vars(f: Formula) -> frozenset[str]:
     return _collect_frees(f, {})
 
@@ -609,16 +605,16 @@ class RowSpace:
 # macro under renamed binders do, are the same function: the plan generates
 # each such unit once, found by a key made before generating it, and its
 # callers share it and its memo cache.  The plan's source is one generated
-# ``bind(R, A0, A1, t0, t1)``, whose body defines each unit, callees first,
-# as ``def q<k>(v..., A=A<space>, B=A<outer>, R=R, c<j>=t<space>[<j>], ...,
+# ``bind(A0, A1, t)``, whose body defines each unit, callees first, as
+# ``def q<k>(v..., A=A<space>, B=A<outer>, R=A1, c<j>=t[<j>], ...,
 # q<i>=q<i>, cache={})`` and returns the root (for a plan of several
 # formulas, ``roots``, which calls each one's root).  ``A`` is the mask of all
 # rows of the space the unit's body answers over, the evaluator's rows (0)
-# or its positions (1); ``B`` is that of the space it answers to; its tables
-# come from those of its space, ``t0`` or ``t1``; and a unit lists only the
-# defaults it reads.  Defaults are evaluated each time a ``def`` runs, so
-# every bind gives its units the word's tables and fresh memo caches, read
-# as fast locals.
+# or its positions (1); ``B`` is that of the space it answers to; ``t`` is
+# the one list of the plan's tables, each numbered once with the space it
+# is taken over; and a unit lists only the defaults it reads.  Defaults are
+# evaluated each time a ``def`` runs, so every bind gives its units the
+# word's tables and fresh memo caches, read as fast locals.
 
 _UNIT_DEPTH = 32
 
@@ -807,7 +803,7 @@ class _Codegen:
 
     def __init__(self, frees: dict, slots: dict[str, int]):
         self.frees, self.slots = frees, slots
-        self.specs: tuple[dict[tuple, int], dict[tuple, int]] = ({}, {})
+        self.specs: dict[tuple[int, tuple], int] = {}
         self.sources: list[str] = []
         # Each unit's number by its key, and how many frames deep its calls
         # nest; a query's calls nest ``depth`` deep.
@@ -815,7 +811,6 @@ class _Codegen:
         self.depths: list[int] = []
         self.depth = 0
         self.nodes = 0
-        self.masked = False
 
     def key(self, kind: str, parts: list[Formula], index: dict[str, int], space: int, args):
         """The key of a unit of ``kind`` for the conjunction of ``parts``,
@@ -841,19 +836,18 @@ class _Codegen:
         """Add unit ``u``, with the ``key`` that it was generated for; the
         text of a call to it from the unit ``caller``."""
         space, outer, consts, calls = u
-        defaults = {"A": f"A{space}", "B": f"A{outer}", "R": "R", "cache": "{}"}
+        defaults = {"A": f"A{space}", "B": f"A{outer}", "R": "A1", "cache": "{}"}
         read = set(re.findall(r"\w+", body))
         params = [f"v{s}" for s in args]
         params += [f"{name}={value}" for name, value in defaults.items() if name in read]
-        params += [f"c{c}=t{space}[{c}]" for c in consts] + [f"q{q}=q{q}" for q in calls]
+        params += [f"c{c}=t[{c}]" for c in consts] + [f"q{q}=q{q}" for q in calls]
         k = self.keyed[key] = len(self.sources)
         self.sources.append(f"    def q{k}({', '.join(params)}):\n{body}")
         self.depths.append(1 + max((self.depths[q] for q in calls), default=0))
         return self.call(k, args, caller, neg)
 
     def const(self, u: _Unit, spec: tuple) -> str:
-        specs = self.specs[u[0]]
-        k = specs.setdefault(spec, len(specs))
+        k = self.specs.setdefault((u[0], spec), len(self.specs))
         u[2][k] = None
         return f"c{k}"
 
@@ -941,7 +935,6 @@ class _Codegen:
         item = (self.quantifier_done, exists, u, args, neg, key)
         if index.keys().isdisjoint(fv):
             # Masked: the body answers every position of f.var at once.
-            self.masked = True
             q: _Unit = (1, u[0], {}, {})
             return (*item, q, None, False, None), [(self.expr, f.body, q, {f.var: 0}, 0)], None
         # The guard: the conjuncts of the body (of its negation, for
@@ -962,7 +955,6 @@ class _Codegen:
                 rest.append(part)
         jobs: list = []
         if guard:
-            self.masked = True
             guard_args = sorted(self.slots[v] for v in reads - {f.var})
             jobs.append((self.plain, guard, {f.var: 0}, 1, guard_args, q, False))
         if rest:
@@ -1051,7 +1043,7 @@ def _generate(core, frees: dict, free: tuple[str, ...], row_vars: tuple[str, ...
         result, gen.depth = "roots", gen.depth + 1
     else:
         result = f"q{root}"
-    gen.sources.append(f"def bind(R, A0, A1, t0, t1):\n{units}    return {result}\n")
+    gen.sources.append(f"def bind(A0, A1, t):\n{units}    return {result}\n")
     return gen
 
 
@@ -1072,7 +1064,8 @@ class FormulaPlan:
     binder, compiled once, that defines one function per distinct unit, so
     alpha-equal copies of a subformula, such as the uses of one macro, are
     one unit with one memo cache.  ``depth`` is how many frames deep a
-    query's calls of units nest.
+    query's calls of units nest.  ``_specs`` lists its tables, each as
+    ``(space, spec)``, over the evaluator's space (0) or its positions (1).
     Generating makes every choice that depends only on the variables: which
     are row components of a unit's space and which are arguments, which
     table answers each atom, and whether each quantifier is answered over
@@ -1086,7 +1079,7 @@ class FormulaPlan:
     an atom reads the complemented table.
     """
 
-    __slots__ = ("formula", "row_vars", "free", "core", "depth", "_specs", "_masked", "_bind")
+    __slots__ = ("formula", "row_vars", "free", "core", "depth", "_specs", "_bind")
 
     def __init__(
         self,
@@ -1111,8 +1104,7 @@ class FormulaPlan:
         self.formula, self.row_vars, self.free, self.core = formula, row_vars, free, core
         gen = _generate(core, frees, free, row_vars)
         binder = gen.sources[-1]
-        self._specs = tuple(map(tuple, gen.specs))
-        self._masked, self.depth = gen.masked, gen.depth
+        self._specs, self.depth = tuple(gen.specs), gen.depth
         # Compiled once, with no builtins, after generating and with the
         # generator's tables freed, since compiling peaks higher.  Profiles
         # tell units apart by their names, q<k>.
@@ -1122,14 +1114,13 @@ class FormulaPlan:
         self._bind = namespace["bind"]
 
     def bind(self, space: RowSpace) -> Callable:
-        """The root unit made for the word of ``space``: it maps the
-        positions of the ``free`` variables to the mask of the rows of
-        ``space`` on which the formula holds (to a tuple of those, for a
-        tuple of formulas)."""
-        pos = space.positions if self._masked else space
-        t0 = [space.table(spec) for spec in self._specs[0]]
-        t1 = [pos.table(spec) for spec in self._specs[1]]
-        return self._bind((1 << space.n) - 1, space.all, pos.all, t0, t1)
+        """The root unit made for the word of ``space``, reading the tables of
+        ``space`` and of its positions: it maps the positions of the ``free``
+        variables to the mask of the rows of ``space`` on which the formula
+        holds (to a tuple of those, for a tuple of formulas)."""
+        spaces = (space, space.positions)
+        t = [spaces[i].table(spec) for i, spec in self._specs]
+        return self._bind(space.all, spaces[1].all, t)
 
 
 def _collect_frees(f: Formula, frees: dict) -> frozenset[str]:

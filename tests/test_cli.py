@@ -1,10 +1,14 @@
 import io
 import json
+import shlex
 from pathlib import Path
 
 import pytest
 
 from polyreglab.cli import main
+from test_interp import INTERP_READER_ERRORS
+from test_pebble import POLYFUN_READER_ERRORS
+from test_twoway import TRANSDUCER_READER_ERRORS
 
 DATA = Path(__file__).parent / "data"
 
@@ -13,6 +17,33 @@ def run(capsys, argv):
     rc = main(argv)
     captured = capsys.readouterr()
     return rc, captured.out, captured.err
+
+
+def _readme_commands():
+    """Each ``$ polyreglab ...`` line in the code blocks of README's
+    "Command line" section, with the lines shown after it."""
+    text = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    section = text.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+    commands = []
+    for block in section.split("```")[1::2]:
+        for line in block.strip("\n").split("\n"):
+            if line.startswith("$ polyreglab "):
+                commands.append((shlex.split(line[len("$ polyreglab ") :]), []))
+            else:
+                commands[-1][1].append(line)
+    return commands
+
+
+def test_readme_command_line_prints_what_readme_shows(capsys, tmp_path, monkeypatch):
+    """Every command of README's "Command line" section, run in order in
+    one directory, prints exactly the lines README shows after it."""
+    monkeypatch.chdir(tmp_path)
+    commands = _readme_commands()
+    assert len(commands) == 7
+    for argv, shown in commands:
+        rc, out, _ = run(capsys, argv)
+        assert rc in (0, 1), argv
+        assert out == "".join(f"{line}\n" for line in shown), argv
 
 
 def test_eval_interp_pinned(capsys):
@@ -524,6 +555,50 @@ def test_library_errors_are_eval_errors(capsys, tmp_path, monkeypatch, error):
     with pytest.raises(Exception) as caught:
         main(argv)
     assert type(caught.value).__name__ == error
+
+
+_READER_COMMANDS = [
+    ("eval-interp", "f.interp", INTERP_READER_ERRORS),
+    ("run-2dft", "f.2dft", TRANSDUCER_READER_ERRORS),
+    ("eval-pebble", "f.pfn", POLYFUN_READER_ERRORS),
+]
+_READER_CASES = [
+    (command, name, case, *cases[case])
+    for command, name, cases in _READER_COMMANDS
+    for case in sorted(cases)
+]
+
+
+@pytest.mark.parametrize(
+    "command, name, case, text, message",
+    _READER_CASES,
+    ids=[f"{command}-{case}" for command, _, case, *_ in _READER_CASES],
+)
+def test_malformed_files_are_eval_errors(
+    capsys, tmp_path, monkeypatch, command, name, case, text, message
+):
+    """Each malformed ``.interp``, ``.2dft`` and ``.pfn`` file of the
+    readers' tests makes its command exit 3 with the reader's message on
+    one ``error:`` line, and no traceback."""
+    (tmp_path / name).write_text(text, encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    assert run(capsys, [command, name, "a"]) == (3, "", f"error: {message}\n")
+
+
+def test_image_over_the_budget_is_refused_before_counting(capsys):
+    """``image`` refuses a max length whose inputs pass the budget without
+    summing every length's count: the message names the budget, not a
+    count, for an alphabet of three letters and of one."""
+    for argv, max_len in (
+        (["image", "innsq"], 100_000),
+        (["image", "identity", "--alphabet", "a"], 100_000_000),
+    ):
+        rc, out, err = run(capsys, [*argv, "--max-len", str(max_len)])
+        assert (rc, out) == (3, "")
+        assert err == (
+            f"error: the inputs up to length {max_len} exceed the budget of 5000000; "
+            "try a smaller max length\n"
+        )
 
 
 def _nested_interp(tmp_path, depth, wrap="(not {})"):

@@ -41,6 +41,7 @@ from polyreglab.logic import (
 )
 from polyreglab.pebble import innsq_direct
 from polyreglab.psi import family, psi
+from polyreglab.sexpr import SexprError
 from polyreglab.words import Alphabet, Word
 from test_logic import _mask, _random_formula, naive_eval
 
@@ -360,7 +361,7 @@ def test_order_check_evaluates_each_pair_once(monkeypatch):
     ]
     for interp, u in cases:
         domain = compute_domain(interp, u)
-        dom = domain.tuples()
+        dom = domain.space.rows_at(domain.selected())
         calls.clear()
         check_linear_order(domain.selected(), interp, RowSpace(u, interp.dim))
         queried = list(calls)
@@ -400,13 +401,12 @@ _PARTLY_OVERLAPPING = Interpretation(
 )
 def test_domain_agrees_with_point_queries(interp):
     for u in words_upto(interp.input_alphabet, 4):
-        expected = {}
-        for tup in itertools.product(range(1, len(u) + 1), repeat=interp.dim):
+        expected = dict.fromkeys(interp.letter_formulas, 0)
+        for i, tup in enumerate(itertools.product(range(1, len(u) + 1), repeat=interp.dim)):
             env = dict(zip(interp.tuple_vars(), tup))
-            holds = {c for c, f in interp.letter_formulas.items() if eval_formula(u, f, env)}
-            if holds:
-                expected[tup] = frozenset(holds)
-        assert dict(compute_domain(interp, u).letters_at) == expected, u.render()
+            for c, f in interp.letter_formulas.items():
+                expected[c] |= eval_formula(u, f, env) << i
+        assert dict(compute_domain(interp, u).masks) == expected, u.render()
 
 
 _LETTERS_CASES = {
@@ -451,10 +451,10 @@ def test_letters_plan_binds_words_of_one_length_in_any_order():
 
 @pytest.mark.parametrize("letters", [1, 3, 300])
 def test_domain_letters_follow_its_tuples(letters):
-    """``InterpDomain.letter_at_bit``, read in the order of the bits, names
-    the letter of each tuple that ``tuples`` lists, as ``letters_at`` does,
-    for disjoint random masks of one, three and 300 letters over product
-    spaces of dimension 1 to 3."""
+    """``InterpDomain.letter_at_bit`` has the bit of each tuple that
+    ``space.rows_at`` lists for ``selected()``, and names the one letter
+    whose mask holds that bit, for disjoint random masks of one, three and
+    300 letters over product spaces of dimension 1 to 3."""
     rng = random.Random(letters)
     for dim, n in [(1, 0), (1, 5), (2, 4), (3, 3)]:
         space = RowSpace(Word(("a",) * n), dim)
@@ -463,10 +463,13 @@ def test_domain_letters_follow_its_tuples(letters):
             if rng.random() < 0.7:
                 masks[rng.choice(list(masks))] |= 1 << i
         domain = interp_module.InterpDomain(space, masks)
-        assert domain.overlap() is None and len(domain) == len(domain.letters_at)
+        assert domain.overlap() is None
+        product = list(itertools.product(range(1, n + 1), repeat=dim))
+        rows = space.rows_at(domain.selected())
         letter_at = domain.letter_at_bit()
-        assert [letter_at[i] for i in sorted(letter_at)] == [c for c, in domain.letters_at.values()]
-        assert domain.tuples() == list(domain.letters_at)
+        assert sorted(letter_at) == [product.index(t) for t in rows]
+        bits = range(n**dim)
+        assert letter_at == {i: c for c, mask in masks.items() for i in bits if mask >> i & 1}
 
 
 def _reference_details(interp, u):
@@ -722,6 +725,61 @@ def test_diagnostic_is_machine_readable():
 
 
 # -- construction validation and file format -------------------------------------
+
+
+_HEADER = "dim 1\ninput-alphabet a\noutput-alphabet o\n"
+_LETTER = "(letter o (letter a x1))\n"
+_ORDER = "(order (leq x1 y1))\n"
+
+# A malformed ``.interp`` text, by what is wrong with it, and the message
+# that reading it raises.
+INTERP_READER_ERRORS = {
+    "missing-header": (
+        "dim 1\ninput-alphabet a\n" + _LETTER + _ORDER,
+        "missing header lines: ['output-alphabet']",
+    ),
+    "dim-not-an-integer": (
+        _HEADER.replace("dim 1", "dim one") + _LETTER + _ORDER,
+        "dim header needs a single integer",
+    ),
+    "dim-zero": (
+        _HEADER.replace("dim 1", "dim 0") + _LETTER + _ORDER,
+        "dimension must be positive, got 0",
+    ),
+    "bad-block": (_HEADER + _LETTER + _ORDER + "stray\n", "bad block stray"),
+    "letter-malformed": (_HEADER + "(letter o)\n" + _ORDER, "(letter c <formula>) block malformed"),
+    "order-malformed": (_HEADER + _LETTER + "(order)\n", "(order <formula>) block malformed"),
+    "duplicate-letter": (_HEADER + _LETTER + _LETTER + _ORDER, "duplicate letter block for 'o'"),
+    "duplicate-order": (_HEADER + _LETTER + _ORDER + _ORDER, "duplicate order block"),
+    "unknown-block": (
+        _HEADER + _LETTER + "(sort (leq x1 y1))\n" + _ORDER,
+        "unknown block 'sort'",
+    ),
+    "missing-order": (_HEADER + _LETTER, "missing (order ...) block"),
+    "order-free-variables": (
+        _HEADER + _LETTER + "(order (leq x1 x1))\n",
+        "order formula must have free variables ['x1', 'y1'], has ['x1']",
+    ),
+    "unterminated-string": (
+        _HEADER + '(letter o (letter "a x1))\n' + _ORDER,
+        "unterminated string literal",
+    ),
+}
+
+
+def test_the_reader_error_base_interp_reads():
+    base = parse_interp(_HEADER + _LETTER + _ORDER)
+    assert eval_interp(base, Word.parse("aa")).word() == Word.parse("oo")
+
+
+@pytest.mark.parametrize("case", sorted(INTERP_READER_ERRORS))
+def test_interp_reader_errors(case):
+    """Each way a ``.interp`` text can be malformed, in its header, its
+    blocks or the interpretation they describe, raises its own message."""
+    text, message = INTERP_READER_ERRORS[case]
+    with pytest.raises((InterpError, SexprError)) as caught:
+        parse_interp(text)
+    assert str(caught.value) == message
 
 
 def test_validation_rejects_bad_free_vars():

@@ -77,6 +77,30 @@ def test_budget_is_a_precondition():
         assert exc.examined == 0
 
 
+@pytest.mark.parametrize("letters", ["", "a", "ab", "ab#"])
+def test_budget_admits_exactly_the_inputs_it_covers(letters):
+    """The budget admits a max length exactly when the words up to it
+    number at most the budget, over 0 to 3 letters; the refusal names the
+    budget, and a max length far past it is refused as fast (over no
+    letters, only the empty word is an input)."""
+    alphabet = Alphabet.of(*letters)
+    for max_len in range(6):
+        total = sum(len(letters) ** n for n in range(max_len + 1))
+        sample = enumerate_image(lambda w: w, alphabet, max_len, budget=total)
+        assert len(sample.outputs) == total
+        with pytest.raises(BudgetError) as caught:
+            enumerate_image(lambda w: w, alphabet, max_len, budget=total - 1)
+        assert str(caught.value) == (
+            f"the inputs up to length {max_len} exceed the budget of {total - 1}; "
+            "try a smaller max length"
+        )
+    if letters:
+        with pytest.raises(BudgetError, match="budget of 5000000;"):
+            enumerate_image(lambda w: w, alphabet, 10**8)
+    else:
+        assert enumerate_image(lambda w: w, alphabet, 10**8).outputs == {Word(): Word()}
+
+
 def test_words_upto_is_shortlex():
     words = list(words_upto(Alphabet.of("b", "a"), 2))
     assert [w.render() for w in words] == ["", "a", "b", "aa", "ab", "ba", "bb"]
@@ -281,6 +305,61 @@ def test_dcomplete_skips_delta_without_a_function():
     report = check_dcomplete(base, base, Alphabet.of())
     assert report.delta_skipped is not None
     assert not report.passed
+
+
+_ERASURE_LINE = (
+    "erasure direction: 3 outputs checked, 0 failures, 0 unknown (beyond comparison bound)"
+)
+_ERASURE_JSON = {"checked": 3, "failures": [], "unknown": []}
+_DCOMPLETE_SHORTFALLS = {
+    # The sample's function_id resolves to nothing.
+    "unresolved-function": (
+        {},
+        "delta direction: skipped (no evaluable decorated function)",
+        {"checked": 0, "failures": [], "vacuous": [], "skipped": "no evaluable decorated function"},
+    ),
+    # Both samples read one alphabet, so no letter is the decoration.
+    "no-decoration-token": (
+        {"fprime": lambda w: w},
+        "delta direction: skipped (cannot infer the decoration token from the alphabets)",
+        {
+            "checked": 0,
+            "failures": [],
+            "vacuous": [],
+            "skipped": "cannot infer the decoration token from the alphabets",
+        },
+    ),
+    # The decorated function keeps only the first base letter.
+    "base-letters-missing": (
+        {"fprime": lambda w: Word(erase(w, {"♣"}).tokens[:1]), "club": "♣"},
+        "delta direction: 3 witnesses checked, 1 failures, 2 vacuous "
+        "(fewer than two inner blocks)\n"
+        "  FAIL on base output 'aa': only 1 of 2 base letters present",
+        {
+            "checked": 3,
+            "failures": [["aa", "only 1 of 2 base letters present"]],
+            "vacuous": ["", "a"],
+            "skipped": None,
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_DCOMPLETE_SHORTFALLS))
+def test_dcomplete_skips_and_shape_failures_are_reported(case):
+    """The delta direction is skipped when the sample's function does not
+    resolve or no letter can be the decoration, and fails an image that
+    lacks some base letters; ``render`` and ``to_json`` say which."""
+    kwargs, delta_lines, delta_json = _DCOMPLETE_SHORTFALLS[case]
+    base = enumerate_image(lambda w: w, Alphabet.of("a"), 2, function_id="no-such-fn")
+    report = check_dcomplete(base, base, Alphabet.of(), **kwargs)
+    assert report.render() == f"{_ERASURE_LINE}\n{delta_lines}\nverdict: FAIL"
+    assert report.to_json() == {
+        "markers": [],
+        "erasure": _ERASURE_JSON,
+        "delta": delta_json,
+        "passed": False,
+    }
 
 
 def test_dcomplete_erasure_unknowns_are_not_failures(dcomplete_samples):

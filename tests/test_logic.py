@@ -40,7 +40,6 @@ from polyreglab.logic import (
     all_vars,
     bit_flags,
     check_sortable,
-    children,
     conj,
     disj,
     eval_formula,
@@ -57,6 +56,7 @@ from polyreglab.logic import (
     _comparison_atoms,
     _excludes,
     _generate,
+    _KINDS,
     _may_exclude,
     _nodes,
 )
@@ -476,6 +476,10 @@ def test_the_atom_test_passes_every_truth_table_match(case):
 # on c, which neither names; the forall also excludes z == v == x.
 @example((Exists("v", And((Leq("v", "x"), Not(Letter("a", "v")), Forall("z", Implies(_BETWEEN, Not(Letter("b", "z")))), Letter("a", "y")))), "near"))
 @example((Exists("v", And((Leq("v", "x"), Not(Letter("a", "v")), Forall("z", Implies(Or((_BETWEEN, And((Eq("z", "v"), Eq("v", "x"))))), Letter("a", "z"))), Letter("b", "y")))), "near"))
+# The witness alone: the body holds only v <= x, Q(v) and the forall, so
+# the inline witness of the scalar x is the whole quantifier.
+@example((And((Letter("a", "y"), Exists("v", And((Leq("v", "x"), Letter("a", "v"), Forall("z", Implies(_BETWEEN, Not(Letter("a", "z"))))))))), "match"))
+@example((And((Letter("a", "y"), Forall("v", Or((Not(Leq("v", "x")), Not(Letter("a", "v")), Not(Forall("z", Implies(_BETWEEN, Not(Letter("a", "z")))))))))), "match"))
 def test_unique_witnesses_agree_with_naive_reference(case):
     """A quantifier that names the greatest (least) position <= x (>= x)
     where Q holds is answered from the word's witness table, inline for a
@@ -490,7 +494,7 @@ def test_unique_witnesses_agree_with_naive_reference(case):
     modes = [(("x", "y"), ()), (("y",), ("x",)), (("x",), ("y",)), ((), ("x", "y"))]
     plans = [FormulaPlan(f, var_order, row_vars) for var_order, row_vars in modes]
     for plan in plans:
-        witnesses = [spec for specs in plan._specs for spec in specs if spec[0] == "witness"]
+        witnesses = [spec for _, spec in plan._specs if spec[0] == "witness"]
         assert bool(witnesses) == (kind != "near"), (f.render(), plan.row_vars)
     words = [Word(t) for k in range(5) for t in itertools.product("abc", repeat=k)]
     for w in words:
@@ -763,7 +767,7 @@ def _renamed(f, names, letters):
     return type(f)(names[f.var], _renamed(f.body, names, letters))
 
 
-_GENERATED_NAME = re.compile(r"[vcqmt]\d+|A[01]?|B|R|M|f|make|bind|cache|key|hit|todo|get|bit_length")
+_GENERATED_NAME = re.compile(r"[vcqm]\d+|A[01]?|B|R|M|f|t|make|bind|cache|key|hit|todo|get|bit_length")
 _GENERATED_KEYWORDS = {"def", "return", "if", "else", "and", "or", "not", "is", "None", "for", "in", "while", "break"}
 _GENERATED_OPS = set("( ) [ ] { } , : . = ^ & | < > -".split()) | {
     ":=", "==", "!=", "<=", ">=", "|=", "&=",
@@ -901,7 +905,7 @@ def _memo_eval(w, f):
 
     def collect(g):
         fv = set(free_vars(g)) if isinstance(g, (Letter, Leq, Eq)) else set()
-        for h in children(g):
+        for h in _KINDS[type(g)].kids(g):
             fv |= collect(h)
         if isinstance(g, (Forall, Exists)):
             fv.discard(g.var)
@@ -1087,7 +1091,7 @@ def test_evaluators_share_a_row_space_of_their_word():
 
 
 def _size(f):
-    return 1 + sum(_size(g) for g in children(f))
+    return 1 + sum(_size(g) for g in _KINDS[type(f)].kids(f))
 
 
 def test_plans_normalize_connectives():

@@ -270,6 +270,39 @@ def test_reg_file_form_uses_builtin_names():
     assert apply(back, Word.parse("a#b#")) == Word(("•", "•"))
 
 
+# A malformed ``.pfn`` text, by what is wrong with it, and the message that
+# reading it raises.
+POLYFUN_READER_ERRORS = {
+    "not-a-list": ("reverse-blocks-ab\n", "bad combinator expression reverse-blocks-ab"),
+    "reg-malformed": ("(reg)\n", "(reg <name-or-file>) malformed"),
+    "const-malformed": ("(const a (b))\n", "(const <tokens...>) malformed"),
+    "piecewise-malformed": (
+        "(piecewise ((a a)))\n",
+        "(piecewise ((<regex> <tokens...>) ...) (<tokens...>)) malformed",
+    ),
+    "bad-piecewise-case": ("(piecewise (a) ())\n", "bad piecewise case a"),
+    "pebble-malformed": (
+        "(pebble reverse-blocks-ab)\n",
+        "(pebble <regfn> ((i <subtree>) ...)) malformed",
+    ),
+    "blind-malformed": (
+        "(blind (reg reverse-blocks-ab) ())\n",
+        "(blind <regfn> ((i <subtree>) ...)) malformed",
+    ),
+    "bad-branch": ("(pebble reverse-blocks-ab ((a)))\n", "bad branch (a)"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(POLYFUN_READER_ERRORS))
+def test_polyfun_reader_errors(case):
+    """Each way a ``.pfn`` combinator expression can be malformed raises
+    its own message."""
+    text, message = POLYFUN_READER_ERRORS[case]
+    with pytest.raises(PebbleError) as caught:
+        parse_polyfun(text)
+    assert str(caught.value) == message
+
+
 def test_parse_rejects_unknown_heads():
     with pytest.raises(PebbleError, match="unknown combinator head"):
         parse_polyfun("(mystery a b)")

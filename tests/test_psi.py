@@ -182,7 +182,7 @@ def test_lift_hats_are_answered_from_witness_tables(name, loops, witnesses):
     plan = interp.order_plan
     units = _generated(plan).sources[:-1]
     assert sum("while todo" in unit for unit in units) == loops
-    assert sum(spec[0] == "witness" for specs in plan._specs for spec in specs) == witnesses
+    assert sum(spec[0] == "witness" for _, spec in plan._specs) == witnesses
 
 
 def test_planning_the_lift_runs_a_truth_table_per_hat(monkeypatch):

@@ -46,3 +46,22 @@ def test_errors():
         sexpr.parse_one("(a))")
     with pytest.raises(SexprError):
         sexpr.parse_one("")
+
+
+# A malformed s-expression text, by what is wrong with it, and the message
+# that reading it raises.
+SEXPR_READER_ERRORS = {
+    "unterminated-string": ('(a "b c)', "unterminated string literal"),
+    "unterminated-final-string": ('"', "unterminated string literal"),
+    "missing-close": ("(a", "missing closing parenthesis"),
+    "unexpected-close": ("(a))", "unexpected closing parenthesis"),
+    "empty": ("", "expected a single expression, found 0"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SEXPR_READER_ERRORS))
+def test_sexpr_reader_errors(case):
+    text, message = SEXPR_READER_ERRORS[case]
+    with pytest.raises(SexprError) as caught:
+        sexpr.parse_one(text)
+    assert str(caught.value) == message

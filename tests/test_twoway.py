@@ -367,6 +367,61 @@ def test_round_trip_preserves_runs():
         assert run(back, w).letters == run(machine, w).letters
 
 
+_MACHINE = """\
+states go done
+init go
+accept done
+input a
+output a
+go < -> go R
+go a -> go R a
+go > -> done L
+"""
+
+# A malformed ``.2dft`` text, by what is wrong with it, and the message that
+# reading it raises.
+TRANSDUCER_READER_ERRORS = {
+    "short-transition": (_MACHINE + "go b -> go\n", "bad transition line: 'go b -> go'"),
+    "duplicate-transition": (_MACHINE + "go a -> go R\n", "duplicate transition for ('go', 'a')"),
+    "two-initial-states": (
+        _MACHINE.replace("init go", "init go done"),
+        "init header needs exactly one state",
+    ),
+    "unknown-initial-state": (
+        _MACHINE.replace("init go", "init stop"),
+        "initial state 'stop' not a state",
+    ),
+    "accepting-outside-states": (
+        _MACHINE.replace("accept done", "accept done stop"),
+        "accepting states must be states",
+    ),
+    "unknown-state": (
+        _MACHINE.replace("go a -> go R a", "go a -> stop R a"),
+        "transition on unknown state: 'go' -> 'stop'",
+    ),
+    "unknown-symbol": (_MACHINE + "go b -> go R\n", "transition on unknown symbol 'b'"),
+    "bad-move": (_MACHINE.replace("go a -> go R a", "go a -> go U a"), "bad move 'U'"),
+    "right-on-right-end": (
+        _MACHINE.replace("go > -> done L", "go > -> done R"),
+        "state 'go' moves right on >",
+    ),
+}
+
+
+def test_the_reader_error_base_machine_reads():
+    assert run(parse_transducer(_MACHINE), Word.parse("aa")).word() == Word.parse("aa")
+
+
+@pytest.mark.parametrize("case", sorted(TRANSDUCER_READER_ERRORS))
+def test_transducer_reader_errors(case):
+    """Each way a ``.2dft`` text can be malformed, in its lines or in the
+    machine they describe, raises its own message."""
+    text, message = TRANSDUCER_READER_ERRORS[case]
+    with pytest.raises(TransducerError) as caught:
+        parse_transducer(text)
+    assert str(caught.value) == message
+
+
 def test_parse_rejects_garbage():
     with pytest.raises(TransducerError):
         parse_transducer("states go\nnot a real line\n")
