@@ -42,7 +42,7 @@ from .twoway import (
     NonTerminationError,
     regular_fns,
 )
-from .words import Alphabet, OriginWord, Word
+from .words import Alphabet, OriginWord, Word, WordError
 
 _EVAL_ERRORS = (
     NonTerminationError,
@@ -61,11 +61,15 @@ def _read_word(text: str, alphabet: Alphabet | None) -> Word:
 
 
 def _parse_alphabet(text: str) -> Alphabet:
-    if "," in text:
-        tokens = [t for t in text.split(",") if t]
-    else:
-        tokens = list(text)
-    return Alphabet.of(*tokens)
+    """Comma-separated letters, or one letter per character; an alphabet
+    without a letter, or with a bad letter, is a usage error."""
+    tokens = [t for t in text.split(",") if t] if "," in text else list(text)
+    if not tokens:
+        raise argparse.ArgumentTypeError(f"an alphabet needs at least one letter, not {text!r}")
+    try:
+        return Alphabet.of(*tokens)
+    except WordError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _int(text: str) -> int:
@@ -104,9 +108,8 @@ def _read_sample(path: str) -> LanguageSample:
 def _resolve_over_alphabet(args) -> tuple[ResolvedFn, Alphabet]:
     """``args.function`` resolved, and the alphabet to run it over:
     ``--alphabet`` if given, else the function's own."""
-    alphabet = _parse_alphabet(args.alphabet) if args.alphabet else None
-    resolved = resolve_function(args.function, alphabet)
-    alphabet = alphabet or resolved.input_alphabet
+    resolved = resolve_function(args.function, args.alphabet)
+    alphabet = args.alphabet or resolved.input_alphabet
     if alphabet is None:
         raise ValueError(f"{args.function!r} has no intrinsic alphabet; pass --alphabet")
     return resolved, alphabet
@@ -209,7 +212,7 @@ def _cmd_image(args) -> int:
 
 def _cmd_check_dcomplete(args) -> int:
     prime, base = _read_sample(args.prime), _read_sample(args.base)
-    report = check_dcomplete(prime, base, _parse_alphabet(args.markers))
+    report = check_dcomplete(prime, base, args.markers)
     return _result(args, report.to_json(), report.render() + "\n", 0 if report.passed else 1)
 
 
@@ -343,7 +346,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("image", parents=[common])
     p.add_argument("function")
-    p.add_argument("--alphabet")
+    p.add_argument("--alphabet", type=_parse_alphabet)
     p.add_argument("--max-len", type=_count, required=True)
     p.add_argument("-o", "--output")
     p.set_defaults(run=_cmd_image)
@@ -351,7 +354,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("check-dcomplete", parents=[common])
     p.add_argument("--prime", required=True)
     p.add_argument("--base", required=True)
-    p.add_argument("--markers", required=True)
+    p.add_argument("--markers", type=_parse_alphabet, required=True)
     p.set_defaults(run=_cmd_check_dcomplete)
 
     p = subs.add_parser("pump", parents=[common])
@@ -364,7 +367,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("growth", parents=[common])
     p.add_argument("function")
-    p.add_argument("--alphabet")
+    p.add_argument("--alphabet", type=_parse_alphabet)
     p.add_argument("--lengths", type=_parse_lengths, default="20:300:20")
     p.set_defaults(run=_cmd_growth)
 

@@ -473,8 +473,9 @@ def pump_report(
     sample: the first find in left-to-right order, or none, which is
     evidence against pumpability at these parameters, not a disproof.  A
     word shorter than K is below the pumping threshold, and not searched.
-    Candidates are tested on token tuples, and only the find is made a
-    ``PumpDecomposition``."""
+    Candidates are tested on token tuples, first on their n = 0 word, the
+    concatenation of the static pieces, before the factors are sliced; only
+    the find is made a ``PumpDecomposition``."""
     if w not in sample.outputs:
         raise ValueError(f"{w.render()!r} is not an output in the sample")
     if k < 1 or K < 0:
@@ -493,12 +494,17 @@ def pump_report(
                 f"decompositions (last tried spans {spans})",
                 examined=examined,
             )
-        pieces, prev = [], 0
+        statics, prev = [], 0
         for s, length in spans:
-            pieces += (toks[prev:s], toks[s : s + length])
+            statics.append(toks[prev:s])
             prev = s + length
-        pieces.append(toks[prev:])
-        if all(Word(_pumped(pieces, n)) in extended.outputs for n in (0, 2, 3)):
+        statics.append(toks[prev:])
+        if Word(sum(statics, ())) not in extended.outputs:
+            continue
+        pieces = [statics[0]]
+        for (s, length), static in zip(spans, statics[1:]):
+            pieces += (toks[s : s + length], static)
+        if all(Word(_pumped(pieces, n)) in extended.outputs for n in (2, 3)):
             return PumpReport(PumpDecomposition(tuple(map(Word, pieces)), k, K))
     return PumpReport(None)
 

@@ -132,12 +132,15 @@ def _pieces(p: Pebble | Blind, w: Word) -> Iterator[tuple[str, int, Word]]:
     for a Pebble, on ``w`` itself for a Blind.  A Blind branch never sees
     the origin, so its piece depends on the letter alone: it is computed
     at the letter's first occurrence and yielded again at the others.
+    A Pebble0 without cases reads nothing, so it is given ``w`` itself.
     Branches recurse through the module's ``apply``, so a wrapper bound in
     its place sees them."""
     if isinstance(p, Pebble):
         for letter, origin in p.head(w):
             i = origin[0]
-            yield letter, i, apply(p.branches[letter], _underlined(w, i))
+            branch = p.branches[letter]
+            constant = isinstance(branch, Pebble0) and not branch.cases
+            yield letter, i, apply(branch, w if constant else _underlined(w, i))
         return
     pieces: dict[str, Word] = {}
     for letter, origin in p.head(w):

@@ -9,6 +9,8 @@ position it was produced at.
 
 from __future__ import annotations
 
+import re
+from operator import itemgetter
 from typing import Callable, Mapping
 
 from .records import field, record
@@ -20,9 +22,19 @@ RIGHT_END = ">"
 MOVES = ("L", "S", "R")
 
 Transition = tuple[str, str, tuple[str, ...]]  # next state, move, output tokens
-# next row offset (None: accepting), head delta, output tokens, and the
-# (state, endmarker) pair when the transition emits on an endmarker
-TableEntry = tuple[int | None, int, tuple[str, ...], tuple[str, str] | None]
+# A live state's row maps the code of each tape class to an entry: the next
+# row (None: accepting, or the state loops on a sweep), the head delta, the
+# output tokens, and then either the (state, endmarker) pair of a transition
+# that emits on an endmarker, or (row, cross) for a sweep's cell, or None.
+Row = dict
+# a sweep's crossing: (class tape, head, output list) -> head after the sweep
+Cross = Callable[[str, int, list], int]
+
+# the head's next cell, by move
+_DELTA = {"L": -1, "S": 0, "R": 1}
+# the codes of the endmarkers on a class tape; letter classes follow
+_LEFT_CODE, _RIGHT_CODE = "\x00", "\x01"
+_END_CODES = {LEFT_END: _LEFT_CODE, RIGHT_END: _RIGHT_CODE}
 
 
 class TransducerError(ValueError):
@@ -57,11 +69,11 @@ class TwoWayTransducer:
     output_alphabet: Alphabet
     transitions: Mapping[tuple[str, str], Transition]
     name: str | None = None
-    # Integer tables for ``run``, built by ``__post_init__``.
-    _letter_ids: dict[str, int] = field(init=False, repr=False)
-    _live: tuple[str, ...] = field(init=False, repr=False)
-    _table: list[TableEntry] = field(init=False, repr=False)
-    _start: int | None = field(init=False, repr=False)
+    # Tables for ``run``, built by ``__post_init__``.
+    _codes: dict[str, str] = field(init=False, repr=False)
+    _rows: dict[str, Row] = field(init=False, repr=False)
+    _start: Row | None = field(init=False, repr=False)
+    _last: list | None = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.initial not in self.states:
@@ -70,22 +82,13 @@ class TwoWayTransducer:
             raise TransducerError("accepting states must be states")
         if LEFT_END in self.input_alphabet or RIGHT_END in self.input_alphabet:
             raise TransducerError("the endmarkers cannot be input letters")
-        # Integer coding for ``run``: symbol 0 is LEFT_END, 1 is RIGHT_END,
-        # then the input letters; a live (non-accepting) state is its row's
-        # offset ``state_id * n_symbols`` into one flat table, and None
-        # stands for every accepting state.
-        letter_ids = {tok: i for i, tok in enumerate(self.input_alphabet, 2)}
-        symbol_ids = {LEFT_END: 0, RIGHT_END: 1, **letter_ids}
-        live = sorted(self.states - self.accepting)
-        n_symbols = len(symbol_ids)
-        offsets = {state: i * n_symbols for i, state in enumerate(live)}
-        table: list[TableEntry | None] = [None] * (len(live) * n_symbols)
+        symbols = (LEFT_END, RIGHT_END, *self.input_alphabet)
         for (state, symbol), (nxt, move, out) in self.transitions.items():
             if state not in self.states or nxt not in self.states:
                 raise TransducerError(f"transition on unknown state: {state!r} -> {nxt!r}")
             if state in self.accepting:
                 raise TransducerError(f"accepting state {state!r} is halting, drop its transitions")
-            if symbol not in symbol_ids:
+            if symbol not in _END_CODES and symbol not in self.input_alphabet:
                 raise TransducerError(f"transition on unknown symbol {symbol!r}")
             if move not in MOVES:
                 raise TransducerError(f"bad move {move!r}")
@@ -96,64 +99,151 @@ class TwoWayTransducer:
             for tok in out:
                 if tok not in self.output_alphabet:
                     raise TransducerError(f"output symbol {tok!r} not in output alphabet")
-            fault = (state, symbol) if out and symbol in (LEFT_END, RIGHT_END) else None
-            entry = (offsets.get(nxt), MOVES.index(move) - 1, tuple(out), fault)
-            table[offsets[state] + symbol_ids[symbol]] = entry
+        live = sorted(self.states - self.accepting)
         for state in live:
-            for symbol, symbol_id in symbol_ids.items():
-                if table[offsets[state] + symbol_id] is None:
+            for symbol in symbols:
+                if (state, symbol) not in self.transitions:
                     raise TransducerError(f"missing transition for ({state!r}, {symbol!r})")
-        object.__setattr__(self, "_letter_ids", letter_ids)
-        object.__setattr__(self, "_live", tuple(live))
-        object.__setattr__(self, "_table", table)
-        object.__setattr__(self, "_start", offsets.get(self.initial))
+        # Letters whose columns (their transitions from every live state)
+        # are equal form one class, and a run reads only the class codes of
+        # its tape: a run depends on the word's class tape alone.
+        columns: dict[tuple, str] = {}
+        codes: dict[str, str] = {}
+        for tok in self.input_alphabet:
+            column = tuple(self.transitions[(state, tok)] for state in live)
+            codes[tok] = columns.setdefault(column, chr(len(columns) + 2))
+        classes = {code: symbol for symbol, code in _END_CODES.items()}  # a symbol of each code
+        for tok, code in codes.items():
+            classes.setdefault(code, tok)
+        rows: dict[str, Row] = {state: {} for state in live}
+        for state, row in rows.items():
+            loops: dict[int, dict[str, str]] = {-1: {}, 1: {}}
+            for code, symbol in classes.items():
+                nxt, move, out = self.transitions[(state, symbol)]
+                fault = (state, symbol) if out and symbol in _END_CODES else None
+                row[code] = (rows.get(nxt), _DELTA[move], tuple(out), fault)
+                if nxt == state and move != "S" and len(out) <= 1 and symbol not in _END_CODES:
+                    loops[_DELTA[move]][code] = "".join(out)
+            # A sweep's cells break out of the step loop (their next row is
+            # None) to be crossed at once.
+            for delta, tokens in loops.items():
+                if tokens:
+                    cross = _sweep(delta, tokens)
+                    for code in tokens:
+                        row[code] = (None, delta, (), (row, cross))
+        object.__setattr__(self, "_codes", codes)
+        object.__setattr__(self, "_rows", rows)
+        object.__setattr__(self, "_start", rows.get(self.initial))
+        # The last run, kept when classes merge letters, so that a marked
+        # copy that the machine cannot tell from its last word is answered
+        # without running; one list item, replaced whole, so threads share it.
+        merges = len(columns) < len(self.input_alphabet)
+        object.__setattr__(self, "_last", [("", OriginWord())] if merges else None)
+
+
+def _sweep(delta: int, tokens: dict[str, str]) -> Cross:
+    """How a state crosses a sweep: it loops on the class codes of
+    ``tokens``, moving ``delta`` and emitting each code's token ("" for
+    none).  The crossing, given the class tape, the head at the sweep's
+    first cell and the output list, emits the sweep's letters with their
+    origins and returns the head at the first cell outside the sweep: an
+    endmarker stops every sweep."""
+    codes = re.escape("".join(tokens))
+    emits = any(tokens.values())
+    every = all(tokens.values())
+
+    def emit(out: list, cells: str, heads: range) -> None:
+        pairs = zip(map(tokens.__getitem__, cells), zip(heads))
+        out.extend(pairs if every else filter(itemgetter(0), pairs))
+
+    if delta > 0:
+        span = re.compile(f"[{codes}]*").match
+
+        def cross(tape: str, head: int, out: list) -> int:
+            end = span(tape, head).end()
+            if emits:
+                emit(out, tape[head:end], range(head, end))
+            return end
+
+    else:
+        # the last cell at or left of the head outside the sweep
+        stop = re.compile(f"(?s:.*)[^{codes}]").match
+
+        def cross(tape: str, head: int, out: list) -> int:
+            end = stop(tape, 0, head + 1).end() - 1
+            if emits:
+                emit(out, tape[head:end:-1], range(head, end, -1))
+            return end
+
+    return cross
 
 
 def run(machine: TwoWayTransducer, w: Word) -> OriginWord:
     """Run to acceptance, returning the origin-annotated output.
 
-    The machine is deterministic and a live configuration is a (state,
-    head) pair, so a run that takes more than |live states|*(|w|+2) steps
-    has repeated one and never halts.  Only such a run is replayed, to
-    report its first repeat."""
+    The run reads the word's class tape.  A sweep, cells on which the state
+    loops moving one way, is crossed by one regex match; every other step
+    is taken one at a time.  The machine is deterministic and a live
+    configuration is a (state, head) pair, so a run that takes more than
+    |live states|*(|w|+2) steps, counting every cell a sweep crosses, has
+    repeated one and never halts.  Only such a run is replayed, to report
+    its first repeat.  A machine whose classes merge letters answers the
+    class tape of its last run with that run's output."""
     try:
-        tape = [0, *map(machine._letter_ids.__getitem__, w.tokens), 1]
+        tape = _LEFT_CODE + "".join(map(machine._codes.__getitem__, w.tokens)) + _RIGHT_CODE
     except KeyError:
         w.alphabet_check(machine.input_alphabet)
         raise
-    table = machine._table
-    idx = machine._start
+    last = machine._last
+    if last is not None:
+        last_tape, last_out = last[0]
+        if last_tape == tape:
+            return last_out
+    row = machine._start
     head = 0
+    left = len(machine._rows) * len(tape)
     out: list[tuple[str, tuple[int, ...]]] = []
-    if idx is not None:
-        for _ in range(len(machine._live) * len(tape)):
-            idx, delta, emitted, fault = table[idx + tape[head]]
+    while row is not None:
+        for step in range(left):
+            row, delta, emitted, then = row[tape[head]]
             if emitted:
-                if fault:
-                    raise EmitOnEndmarkerError(*fault)
+                if then:
+                    raise EmitOnEndmarkerError(*then)
                 for tok in emitted:
                     out.append((tok, (head,)))
-            if idx is None:
+            if row is None:
                 break
             head += delta
         else:
             raise _first_repeat(machine, tape)
-    return OriginWord(tuple(out))
+        if then is None:
+            break
+        row, cross = then
+        end = cross(tape, head, out)
+        # the loop counted the sweep's first cell
+        left -= step + abs(end - head)
+        head = end
+    result = OriginWord(tuple(out))
+    if last is not None:
+        last[0] = (tape, result)
+    return result
 
 
-def _first_repeat(machine: TwoWayTransducer, tape: list[int]) -> NonTerminationError:
-    """Replay a run that outlived the step bound, recording configurations,
-    up to its first repeated one.  Every step before that repeat was taken
-    within the bound without halting or emitting on an endmarker."""
-    table = machine._table
+def _first_repeat(machine: TwoWayTransducer, tape: str) -> NonTerminationError:
+    """Replay a run that outlived the step bound one step at a time,
+    recording configurations, up to its first repeated one.  Every step
+    before that repeat was taken within the bound without halting or
+    emitting on an endmarker."""
+    names = {id(row): state for state, row in machine._rows.items()}
     seen: set[tuple[int, int]] = set()
-    idx, head, steps = machine._start, 0, 0
-    while (idx, head) not in seen:
-        seen.add((idx, head))
-        idx, delta, _emitted, _fault = table[idx + tape[head]]
+    row, head, steps = machine._start, 0, 0
+    while (id(row), head) not in seen:
+        seen.add((id(row), head))
+        nxt, delta, _emitted, then = row[tape[head]]
+        row = then[0] if nxt is None else nxt
         head += delta
         steps += 1
-    return NonTerminationError(machine._live[idx // (len(machine._letter_ids) + 2)], head, steps)
+    return NonTerminationError(names[id(row)], head, steps)
 
 
 # -- regular functions -----------------------------------------------------

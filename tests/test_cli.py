@@ -522,6 +522,36 @@ def test_malformed_lengths_is_usage_error(capsys, value):
     assert "_parse_lengths" not in captured.err
 
 
+_MALFORMED_ALPHABETS = {
+    ",": "an alphabet needs at least one letter, not ','",
+    "": "an alphabet needs at least one letter, not ''",
+    "a b": "bad symbol token ' '",
+}
+
+
+@pytest.mark.parametrize("value", list(_MALFORMED_ALPHABETS))
+@pytest.mark.parametrize("verb", ["image", "growth", "check-dcomplete"])
+def test_alphabet_without_letters_is_usage_error(capsys, tmp_path, verb, value):
+    """An --alphabet or --markers with no letter, or with a letter that
+    is no token, is refused before any work is done: exit code 2, a
+    usage message that says why, no output and no file."""
+    path = tmp_path / "out"
+    flag = "--markers" if verb == "check-dcomplete" else "--alphabet"
+    argv = {
+        "image": ["image", "identity", "--max-len", "2", "-o", str(path)],
+        "growth": ["growth", "identity", "--lengths", "1,2"],
+        "check-dcomplete": ["check-dcomplete", "--prime", "p.sample", "--base", "b.sample"],
+    }[verb]
+    with pytest.raises(SystemExit) as exc:
+        main(argv + [flag, value])
+    assert exc.value.code == 2
+    assert not path.exists()
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"argument {flag}: {_MALFORMED_ALPHABETS[value]}\n" in captured.err
+    assert "_parse_alphabet" not in captured.err
+
+
 _INTERP = "dim 1\ninput-alphabet a\noutput-alphabet o\n(letter o {})\n(order (leq x1 y1))\n"
 
 _LIBRARY_ERRORS = {

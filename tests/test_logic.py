@@ -767,7 +767,7 @@ def _renamed(f, names, letters):
     return type(f)(names[f.var], _renamed(f.body, names, letters))
 
 
-_GENERATED_NAME = re.compile(r"[vcqm]\d+|A[01]?|B|R|M|f|t|make|bind|cache|key|hit|todo|get|bit_length")
+_GENERATED_NAME = re.compile(r"[vcqm]\d+|A[01]?|B|R|t|roots|bind|cache|key|hit|todo|get|bit_length")
 _GENERATED_KEYWORDS = {"def", "return", "if", "else", "and", "or", "not", "is", "None", "for", "in", "while", "break"}
 _GENERATED_OPS = set("( ) [ ] { } , : . = ^ & | < > -".split()) | {
     ":=", "==", "!=", "<=", ">=", "|=", "&=",
@@ -779,7 +779,8 @@ def _generated(plan):
     """The generator re-run over ``plan``'s core, as the plan ran it: its
     ``sources`` and its count of ``nodes``."""
     frees = {}
-    _collect_frees(plan.core, frees)
+    for f in plan.core if isinstance(plan.core, tuple) else (plan.core,):
+        _collect_frees(f, frees)
     return _generate(plan.core, frees, plan.free, plan.row_vars)
 
 
@@ -808,25 +809,35 @@ def test_hostile_names_reach_generated_code_only_as_tables():
     """Letters and variables named like Python code, keywords, the
     generator's own names or non-ASCII text: plans built through the API
     agree with the naive reference in point mode and with one and two row
-    variables, and their sources hold generated text only."""
+    variables, and their sources hold generated text only.  So do plans of
+    two formulas, as a letters plan is, whose queries answer both masks."""
     rng = random.Random(17)
+    second = random.Random(71)
     for trial in range(60):
         names = dict(zip(["x", "y", "u", "v", "t"], rng.sample(_HOSTILE_NAMES, 5)))
         letters = dict(zip("ab#", rng.sample(_HOSTILE_LETTERS, 3)))
         f = _renamed(_random_formula(rng, ["x", "y"], depth=4, qdepth=3), names, letters)
+        g = _renamed(_random_formula(second, ["x", "y"], depth=3, qdepth=2), names, letters)
         x, y = names["x"], names["y"]
         n = rng.randint(0, 4)
         w = Word(tuple(rng.choices(list(letters.values()), k=n)))
         positions = range(1, n + 1)
         for var_order, row_vars in [((x, y), ()), ((y,), (x,)), ((), (x, y))]:
             plan = FormulaPlan(f, var_order, row_vars)
+            pair = FormulaPlan((f, g), var_order, row_vars)
             _assert_generated_text_only(plan)
+            _assert_generated_text_only(pair)
             rows = list(itertools.product(positions, repeat=len(row_vars)))
             ev = FormulaEvaluator(plan, RowSpace(w, len(row_vars)))
+            both = FormulaEvaluator(pair, RowSpace(w, len(row_vars)))
             for values in itertools.product(positions, repeat=len(var_order)):
                 env = dict(zip(var_order, values))
-                want = _mask(naive_eval(w, f, {**env, **dict(zip(row_vars, r))}) for r in rows)
-                assert ev.at(values) == want, (sexpr.render(to_sexpr(f)), w.tokens, values)
+                want = [
+                    _mask(naive_eval(w, h, {**env, **dict(zip(row_vars, r))}) for r in rows)
+                    for h in (f, g)
+                ]
+                assert ev.at(values) == want[0], (sexpr.render(to_sexpr(f)), w.tokens, values)
+                assert both.at(values) == tuple(want), (sexpr.render(to_sexpr(g)), w.tokens, values)
 
 
 @contextlib.contextmanager

@@ -205,6 +205,33 @@ def test_constant_leaf_does_not_render_its_argument(monkeypatch):
     assert rendered == []
 
 
+def test_constant_leaf_reads_the_plain_word(monkeypatch):
+    """A pebble node gives a Pebble0 without cases the word itself, and
+    every other branch, a piecewise one too, the word with the origin
+    underlined."""
+    calls = []
+    inner = pebble.apply
+
+    def recording(p, w):
+        calls.append((p, w))
+        return inner(p, w)
+
+    monkeypatch.setattr(pebble, "apply", recording)
+    constant = Pebble0(default=Word.of("#"))
+    piecewise = Pebble0(cases=(("_a.*", Word.of("x")),), default=Word.of("y"))
+    tree = Pebble(builtin_regular_fn("block-marker"), {"•": piecewise, "#": constant})
+    w = Word.parse("ab#b#a")
+    assert pebble.apply(tree, w) == Word.parse("x#y#y")
+    assert [arg for p, arg in calls if p is constant] == [w, w]
+    assert all(arg is w for p, arg in calls if p is constant)
+    marked = [arg.tokens for p, arg in calls if p is piecewise]
+    assert marked == [
+        ("_a", "b", "#", "b", "#", "a"),
+        ("a", "b", "#", "_b", "#", "a"),
+        ("a", "b", "#", "b", "#", "_a"),
+    ]
+
+
 def test_pebble0_rejects_bad_regex():
     with pytest.raises(PebbleError, match="bad matcher regex"):
         Pebble0(cases=(("(", Word()),))

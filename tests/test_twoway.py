@@ -1,12 +1,17 @@
 import itertools
+import random
+import sys
+import threading
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from polyreglab.pebble import apply, builtin_polyfun
 from polyreglab.twoway import (
     LEFT_END,
+    MOVES,
     PEBBLE_MARK,
     RIGHT_END,
     EmitOnEndmarkerError,
@@ -22,7 +27,7 @@ from polyreglab.twoway import (
     render_transducer,
     run,
 )
-from polyreglab.words import Alphabet, Word, WordError
+from polyreglab.words import Alphabet, Word, WordError, mark_token
 
 DATA = Path(__file__).parent / "data"
 
@@ -258,6 +263,193 @@ def test_run_agrees_with_string_keyed_reference(case):
     machine, w = case
     got = _outcome(lambda m, u: run(m, u).letters, machine, w)
     assert got == _outcome(_reference_run, machine, w)
+
+
+# -- differential test against the step loop ------------------------------
+
+
+def _step_run(machine, w):
+    """The run loop before sweeps and letter classes: one Python iteration
+    per cell over an integer table indexed by letter, and a replay to the
+    first repeated configuration."""
+    letter_ids = {tok: i for i, tok in enumerate(machine.input_alphabet, 2)}
+    symbol_ids = {LEFT_END: 0, RIGHT_END: 1, **letter_ids}
+    live = sorted(machine.states - machine.accepting)
+    offsets = {state: i * len(symbol_ids) for i, state in enumerate(live)}
+    table = [None] * (len(live) * len(symbol_ids))
+    for (state, symbol), (nxt, move, out) in machine.transitions.items():
+        fault = (state, symbol) if out and symbol in (LEFT_END, RIGHT_END) else None
+        entry = (offsets.get(nxt), MOVES.index(move) - 1, tuple(out), fault)
+        table[offsets[state] + symbol_ids[symbol]] = entry
+    w.alphabet_check(machine.input_alphabet)
+    tape = [0, *map(letter_ids.__getitem__, w.tokens), 1]
+    idx = offsets.get(machine.initial)
+    head = 0
+    out = []
+    if idx is not None:
+        for _ in range(len(live) * len(tape)):
+            idx, delta, emitted, fault = table[idx + tape[head]]
+            if emitted:
+                if fault:
+                    raise EmitOnEndmarkerError(*fault)
+                for tok in emitted:
+                    out.append((tok, (head,)))
+            if idx is None:
+                break
+            head += delta
+        else:
+            seen = set()
+            idx, head, steps = offsets.get(machine.initial), 0, 0
+            while (idx, head) not in seen:
+                seen.add((idx, head))
+                idx, delta, _emitted, _fault = table[idx + tape[head]]
+                head += delta
+                steps += 1
+            raise NonTerminationError(live[idx // len(symbol_ids)], head, steps)
+    return tuple(out)
+
+
+@st.composite
+def _machines_with_classes(draw):
+    """A complete 2DFT over 1-3 letters and their marked twins, with 1-4
+    live states, and two words of length 0-12 over its letters.  A letter
+    may copy the column of an earlier one, so that letters form classes.
+    Each state has a heading, right for q0: on a letter it mostly loops to
+    itself moving that way, and otherwise goes to any state moving any
+    way, in place too; letters emit 0-2 tokens.  On an endmarker the head
+    turns back or stays, the next state is often the halting one, and
+    output is rare.  The run starts in q0, which steps off the left
+    endmarker.  So most runs sweep and halt with output, but some emit on
+    an endmarker, and some never halt."""
+    live = [f"q{i}" for i in range(draw(st.integers(1, 4)))]
+    accepting = [] if draw(st.integers(0, 3)) == 3 else ["done"]
+    states = live + accepting
+    heading = {state: "R" if state == "q0" else draw(st.sampled_from(("L", "R"))) for state in live}
+    base = sorted(draw(st.sets(st.sampled_from(("a", "b", "c")), min_size=1)))
+    letters = base + [mark_token(tok) for tok in base]
+    outputs = st.lists(st.sampled_from(("x", "y")), max_size=2).map(tuple)
+    rows = {}
+    for i, symbol in enumerate((LEFT_END, RIGHT_END, *letters)):
+        like = draw(st.sampled_from((None, *letters[: max(i - 2, 0)])))
+        for state in live:
+            if like is not None:
+                rows[(state, symbol)] = rows[(state, like)]
+            elif (state, symbol) == ("q0", LEFT_END):
+                rows[(state, symbol)] = (draw(st.sampled_from(live)), "R", ())
+            elif symbol in (LEFT_END, RIGHT_END):
+                move = draw(st.sampled_from(("R" if symbol == LEFT_END else "L", "S")))
+                nxt = draw(st.one_of(st.sampled_from(accepting or live), st.sampled_from(live[::-1])))
+                out = draw(outputs) if draw(st.integers(0, 7)) == 7 else ()
+                rows[(state, symbol)] = (nxt, move, out)
+            elif draw(st.integers(0, 3)) < 3:
+                rows[(state, symbol)] = (state, heading[state], draw(outputs))
+            else:
+                nxt, move = draw(st.sampled_from(states)), draw(st.sampled_from(MOVES))
+                rows[(state, symbol)] = (nxt, move, draw(outputs))
+    machine = TwoWayTransducer(
+        states=frozenset(states),
+        initial="q0",
+        accepting=frozenset(accepting),
+        input_alphabet=Alphabet(frozenset(letters)),
+        output_alphabet=Alphabet.of("x", "y"),
+        transitions=rows,
+    )
+    word = st.lists(st.sampled_from(letters), max_size=12).map(lambda toks: Word(tuple(toks)))
+    return machine, draw(word), draw(word)
+
+
+def _run_letters(machine, w):
+    return run(machine, w).letters
+
+
+@settings(deadline=None, max_examples=400)
+@given(_machines_with_classes(), _machines_with_classes())
+def test_run_agrees_with_the_step_loop(first, second):
+    """Sweeps over letter classes and the reused last run give the step
+    loop's outputs with origins, or its exception and message, on every
+    word; each word runs twice, between runs of another word and of a
+    second machine."""
+    machine, w, v = first
+    other, u, _ = second
+    order = [(machine, w), (other, u), (machine, v), (machine, w), (machine, w), (other, u)]
+    for m, word in order:
+        assert _outcome(_run_letters, m, word) == _outcome(_step_run, m, word), word.render()
+
+
+def test_runs_over_three_hundred_letters():
+    """More letter classes than a byte holds: a copy, an erasure that
+    merges all but one letter, and a machine that copies right then emits
+    every other letter on its way back agree with the step loop."""
+    letters = [f"t{i}" for i in range(300)]
+    alphabet = Alphabet(frozenset(letters))
+    rows = {
+        ("right", LEFT_END): ("right", "R", ()),
+        ("right", RIGHT_END): ("left", "L", ()),
+        ("left", RIGHT_END): ("left", "L", ()),
+        ("left", LEFT_END): ("done", "S", ()),
+    }
+    for i, tok in enumerate(letters):
+        rows[("right", tok)] = ("right", "R", (tok,))
+        rows[("left", tok)] = ("left", "L", (tok,) if i % 2 else ())
+    there_and_back = TwoWayTransducer(
+        frozenset(("right", "left", "done")), "right", frozenset(("done",)), alphabet, alphabet, rows
+    )
+    machines = [
+        identity_fn(alphabet).transducer,
+        erasing_fn(alphabet, Alphabet(frozenset(letters[1:]))).transducer,
+        there_and_back,
+    ]
+    rng = random.Random(300)
+    for n in (0, 1, 2, 40, 300):
+        w = Word(tuple(rng.choice(letters) for _ in range(n)))
+        for machine in machines:
+            assert run(machine, w).letters == _step_run(machine, w)
+
+
+def test_a_machine_that_merges_letters_answers_its_last_class_tape():
+    """hash-counter cannot tell a marked letter from its twin, so a marked
+    copy of its last word is answered with the same output; marked-block-copy
+    tells every letter apart, so it runs on each word."""
+    counter = builtin_regular_fn("hash-counter").transducer
+    plain = Word.parse("a#b#")
+    out = run(counter, plain)
+    for toks in (("_a", "#", "b", "#"), ("a", "_#", "b", "#"), ("a", "#", "b", "_#")):
+        assert run(counter, Word(toks)) is out
+    assert run(counter, Word.parse("a#bb")).word() == Word((PEBBLE_MARK,))
+    copier = builtin_regular_fn("marked-block-copy").transducer
+    w = Word(("_a", "b", "#"))
+    assert run(copier, w) is not run(copier, w)
+
+
+def test_threads_share_the_last_runs():
+    """Four threads, more than the cores, apply innsq-pebble to distinct
+    words with a short switch interval, so that they interleave runs of
+    one hash-counter machine and its kept last run: every output equals
+    the one-thread result."""
+    tree = builtin_polyfun("innsq-pebble")
+    rng = random.Random(4)
+    words = {Word(tuple(rng.choice("ab#") for _ in range(rng.randint(0, 30)))) for _ in range(200)}
+    jobs = [sorted(words, key=Word.render)[seed::4] for seed in range(4)]
+    want = {w: apply(tree, w) for w in words}
+    wrong, finished = [], []
+
+    def work(seed):
+        for _ in range(3):
+            wrong.extend(w for w in jobs[seed] if apply(tree, w) != want[w])
+        finished.append(seed)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=work, args=(seed,)) for seed in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert sorted(finished) == [0, 1, 2, 3] and wrong == []
 
 
 # -- construction validation -----------------------------------------------
